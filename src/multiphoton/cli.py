@@ -404,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="root RNG seed (default 0)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker thread cap (default: machine parallelism)")
+                       help="worker thread cap (default: CPUs this process may use)")
         p.add_argument("--out", default=None, help="primary output file")
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags override its entries")
@@ -530,6 +530,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 values[key] = value
     seed = values.pop("seed", None)
     threads = values.pop("threads", None)
+    if threads is None:  # the CPUs this process may run on, as its affinity mask allows
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     out = values.pop("out", None)
     params = {k: v for k, v in values.items() if v is not None}
     missing = [name for name in _REQUIRED[args.command] if name not in params]
@@ -539,7 +542,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         command=args.command,
         seed=0 if seed is None else int(seed),
-        threads=(os.cpu_count() or 1) if threads is None else int(threads),
+        threads=int(threads),
         out=out,
         params=params,
     )

@@ -1,15 +1,19 @@
 """Complex dense linear algebra for linear-optical networks.
 
-Interferometers are plain 2-D complex ``numpy`` arrays; Fock input and
-output patterns are tuples of non-negative mode occupations.  This module
-provides the unitarity guard, Haar-random unitary generation, the
-sub-matrix construction whose permanent gives a multi-photon transition
+Interferometers are plain 2-D complex ``numpy`` arrays; a Fock pattern
+given to or returned by the public functions is a tuple of non-negative
+mode occupations.  Internally each outcome space (modes, photons,
+collisions) is enumerated once into a cached integer table whose rows are
+the patterns, so distributions and validation work on row indices.  This
+module also provides the unitarity check, Haar-random unitary generation,
+the sub-matrix construction whose permanent gives a multi-photon transition
 amplitude, singular values for Schmidt decompositions, and the on-disk
 matrix format used by the command-line tools.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -62,6 +66,14 @@ def check_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
     gram = u.conj().T @ u
     deviation = np.abs(gram - np.eye(rows)).max() if rows else 0.0
     return bool(deviation <= tol)
+
+
+def _require_unitary(matrix, caller: str) -> np.ndarray:
+    """``matrix`` as a complex array; ContractError unless :func:`check_unitary` passes."""
+    u = as_complex_matrix(matrix)
+    if not check_unitary(u):
+        raise ContractError(f"{caller} needs a unitary matrix")
+    return u
 
 
 def haar_random_unitary(modes: int, seed: int) -> np.ndarray:
@@ -210,6 +222,44 @@ def save_matrix(path, matrix, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
+class _PatternTable:
+    """One outcome space (modes, photons, collisions) as read-only integer rows.
+
+    Row k is pattern k of :func:`enumerate_patterns`: ``cols[k]`` lists its
+    occupied modes with repeats, ``occupations[k]`` its mode occupations and
+    ``factors[k]`` the product of their factorials.  The tuple view
+    ``outcomes`` and its pattern -> row ``index`` are built on first use.
+    ``_pattern_table`` caches one table per space for all its users.
+    """
+
+    def __init__(self, modes: int, photons: int, collisions: bool):
+        if modes < 1:
+            raise DimensionError("need at least one mode")
+        if photons < 0:
+            raise ContractError("photon number must be non-negative")
+        size = count_patterns(modes, photons, collisions)
+        chooser = itertools.combinations_with_replacement if collisions else itertools.combinations
+        self.cols = np.fromiter(itertools.chain.from_iterable(chooser(range(modes), photons)),
+                                dtype=np.intp, count=size * photons).reshape(size, photons)
+        self.occupations = np.bincount((np.arange(size)[:, None] * modes + self.cols).ravel(),
+                                       minlength=size * modes).reshape(size, modes)
+        factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=float)
+        self.factors = factorials[self.occupations].prod(axis=1)
+        for array in (self.cols, self.occupations, self.factors):
+            array.flags.writeable = False
+
+    @functools.cached_property
+    def outcomes(self) -> tuple:
+        return tuple(map(tuple, self.occupations.tolist()))
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return dict(zip(self.outcomes, range(len(self.outcomes))))
+
+
+_pattern_table = functools.lru_cache(maxsize=32)(_PatternTable)
+
+
 def enumerate_patterns(modes: int, photons: int, collisions: bool = True) -> list[tuple[int, ...]]:
     """All occupation patterns of ``photons`` photons over ``modes`` modes.
 
@@ -217,18 +267,7 @@ def enumerate_patterns(modes: int, photons: int, collisions: bool = True) -> lis
     fixed (mode-index combinations in lexicographic order), so enumeration
     and anything sampled from it is reproducible.
     """
-    if modes < 1:
-        raise DimensionError("need at least one mode")
-    if photons < 0:
-        raise ContractError("photon number must be non-negative")
-    chooser = itertools.combinations if not collisions else itertools.combinations_with_replacement
-    out = []
-    for modeset in chooser(range(modes), photons):
-        pattern = [0] * modes
-        for m in modeset:
-            pattern[m] += 1
-        out.append(tuple(pattern))
-    return out
+    return list(_pattern_table(modes, photons, collisions).outcomes)
 
 
 def count_patterns(modes: int, photons: int, collisions: bool = True) -> int:

@@ -2,7 +2,8 @@
 
 Builds exact output distributions for indistinguishable photons (permanent
 of the transition submatrix) and for the distinguishable-photon reference
-model, draws output samples, and simulates the full scattershot pipeline:
+model over the shared integer pattern table of their outcome space, draws
+output samples, and simulates the full scattershot pipeline:
 every pulse each source may fire, heralded inputs select a random input
 pattern, and events are retained when exactly ``n_select`` heralds and
 ``n_select`` detected output photons coincide.
@@ -11,21 +12,20 @@ pattern, and events are retained when exactly ``n_select`` heralds and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DataError, ResourceLimitError
 from .linalg import (
-    as_complex_matrix,
+    _pattern_table,
+    _PatternTable,
+    _require_unitary,
     as_occupation,
-    check_unitary,
     count_patterns,
-    enumerate_patterns,
     occupation_from_string,
     occupation_to_string,
-    photon_count,
 )
 from .rng import derive_rng
 from .sources import SourceParams, _draw_fire
@@ -52,24 +52,34 @@ MAX_ENUMERATION = 1_000_000
 _BATCH = 1 << 16
 
 
-@dataclass
+class _Support(NamedTuple):
+    """Outcome tuples given explicitly, with their pattern -> row index."""
+
+    outcomes: tuple
+    index: dict
+
+
 class OutcomeDistribution:
     """Probability distribution over output occupation patterns.
 
     ``outcomes[i]`` is an occupation tuple with probability
     ``probabilities[i]``; the probabilities are non-negative and sum to 1
-    within 1e-9.
+    within 1e-9.  Distributions from :func:`exact_distribution` and
+    :func:`distinguishable_distribution` share the integer pattern table of
+    their outcome space and build ``outcomes`` from it only when asked for.
     """
 
-    outcomes: tuple
-    probabilities: np.ndarray
-    _index: dict = field(init=False, repr=False)
-    _cumulative: np.ndarray | None = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        self.outcomes = tuple(tuple(int(x) for x in o) for o in self.outcomes)
-        probs = np.asarray(self.probabilities, dtype=float)
-        if probs.ndim != 1 or len(self.outcomes) != probs.size:
+    def __init__(self, outcomes, probabilities):
+        if isinstance(outcomes, _PatternTable):
+            support, size = outcomes, len(outcomes.cols)
+        else:
+            outcomes = tuple(tuple(int(x) for x in o) for o in outcomes)
+            support = _Support(outcomes, dict(zip(outcomes, range(len(outcomes)))))
+            size = len(outcomes)
+            if len(support.index) != size:
+                raise ContractError("duplicate outcome pattern")
+        probs = np.asarray(probabilities, dtype=float)
+        if probs.ndim != 1 or size != probs.size:
             raise ContractError("outcomes and probabilities must align")
         if probs.size == 0:
             raise ContractError("distribution must have at least one outcome")
@@ -79,15 +89,18 @@ class OutcomeDistribution:
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise ContractError(f"probabilities sum to {total}, expected 1")
+        self._support = support
         self.probabilities = probs
-        self._index = {o: i for i, o in enumerate(self.outcomes)}
-        if len(self._index) != len(self.outcomes):
-            raise ContractError("duplicate outcome pattern")
+        self._cumulative = None
+
+    @property
+    def outcomes(self) -> tuple:
+        return self._support.outcomes
 
     def prob(self, pattern) -> float:
         """Probability of one pattern; 0.0 when outside the support set."""
         key = tuple(int(x) for x in pattern)
-        i = self._index.get(key)
+        i = self._support.index.get(key)
         return float(self.probabilities[i]) if i is not None else 0.0
 
     def cumulative(self) -> np.ndarray:
@@ -114,23 +127,17 @@ def _guard_enumeration(modes: int, photons: int, collisions: bool, caller: str) 
         )
 
 
-def _occupation_factorial(pattern) -> float:
-    out = 1.0
-    for x in pattern:
-        out *= math.factorial(x)
-    return out
-
-
 # Outcome chunk size for the batched permanent evaluation; bounds the
 # (2^n - 1, chunk, n) intermediate to a few tens of MB at n = 6.
 _OUTCOME_CHUNK = 4096
 
 
-def _all_output_permanents(rows: np.ndarray, outcomes) -> np.ndarray:
+def _all_output_permanents(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Permanents of the transition submatrix for one input against every output.
 
     ``rows`` holds the input-selected rows of the interferometer (one row
-    per photon, repeats included), shape (n, m).  For each output pattern T
+    per photon, repeats included), shape (n, m), and ``cols`` the occupied
+    output modes of every pattern, shape (K, n).  For each output pattern T
     the submatrix permanent equals ``sum_R (-1)^(n-|R|) prod_{j in T} v_R[j]``
     over non-empty photon subsets R, where ``v_R`` is the subset row sum;
     the ``v_R`` vectors are shared across outputs, which is what makes the
@@ -141,15 +148,37 @@ def _all_output_permanents(rows: np.ndarray, outcomes) -> np.ndarray:
     membership = ((ranks[:, None] >> np.arange(n)) & 1).astype(float)
     v = membership @ rows
     weights = np.where((n - np.bitwise_count(ranks)) & 1, -1.0, 1.0)
-    col_idx = np.empty((len(outcomes), n), dtype=np.intp)
-    for i, t in enumerate(outcomes):
-        col_idx[i] = np.repeat(np.arange(len(t)), t)
-    perms = np.empty(len(outcomes), dtype=v.dtype)
-    for start in range(0, len(outcomes), _OUTCOME_CHUNK):
-        block = col_idx[start : start + _OUTCOME_CHUNK]
-        prods = v[:, block].prod(axis=2)
-        perms[start : start + block.shape[0]] = weights @ prods
+    perms = np.empty(len(cols), dtype=v.dtype)
+    for start in range(0, len(cols), _OUTCOME_CHUNK):
+        block = cols[start : start + _OUTCOME_CHUNK]
+        perms[start : start + len(block)] = weights @ v[:, block].prod(axis=2)
     return perms
+
+
+def _distribution(unitary, input_pattern, collisions: bool, interfering: bool,
+                  caller: str) -> OutcomeDistribution:
+    """Output distribution of one input over the pattern table of its outcome space."""
+    u = _require_unitary(unitary, caller)
+    modes = u.shape[0]
+    occ = as_occupation(input_pattern, modes)
+    n = sum(occ)
+    _guard_enumeration(modes, n, collisions, caller)
+    table = _pattern_table(modes, n, collisions)
+    # re^2 + im^2 rather than abs()**2: keeps the n=1 case bit-identical
+    # between the two models, where they coincide by definition.
+    source = u if interfering else u.real**2 + u.imag**2
+    amps = _all_output_permanents(source[np.repeat(np.arange(modes), occ), :], table.cols)
+    if interfering:
+        input_factor = math.prod(math.factorial(x) for x in occ)
+        probs = (amps.real**2 + amps.imag**2) / (input_factor * table.factors)
+    else:
+        probs = np.clip(amps.real, 0.0, None) / table.factors
+    if not collisions:
+        total = probs.sum()
+        if total <= 0:
+            raise ContractError("no probability mass on collision-free outputs")
+        probs /= total
+    return OutcomeDistribution(table, probs)
 
 
 def exact_distribution(unitary, input_pattern, collisions: bool = True) -> OutcomeDistribution:
@@ -169,24 +198,7 @@ def exact_distribution(unitary, input_pattern, collisions: bool = True) -> Outco
         If the photon number or the output-pattern count exceeds the
         exact-enumeration limits.
     """
-    u = as_complex_matrix(unitary)
-    check_unitary(u)
-    modes = u.shape[0]
-    occ = as_occupation(input_pattern, modes)
-    n = photon_count(occ)
-    _guard_enumeration(modes, n, collisions, "exact_distribution")
-    outcomes = enumerate_patterns(modes, n, collisions)
-    input_factor = _occupation_factorial(occ)
-    rows = u[np.repeat(np.arange(modes), occ), :]
-    amps = _all_output_permanents(rows, outcomes)
-    output_factors = np.array([_occupation_factorial(t) for t in outcomes])
-    probs = (amps.real**2 + amps.imag**2) / (input_factor * output_factors)
-    if not collisions:
-        total = probs.sum()
-        if total <= 0:
-            raise ContractError("no probability mass on collision-free outputs")
-        probs /= total
-    return OutcomeDistribution(tuple(outcomes), probs)
+    return _distribution(unitary, input_pattern, collisions, True, "exact_distribution")
 
 
 def distinguishable_distribution(unitary, input_pattern,
@@ -195,28 +207,10 @@ def distinguishable_distribution(unitary, input_pattern,
 
     Each photon routes independently with the classical transfer matrix
     ``M = |U|^2``; output pattern T has probability
-    ``perm(M_{S,T}) / prod_j t_j!``.
+    ``perm(M_{S,T}) / prod_j t_j!``.  Raises like :func:`exact_distribution`.
     """
-    u = as_complex_matrix(unitary)
-    check_unitary(u)
-    modes = u.shape[0]
-    occ = as_occupation(input_pattern, modes)
-    n = photon_count(occ)
-    _guard_enumeration(modes, n, collisions, "distinguishable_distribution")
-    # re^2 + im^2 rather than abs()**2: keeps the n=1 case bit-identical
-    # to the interfering route, where these coincide by definition.
-    transfer = u.real**2 + u.imag**2
-    outcomes = enumerate_patterns(modes, n, collisions)
-    rows = transfer[np.repeat(np.arange(modes), occ), :]
-    perms = _all_output_permanents(rows, outcomes).real
-    output_factors = np.array([_occupation_factorial(t) for t in outcomes])
-    probs = np.clip(perms, 0.0, None) / output_factors
-    if not collisions:
-        total = probs.sum()
-        if total <= 0:
-            raise ContractError("no probability mass on collision-free outputs")
-        probs /= total
-    return OutcomeDistribution(tuple(outcomes), probs)
+    return _distribution(unitary, input_pattern, collisions, False,
+                         "distinguishable_distribution")
 
 
 def sample_outputs(distribution: OutcomeDistribution, shots: int, seed: int) -> list:
@@ -227,7 +221,8 @@ def sample_outputs(distribution: OutcomeDistribution, shots: int, seed: int) -> 
     cum = distribution.cumulative()
     picks = np.searchsorted(cum, rng.random(shots), side="right")
     picks = np.minimum(picks, len(cum) - 1)
-    return [distribution.outcomes[i] for i in picks]
+    outcomes = distribution.outcomes
+    return [outcomes[i] for i in picks]
 
 
 @dataclass(frozen=True)
@@ -265,14 +260,15 @@ class ScattershotResult:
     report: RateReport
 
 
-def _exactly_n_probability(probs: np.ndarray, n: int) -> float:
-    # Poisson-binomial mass at exactly n successes, by direct convolution.
-    # Reduces to C(k, n) p^n (1-p)^(k-n) when all probabilities are equal.
+def _exactly_n_probability(selected: np.ndarray, idle: np.ndarray, n: int) -> float:
+    # Mass of exactly n sources selected, source i contributing weight
+    # selected[i] when selected and idle[i] otherwise, by direct convolution.
+    # Reduces to C(k, n) a^n b^(k-n) when all weights are equal.
     coeff = np.zeros(n + 1)
     coeff[0] = 1.0
-    for p in probs:
-        upper = coeff[1:] * (1.0 - p) + coeff[:-1] * p
-        coeff[0] *= 1.0 - p
+    for a, b in zip(selected, idle):
+        upper = coeff[1:] * b + coeff[:-1] * a
+        coeff[0] *= b
         coeff[1:] = upper
     return float(coeff[n])
 
@@ -309,10 +305,18 @@ def expected_rate(k: int, n: int, eps: float, eta: float, rep_rate: float = 80e6
 
 
 def _predicted_run_rate(params: Sequence[SourceParams], n_select: int) -> float:
-    # Per-source useful probability eps * (eta_herald * eta_detect)^2; for
-    # identical sources this equals the closed-form expected_rate.
-    probs = np.array([p.epsilon * p.lumped_efficiency for p in params])
-    return _common_rep_rate(params) * _exactly_n_probability(probs, n_select)
+    """Expected retained-event rate of :func:`scattershot_run`, in Hz.
+
+    A retained event needs n_select sources that herald and deliver a
+    detected photon, eps * (eta_herald * eta_detect)^2 each, while every
+    other source stays silent, 1 - eps * eta_herald * eta_detect each (the
+    ``herald_probability``).  The value is exact when all ``eta_detect``
+    are equal; otherwise output detection depends on where the photons
+    exit, which this product does not see.
+    """
+    useful = np.array([p.epsilon * p.lumped_efficiency for p in params])
+    idle = np.array([1.0 - p.herald_probability for p in params])
+    return _common_rep_rate(params) * _exactly_n_probability(useful, idle, n_select)
 
 
 def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
@@ -329,8 +333,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
 
     Deterministic given the seed, independently of batch processing order.
     """
-    u = as_complex_matrix(unitary)
-    check_unitary(u)
+    u = _require_unitary(unitary, "scattershot_run")
     modes = u.shape[0]
     if len(params) != modes:
         raise ContractError(
@@ -369,22 +372,18 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
             continue
         draws = rng.random(candidates.size)
         for u_draw, row in zip(draws, candidates):
-            key = tuple(np.flatnonzero(inputs[row]))
-            cached = dist_cache.get(key)
-            if cached is None:
-                occ = np.zeros(modes, dtype=int)
-                occ[list(key)] = 1
-                dist = exact_distribution(u, occ)
-                cached = (dist.outcomes, dist.cumulative())
-                dist_cache[key] = cached
-            outcomes, cum = cached
-            output = outcomes[min(np.searchsorted(cum, u_draw, side="right"), len(cum) - 1)]
-            if perfect_detectors:
-                detected = output
-            else:
-                detected = tuple(int(x) for x in rng.binomial(output, detect_prob))
-                if sum(detected) != n_select:
+            key = inputs[row].tobytes()
+            dist = dist_cache.get(key)
+            if dist is None:
+                dist = dist_cache[key] = exact_distribution(u, inputs[row].astype(int))
+            cum = dist.cumulative()
+            output = dist._support.occupations[
+                min(np.searchsorted(cum, u_draw, side="right"), len(cum) - 1)]
+            if not perfect_detectors:
+                output = rng.binomial(output, detect_prob)
+                if output.sum() != n_select:
                     continue
+            detected = tuple(output.tolist())
             records.append(
                 SampleRecord(
                     trigger=tuple(int(x) for x in triggers[row]),

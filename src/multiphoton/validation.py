@@ -9,15 +9,15 @@ scattershot runs.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DataError
-from .linalg import as_complex_matrix, check_unitary, is_no_collision
+from .linalg import _require_unitary
 from .sampling import (
     OutcomeDistribution,
     SampleRecord,
@@ -95,23 +95,37 @@ class AggregateValidationReport:
         return len(self.groups)
 
 
-def _as_prob_map(dist) -> dict:
+def _keys_and_values(dist):
     if isinstance(dist, OutcomeDistribution):
-        return dict(zip(dist.outcomes, (float(p) for p in dist.probabilities)))
+        return dist.outcomes, dist.probabilities
     if isinstance(dist, Mapping):
-        return {key: float(value) for key, value in dist.items()}
+        return tuple(dist), np.array(list(dist.values()), dtype=float)
     raise ContractError(f"expected a distribution or mapping, got {type(dist).__name__}")
 
 
-def _check_common_support(p: dict, q: dict) -> None:
-    if set(p) != set(q):
-        raise ContractError("distributions are over different outcome sets")
-    for name, dist in (("first", p), ("second", q)):
-        total = math.fsum(dist.values())
+def _aligned(p, q) -> tuple:
+    """Probability arrays of ``p`` and ``q`` over their common support, in p's order."""
+    (p_keys, pa), (q_keys, qa) = _keys_and_values(p), _keys_and_values(q)
+    if q_keys != p_keys:
+        row = dict(zip(q_keys, range(len(q_keys))))
+        if row.keys() != set(p_keys):
+            raise ContractError("distributions are over different outcome sets")
+        qa = qa[[row[key] for key in p_keys]]
+    for name, values in (("first", pa), ("second", qa)):
+        total = math.fsum(values.tolist())
         if abs(total - 1.0) > _NORM_TOL:
             raise ContractError(f"{name} distribution sums to {total}, expected 1")
-        if min(dist.values(), default=0.0) < 0:
+        if values.min() < 0:
             raise ContractError(f"{name} distribution has a negative entry")
+    return pa, qa
+
+
+def _similarity(pa: np.ndarray, qa: np.ndarray) -> float:
+    return math.fsum(np.sqrt(pa * qa).tolist())
+
+
+def _distance(pa: np.ndarray, qa: np.ndarray) -> float:
+    return 0.5 * math.fsum(np.abs(pa - qa).tolist())
 
 
 def similarity(p, q) -> float:
@@ -120,16 +134,21 @@ def similarity(p, q) -> float:
     Equals 1 exactly when the distributions coincide and 0 when their
     supports are disjoint.
     """
-    pm, qm = _as_prob_map(p), _as_prob_map(q)
-    _check_common_support(pm, qm)
-    return math.fsum(math.sqrt(pm[k] * qm[k]) for k in pm)
+    return _similarity(*_aligned(p, q))
 
 
 def tv_distance(p, q) -> float:
     """Total variation distance D = (1/2) sum|p_i - q_i| over a common support."""
-    pm, qm = _as_prob_map(p), _as_prob_map(q)
-    _check_common_support(pm, qm)
-    return 0.5 * math.fsum(abs(pm[k] - qm[k]) for k in pm)
+    return _distance(*_aligned(p, q))
+
+
+def _rows(index: dict, patterns) -> np.ndarray:
+    """Row of each pattern in ``index``; -1 where it has none."""
+    return np.fromiter(map(index.get, patterns, itertools.repeat(-1)), dtype=np.intp)
+
+
+def _as_keys(patterns) -> list:
+    return [tuple(int(x) for x in pattern) for pattern in patterns]
 
 
 def empirical_distribution(patterns, support) -> dict:
@@ -140,64 +159,89 @@ def empirical_distribution(patterns, support) -> dict:
     keep frequency zero).
     """
     if isinstance(support, OutcomeDistribution):
-        keys = support.outcomes
+        keys, index = support.outcomes, support._support.index
     else:
-        keys = tuple(tuple(int(x) for x in pattern) for pattern in support)
-    counts = dict.fromkeys(keys, 0)
-    if len(counts) != len(keys):
-        raise ContractError("support contains duplicate patterns")
-    total = 0
-    for pattern in patterns:
-        key = tuple(int(x) for x in pattern)
-        if key not in counts:
-            raise DataError(f"sample {key} lies outside the outcome support")
-        counts[key] += 1
-        total += 1
-    if total == 0:
+        keys = tuple(_as_keys(support))
+        index = dict(zip(keys, range(len(keys))))
+        if len(index) != len(keys):
+            raise ContractError("support contains duplicate patterns")
+    samples = _as_keys(patterns)
+    rows = _rows(index, samples)
+    if (rows < 0).any():
+        raise DataError(f"sample {samples[np.argmin(rows)]} lies outside the outcome support")
+    if not samples:
         raise DataError("no samples provided")
-    return {key: count / total for key, count in counts.items()}
+    return dict(zip(keys, (np.bincount(rows, minlength=len(keys)) / len(rows)).tolist()))
 
 
-def _model_oracle(model) -> Callable:
-    if isinstance(model, OutcomeDistribution):
-        return lambda _input: model
-    if callable(model):
-        cache: dict = {}
-
-        def oracle(input_pattern):
-            hit = cache.get(input_pattern)
-            if hit is None:
-                hit = model(input_pattern)
-                if not isinstance(hit, OutcomeDistribution):
-                    raise ContractError("model oracle must return an OutcomeDistribution")
-                cache[input_pattern] = hit
-            return hit
-
-        return oracle
-    raise ContractError("hypothesis model must be a distribution or a per-input callable")
+def _model(model, input_pattern) -> OutcomeDistribution:
+    if not (isinstance(model, OutcomeDistribution) or callable(model)):
+        raise ContractError("hypothesis model must be a distribution or a per-input callable")
+    dist = model if isinstance(model, OutcomeDistribution) else model(input_pattern)
+    if not isinstance(dist, OutcomeDistribution):
+        raise ContractError("model oracle must return an OutcomeDistribution")
+    return dist
 
 
-def _joint_similarity_distance(pairs, q_oracle):
-    # Empirical joint frequencies over (input, output) against the model
-    # joint built from the empirical input marginal times the per-input
-    # model: q_hat(i, o) = p_hat(i) * q(o | i).
-    total = len(pairs)
-    input_counts = Counter(inp for inp, _ in pairs)
-    joint_counts = Counter(pairs)
-    seen_by_input: dict = {}
-    for inp, out in joint_counts:
-        seen_by_input.setdefault(inp, set()).add(out)
-    s_acc = 0.0
-    d_acc = 0.0
-    for inp, count in input_counts.items():
-        dist = q_oracle(inp)
-        weight = count / total
-        for out in set(dist.outcomes) | seen_by_input[inp]:
-            p_hat = joint_counts.get((inp, out), 0) / total
-            q_hat = weight * dist.prob(out)
-            s_acc += math.sqrt(p_hat * q_hat)
-            d_acc += abs(p_hat - q_hat)
-    return s_acc, 0.5 * d_acc
+def _evaluate(inputs, block, outputs, q_model, p_model) -> tuple:
+    """Evaluate both hypotheses on every sample of a stream split into input blocks.
+
+    Sample t has input ``inputs[block[t]]`` and output ``outputs[t]``.
+    Returns each block's q distribution, each sample's row in it (-1
+    outside its support) and each sample's probability under q and p.
+    """
+    order = np.argsort(block, kind="stable")
+    bounds = np.searchsorted(block[order], np.arange(len(inputs) + 1))
+    rows = np.empty(len(block), dtype=np.intp)
+    q_val, p_val = np.empty(len(block)), np.empty(len(block))
+    q_dists = []
+    for b, inp in enumerate(inputs):
+        at = order[bounds[b] : bounds[b + 1]]
+        q, p = _model(q_model, inp), _model(p_model, inp)
+        outs = list(map(outputs.__getitem__, at.tolist()))
+        rows[at] = q_rows = _rows(q._support.index, outs)
+        p_rows = q_rows if p._support is q._support else _rows(p._support.index, outs)
+        q_val[at] = np.where(q_rows >= 0, q.probabilities[q_rows], 0.0)
+        p_val[at] = np.where(p_rows >= 0, p.probabilities[p_rows], 0.0)
+        q_dists.append(q)
+    return q_dists, rows, q_val, p_val
+
+
+def _pooled_report(block, q_dists, rows, q_val, p_val, threshold, sample_at) -> ValidationReport:
+    """Cumulative LR test and joint statistics over an evaluated sample stream.
+
+    The first sample with a zero probability ends the test.  The joint
+    similarity/distance compare the empirical (input, output) frequencies
+    of the consumed samples with the model joint q_hat(i, o) = p_hat(i) * q(o | i).
+    """
+    zeros = np.flatnonzero((q_val == 0.0) | (p_val == 0.0))
+    end = int(zeros[0]) if zeros.size else len(q_val)
+    trajectory = np.cumsum(np.log(q_val[:end] / p_val[:end]))
+    if zeros.size:
+        if q_val[end] == 0.0 and p_val[end] == 0.0:
+            inp, out = sample_at(end)
+            raise DataError(f"sample {out} for input {inp} is impossible under both hypotheses")
+        trajectory = np.append(trajectory, math.inf if p_val[end] == 0.0 else -math.inf)
+    level = trajectory[-1]
+    verdict = ("indistinguishable" if level > threshold
+               else "distinguishable" if level < -threshold else "inconclusive")
+    total = len(trajectory)
+    block, rows = block[:total], rows[:total]
+    inside = rows >= 0
+    weights = np.bincount(block, minlength=len(q_dists)) / total
+    q_hat = np.concatenate([w * q.probabilities for w, q in zip(weights, q_dists)])
+    offsets = np.cumsum([0] + [q.probabilities.size for q in q_dists[:-1]])
+    p_hat = np.bincount(offsets[block[inside]] + rows[inside], minlength=q_hat.size) / total
+    # Only the deciding sample can lie outside its q support; its joint
+    # frequency 1/total adds to the distance alone.
+    outside = [np.count_nonzero(~inside) / total]
+    return ValidationReport(
+        similarity=_similarity(p_hat, q_hat),
+        distance=0.5 * math.fsum(np.abs(p_hat - q_hat).tolist() + outside),
+        lr_trajectory=trajectory,
+        verdict=verdict,
+        samples_used=total,
+    )
 
 
 def likelihood_ratio_test(samples, q_model, p_model, threshold: float = 5.0) -> ValidationReport:
@@ -216,49 +260,14 @@ def likelihood_ratio_test(samples, q_model, p_model, threshold: float = 5.0) -> 
     """
     if not threshold > 0:
         raise ContractError(f"threshold must be positive, got {threshold}")
-    q_oracle = _model_oracle(q_model)
-    p_oracle = _model_oracle(p_model)
-    trajectory = []
-    consumed = []
-    level = 0.0
-    verdict = None
-    for inp, out in samples:
-        key_in = tuple(int(x) for x in inp)
-        key_out = tuple(int(x) for x in out)
-        consumed.append((key_in, key_out))
-        q = q_oracle(key_in).prob(key_out)
-        p = p_oracle(key_in).prob(key_out)
-        if q == 0.0 and p == 0.0:
-            raise DataError(
-                f"sample {key_out} for input {key_in} is impossible under both hypotheses"
-            )
-        if p == 0.0:
-            trajectory.append(math.inf)
-            verdict = "indistinguishable"
-            break
-        if q == 0.0:
-            trajectory.append(-math.inf)
-            verdict = "distinguishable"
-            break
-        level += math.log(q / p)
-        trajectory.append(level)
-    if not consumed:
+    pairs = [(tuple(int(x) for x in inp), tuple(int(x) for x in out)) for inp, out in samples]
+    if not pairs:
         raise ContractError("no samples supplied")
-    if verdict is None:
-        if level > threshold:
-            verdict = "indistinguishable"
-        elif level < -threshold:
-            verdict = "distinguishable"
-        else:
-            verdict = "inconclusive"
-    s, d = _joint_similarity_distance(consumed, q_oracle)
-    return ValidationReport(
-        similarity=s,
-        distance=d,
-        lr_trajectory=np.array(trajectory),
-        verdict=verdict,
-        samples_used=len(consumed),
-    )
+    inputs, outputs = map(list, zip(*pairs))
+    ids: dict = {}
+    block = np.array([ids.setdefault(inp, len(ids)) for inp in inputs], dtype=np.intp)
+    return _pooled_report(block, *_evaluate(list(ids), block, outputs, q_model, p_model),
+                          threshold, pairs.__getitem__)
 
 
 def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
@@ -275,46 +284,51 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     """
     if not records:
         raise ContractError("empty record set")
-    u = as_complex_matrix(unitary)
-    check_unitary(u)
-    for rec in records:
-        if sum(rec.trigger) != sum(rec.output):
-            raise ContractError(
-                f"record at pulse {rec.pulse_index} is not post-selected: "
-                f"{sum(rec.trigger)} triggers vs {sum(rec.output)} detected photons"
-            )
-    kept = records if collisions else [r for r in records if is_no_collision(r.output)]
-    if not kept:
-        raise ContractError("no records left after removing collision outputs")
-    grouped: dict = {}
-    for rec in kept:
-        grouped.setdefault(rec.trigger, []).append(rec.output)
-
-    q_oracle = _model_oracle(lambda inp: exact_distribution(u, inp, collisions))
-    p_oracle = _model_oracle(lambda inp: distinguishable_distribution(u, inp, collisions))
-
-    groups = []
-    for trigger in sorted(grouped):
-        outputs = grouped[trigger]
-        dist = q_oracle(trigger)
-        freq = empirical_distribution(outputs, dist)
-        groups.append(
-            GroupValidation(
-                trigger=trigger,
-                samples=len(outputs),
-                similarity=similarity(freq, dist),
-                distance=tv_distance(freq, dist),
-            )
+    u = _require_unitary(unitary, "scattershot_aggregate_validation")
+    try:
+        triggers = np.array([rec.trigger for rec in records], dtype=np.int64)
+        outputs = np.array([rec.output for rec in records], dtype=np.int64)
+    except ValueError as exc:
+        raise DataError(f"records mix pattern lengths: {exc}") from exc
+    unmatched = np.flatnonzero(triggers.sum(axis=1) != outputs.sum(axis=1))
+    if unmatched.size:
+        rec = records[unmatched[0]]
+        raise ContractError(
+            f"record at pulse {rec.pulse_index} is not post-selected: "
+            f"{sum(rec.trigger)} triggers vs {sum(rec.output)} detected photons"
         )
+    if not collisions:
+        kept = outputs.max(axis=1) <= 1
+        triggers, outputs = triggers[kept], outputs[kept]
+        if not len(triggers):
+            raise ContractError("no records left after removing collision outputs")
+    # Groups in sorted trigger order, records within a group in log order.
+    order = np.lexsort(triggers.T[::-1])
+    triggers, outputs = triggers[order], list(map(tuple, outputs[order].tolist()))
+    first = np.r_[True, (triggers[1:] != triggers[:-1]).any(axis=1)]
+    block = np.cumsum(first) - 1
+    inputs = list(map(tuple, triggers[first].tolist()))
+    q_dists, rows, q_val, p_val = _evaluate(
+        inputs, block, outputs,
+        lambda inp: exact_distribution(u, inp, collisions),
+        lambda inp: distinguishable_distribution(u, inp, collisions))
+    if (rows < 0).any():
+        raise DataError(f"sample {outputs[np.argmin(rows)]} lies outside the outcome support")
+    bounds = np.searchsorted(block, np.arange(len(inputs) + 1))
+    groups = []
+    for g, q in enumerate(q_dists):
+        group_rows = rows[bounds[g] : bounds[g + 1]]
+        freq = np.bincount(group_rows, minlength=q.probabilities.size) / len(group_rows)
+        groups.append(GroupValidation(trigger=inputs[g], samples=len(group_rows),
+                                      similarity=_similarity(freq, q.probabilities),
+                                      distance=_distance(freq, q.probabilities)))
     sims = np.array([g.similarity for g in groups])
     dists = np.array([g.distance for g in groups])
     spread = (
         (float(sims.std(ddof=1)), float(dists.std(ddof=1))) if len(groups) > 1 else (0.0, 0.0)
     )
-    pooled_samples = [
-        (trigger, out) for trigger in sorted(grouped) for out in grouped[trigger]
-    ]
-    pooled = likelihood_ratio_test(pooled_samples, q_oracle, p_oracle, threshold)
+    pooled = _pooled_report(block, q_dists, rows, q_val, p_val, threshold,
+                            lambda t: (inputs[block[t]], outputs[t]))
     return AggregateValidationReport(
         groups=tuple(groups),
         mean_similarity=float(sims.mean()),

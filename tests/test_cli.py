@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from multiphoton.cli import main
+from multiphoton.cli import _build_parser, main, resolve_config
 from multiphoton.linalg import haar_random_unitary, save_matrix
 
 
@@ -261,3 +262,13 @@ class TestConfigFile:
         config = tmp_path / "run.json"
         config.write_text("k = 12")
         assert main(["rates", "--config", str(config)]) == 3
+
+    def test_default_threads_follow_affinity_mask(self, monkeypatch):
+        args = _build_parser().parse_args(["rates", "--k", "4", "--n", "2"])
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_config(args).threads == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_config(args).threads == 64
+        assert resolve_config(_build_parser().parse_args(
+            ["rates", "--k", "4", "--n", "2", "--threads", "3"])).threads == 3

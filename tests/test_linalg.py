@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -128,6 +129,19 @@ class TestPatternEnumeration:
                 assert len(pats) == count_patterns(modes, photons, collisions)
                 assert len(set(pats)) == len(pats)
                 assert all(sum(p) == photons for p in pats)
+
+    def test_matches_per_pattern_loop(self):
+        for modes, photons in [(1, 0), (3, 0), (4, 2), (5, 3), (3, 4)]:
+            for collisions in (True, False):
+                chooser = (itertools.combinations_with_replacement if collisions
+                           else itertools.combinations)
+                want = []
+                for modeset in chooser(range(modes), photons):
+                    pattern = [0] * modes
+                    for m in modeset:
+                        pattern[m] += 1
+                    want.append(tuple(pattern))
+                assert enumerate_patterns(modes, photons, collisions) == want
 
     def test_twelve_mode_counts(self):
         assert count_patterns(12, 3, collisions=False) == 220

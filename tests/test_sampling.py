@@ -96,6 +96,14 @@ class TestExactDistribution:
         with pytest.raises(ResourceLimitError):
             exact_distribution(np.eye(8), (1,) * 7 + (0,))
 
+    def test_non_unitary_rejected(self):
+        # renormalizing the collision-free outputs would hide this defect
+        with pytest.raises(ContractError):
+            exact_distribution(0.7 * np.ones((4, 4)), (1, 1, 0, 0), collisions=False)
+        # |U|^2 is doubly stochastic here, so the probabilities sum to 1
+        with pytest.raises(ContractError):
+            distinguishable_distribution(0.5 * np.ones((4, 4)), (1, 1, 0, 0))
+
 
 class TestDistinguishableDistribution:
     def test_identity_is_point_mass(self):
@@ -111,6 +119,17 @@ class TestDistinguishableDistribution:
     def test_normalization_on_haar(self):
         dist = distinguishable_distribution(haar_random_unitary(6, 24), (1, 1, 1, 0, 0, 0))
         assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_bunched_input_matches_brute_force(self):
+        u = haar_random_unitary(5, 35)
+        occ = (2, 0, 1, 0, 0)
+        transfer = np.abs(u) ** 2
+        dist = distinguishable_distribution(u, occ)
+        assert len(dist.outcomes) == math.comb(7, 3)
+        for out in dist.outcomes:
+            perm = permanent_naive(transition_submatrix(transfer, occ, out)).real
+            want = perm / np.prod([math.factorial(t) for t in out])
+            assert dist.prob(out) == pytest.approx(want, abs=1e-12)
 
     def test_single_photon_equals_exact(self):
         u = haar_random_unitary(7, 25)
@@ -195,6 +214,11 @@ class TestScattershotRun:
         assert result.report.retained_events == 0
         assert result.report.rate_hz == 0.0
 
+    def test_non_unitary_rejected(self):
+        with pytest.raises(ContractError):
+            # idle sources never build a distribution that could expose it
+            scattershot_run(0.5 * np.ones((4, 4)), [SourceParams(epsilon=0.0)] * 4, 10, 2, seed=0)
+
     def test_source_count_must_match_modes(self):
         u = haar_random_unitary(4, 29)
         with pytest.raises(ContractError):
@@ -230,8 +254,30 @@ class TestScattershotRun:
         assert rep.n == 2
         assert rep.pulses == 30_000
         assert rep.rate_hz == pytest.approx(80e6 * rep.retained_events / 30_000)
-        want = expected_rate(4, 2, 0.2, 0.8, 80e6, scattershot=True)
+        # two sources herald and deliver a photon, eps * (eta_h * eta_d)^2
+        # each, and the other two stay silent, 1 - eps * eta_h * eta_d each
+        eta_h = math.sqrt(0.8)
+        want = 80e6 * math.comb(4, 2) * (0.2 * 0.8) ** 2 * (1 - 0.2 * eta_h) ** 2
         assert rep.predicted_rate_hz == pytest.approx(want, rel=1e-12)
+
+    def test_predicted_rate_is_the_exact_retention(self):
+        # n sources herald and deliver a detected photon, the other k - n stay
+        # silent: criterion-3 bright sources, then lossy detectors shared by
+        # all sources
+        for params, k, n, pulses in (
+            ([SourceParams.from_lumped_efficiency(0.3, 0.81)] * 12, 12, 4, 1),
+            ([SourceParams(0.4, eta_herald=0.9, eta_detect=0.7)] * 6, 6, 2, 40_000),
+        ):
+            s = params[0]
+            useful = s.epsilon * (s.eta_herald * s.eta_detect) ** 2
+            idle = 1.0 - s.epsilon * s.eta_herald * s.eta_detect
+            want = s.rep_rate * math.comb(k, n) * useful**n * idle ** (k - n)
+            result = scattershot_run(haar_random_unitary(k, 34), params, pulses, n, seed=8)
+            assert result.report.predicted_rate_hz == pytest.approx(want, rel=1e-12)
+        # the lossy run's simulated retention agrees within 5 sigma
+        prob = want / s.rep_rate
+        sigma = math.sqrt(pulses * prob * (1.0 - prob))
+        assert abs(result.report.retained_events - pulses * prob) <= 5 * sigma
 
     def test_batched_runs_are_reproducible(self):
         u = haar_random_unitary(3, 33)

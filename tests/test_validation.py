@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -116,6 +117,45 @@ class TestLikelihoodRatioTest:
         assert report.verdict == "distinguishable"
         assert report.lr_trajectory[-1] == -math.inf
 
+    def test_pooled_statistics_match_joint_formula(self):
+        # interleaved inputs: q_hat(i, o) = p_hat(i) * q(o | i) against the
+        # empirical joint frequencies, over every outcome of each q(. | i)
+        u = haar_random_unitary(6, 4)
+        inputs = [(1, 1, 0, 0, 0, 0), (0, 1, 0, 1, 0, 1), (1, 0, 0, 0, 1, 1)]
+        samples = []
+        for k in range(600):
+            inp = inputs[k % 3]
+            samples.append((inp, sample_outputs(exact_distribution(u, inp), 1, k)[0]))
+        report = likelihood_ratio_test(samples, lambda inp: exact_distribution(u, inp),
+                                       lambda inp: distinguishable_distribution(u, inp))
+        joint = Counter(samples)
+        per_input = Counter(inp for inp, _ in samples)
+        s = d = 0.0
+        for inp, count in per_input.items():
+            q = exact_distribution(u, inp)
+            for out in q.outcomes:
+                p_hat = joint[(inp, out)] / len(samples)
+                q_hat = count / len(samples) * q.prob(out)
+                s += math.sqrt(p_hat * q_hat)
+                d += abs(p_hat - q_hat)
+        assert report.samples_used == 600
+        assert report.similarity == pytest.approx(s, abs=1e-12)
+        assert report.distance == pytest.approx(0.5 * d, abs=1e-12)
+
+    def test_collision_sample_outside_q_support_decides(self):
+        occ, _, p_dist = three_photon_models()
+        u = haar_random_unitary(12, 3)
+        q_free = exact_distribution(u, occ, collisions=False)
+        outputs = sample_outputs(p_dist, 500, seed=4)
+        first = next(i for i, o in enumerate(outputs) if max(o) > 1)
+        report = likelihood_ratio_test([(occ, o) for o in outputs], q_free, p_dist, 5.0)
+        assert report.samples_used == first + 1
+        assert report.verdict == "distinguishable"
+        assert report.lr_trajectory[-1] == -math.inf
+        assert np.all(np.isfinite(report.lr_trajectory[:-1]))
+        # the deciding sample's joint frequency counts towards the distance
+        assert report.distance >= 0.5 / report.samples_used
+
     def test_impossible_under_both_rejected(self):
         from multiphoton.sampling import OutcomeDistribution
 
@@ -158,6 +198,12 @@ class TestScattershotAggregateValidation:
         u = haar_random_unitary(4, 1)
         with pytest.raises(ContractError):
             scattershot_aggregate_validation([], u)
+
+    def test_non_unitary_rejected(self):
+        # both collision-free models renormalize, which would hide the defect
+        record = SampleRecord((1, 1, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), 0)
+        with pytest.raises(ContractError):
+            scattershot_aggregate_validation([record], 0.7 * np.ones((4, 4)), collisions=False)
 
     def test_non_post_selected_rejected(self):
         u = haar_random_unitary(3, 1)
