@@ -6,7 +6,9 @@ model over the shared integer pattern table of their outcome space, draws
 output samples, and simulates the full scattershot pipeline:
 every pulse each source may fire, heralded inputs select a random input
 pattern, and events are retained when exactly ``n_select`` heralds and
-``n_select`` detected output photons coincide.
+``n_select`` detected output photons coincide.  A run draws only the pairs
+that were created, selects the candidate pulses from those pairs, and draws
+the outputs of each batch per distinct input pattern on arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .linalg import (
     occupation_to_string,
 )
 from .rng import derive_rng
-from .sources import SourceParams, _draw_fire
+from .sources import SourceParams, _draw_pairs, _Pairs
 
 __all__ = [
     "OutcomeDistribution",
@@ -319,6 +321,26 @@ def _predicted_run_rate(params: Sequence[SourceParams], n_select: int) -> float:
     return _common_rep_rate(params) * _exactly_n_probability(useful, idle, n_select)
 
 
+def _candidate_triggers(pairs: _Pairs, pulses: int, n_select: int,
+                        modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pulses that can be retained, and their trigger patterns as ``(C, modes)`` rows.
+
+    Retention needs n_select heralds and n_select detected outputs; the
+    latter is impossible unless every heralded signal survived, in which
+    case the input pattern equals the trigger pattern.
+    """
+    pulse = pairs.pulse[pairs.heralded]
+    source = pairs.source[pairs.heralded]
+    heralds = np.bincount(pulse, minlength=pulses)
+    heralds[pulse[~pairs.signal[pairs.heralded]]] = 0
+    is_candidate = heralds == n_select
+    candidates = np.flatnonzero(is_candidate)
+    keep = is_candidate[pulse]
+    triggers = np.zeros((candidates.size, modes), dtype=np.int64)
+    triggers[np.searchsorted(candidates, pulse[keep]), source[keep]] = 1
+    return candidates, triggers
+
+
 def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
                     n_select: int, seed: int) -> ScattershotResult:
     """Simulate a scattershot acquisition run.
@@ -329,7 +351,8 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     mode count).  Output photons are sampled from the exact interference
     distribution of the realized input and thinned by the output detector
     efficiencies.  A pulse is retained when exactly ``n_select`` heralds
-    fired and exactly ``n_select`` output photons were detected.
+    fired and exactly ``n_select`` output photons were detected.  Firing is
+    drawn sparsely, pair by pair (see :func:`~multiphoton.sources.fire_sources`).
 
     Deterministic given the seed, independently of batch processing order.
     """
@@ -360,38 +383,35 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     for batch_index, start in enumerate(range(0, pulses, _BATCH)):
         size = min(_BATCH, pulses - start)
         rng = derive_rng(seed, "scattershot", batch_index)
-        fire = _draw_fire(rng, eps, herald_prob, signal_prob, size)
-        triggers = fire.heralded
-        inputs = fire.heralded & fire.signal_present
-        # Retention needs n_select heralds and n_select detected outputs;
-        # the latter is impossible unless all heralded signals survived.
-        candidates = np.flatnonzero(
-            (triggers.sum(axis=1) == n_select) & (inputs.sum(axis=1) == n_select)
-        )
+        candidates, triggers = _candidate_triggers(
+            _draw_pairs(rng, eps, herald_prob, signal_prob, size), size, n_select, modes)
         if candidates.size == 0:
             continue
         draws = rng.random(candidates.size)
-        for u_draw, row in zip(draws, candidates):
-            key = inputs[row].tobytes()
+        # One distribution lookup and one searchsorted per distinct input.
+        outputs = np.empty_like(triggers)
+        patterns, group, counts = np.unique(triggers, axis=0, return_inverse=True,
+                                            return_counts=True)
+        by_pattern = np.split(np.argsort(group.reshape(-1)),
+                              np.cumsum(counts)[:-1])
+        for pattern, rows in zip(patterns, by_pattern):
+            key = pattern.tobytes()
             dist = dist_cache.get(key)
             if dist is None:
-                dist = dist_cache[key] = exact_distribution(u, inputs[row].astype(int))
+                dist = dist_cache[key] = exact_distribution(u, pattern)
             cum = dist.cumulative()
-            output = dist._support.occupations[
-                min(np.searchsorted(cum, u_draw, side="right"), len(cum) - 1)]
-            if not perfect_detectors:
-                output = rng.binomial(output, detect_prob)
-                if output.sum() != n_select:
-                    continue
-            detected = tuple(output.tolist())
-            records.append(
-                SampleRecord(
-                    trigger=tuple(int(x) for x in triggers[row]),
-                    input=tuple(int(x) for x in inputs[row]),
-                    output=detected,
-                    pulse_index=start + int(row),
-                )
-            )
+            picks = np.searchsorted(cum, draws[rows], side="right")
+            outputs[rows] = dist._support.occupations[np.minimum(picks, len(cum) - 1)]
+        if not perfect_detectors:
+            outputs = rng.binomial(outputs, detect_prob)
+            detected = outputs.sum(axis=1) == n_select
+            candidates, triggers, outputs = (
+                candidates[detected], triggers[detected], outputs[detected])
+        for trigger, output, pulse in zip(triggers.tolist(), outputs.tolist(),
+                                          (start + candidates).tolist()):
+            trigger = tuple(trigger)
+            records.append(SampleRecord(trigger=trigger, input=trigger,
+                                        output=tuple(output), pulse_index=pulse))
     rate = rep * len(records) / pulses
     report = RateReport(
         n=n_select,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -285,7 +285,8 @@ class FireOutcome:
 
     Boolean arrays of shape ``(pulses, sources)``.  ``heralded`` implies
     ``pair_created``; ``signal_present`` means the signal photon survived
-    its arm and reaches the interferometer input.
+    its arm and reaches the interferometer input.  The arrays are a dense
+    view of a sparse draw that only visits the cells holding a pair.
     """
 
     pair_created: np.ndarray
@@ -293,13 +294,29 @@ class FireOutcome:
     signal_present: np.ndarray
 
 
-def _draw_fire(rng: np.random.Generator, epsilon: np.ndarray, herald_prob: np.ndarray,
-               signal_prob: np.ndarray, pulses: int) -> FireOutcome:
+class _Pairs(NamedTuple):
+    """The pairs created in a run of pulses, sorted by (pulse, source)."""
+
+    pulse: np.ndarray
+    source: np.ndarray
+    heralded: np.ndarray
+    signal: np.ndarray
+
+
+def _draw_pairs(rng: np.random.Generator, epsilon: np.ndarray, herald_prob: np.ndarray,
+                signal_prob: np.ndarray, pulses: int) -> _Pairs:
+    # A binomial count of distinct pulses per source is exactly one
+    # Bernoulli(epsilon) trial per (pulse, source) cell, at a cost in the
+    # number of pairs rather than of cells.
     k = epsilon.shape[0]
-    pair = rng.random((pulses, k)) < epsilon
-    heralded = pair & (rng.random((pulses, k)) < herald_prob)
-    signal = pair & (rng.random((pulses, k)) < signal_prob)
-    return FireOutcome(pair, heralded, signal)
+    counts = rng.binomial(pulses, epsilon)
+    keys = np.concatenate([rng.choice(pulses, c, replace=False, shuffle=False) * k + i
+                           for i, c in enumerate(counts.tolist())])
+    keys.sort()
+    pulse, source = np.divmod(keys, k)
+    heralded = rng.random(keys.size) < herald_prob[source]
+    signal = rng.random(keys.size) < signal_prob[source]
+    return _Pairs(pulse, source, heralded, signal)
 
 
 def fire_sources(params: Sequence[SourceParams], seed: int, pulses: int = 1) -> FireOutcome:
@@ -311,6 +328,10 @@ def fire_sources(params: Sequence[SourceParams], seed: int, pulses: int = 1) -> 
     interferometer with probability ``eta_herald``.  Output-side detection
     is applied later, at the interferometer outputs.  Deterministic given
     the seed.
+
+    Pairs are drawn sparsely: a binomial pair count per source, the pulses
+    holding them, then the herald and signal draws of those pairs only.
+    The returned arrays scatter that draw into the dense per-cell view.
     """
     if not params:
         raise ContractError("need at least one source")
@@ -319,8 +340,12 @@ def fire_sources(params: Sequence[SourceParams], seed: int, pulses: int = 1) -> 
     eps = np.array([p.epsilon for p in params])
     herald = np.array([p.eta_herald * p.eta_detect for p in params])
     signal = np.array([p.eta_herald for p in params])
-    rng = derive_rng(seed, "fire-sources")
-    return _draw_fire(rng, eps, herald, signal, pulses)
+    pairs = _draw_pairs(derive_rng(seed, "fire-sources"), eps, herald, signal, pulses)
+    dense = np.zeros((3, pulses, len(params)), dtype=bool)
+    dense[0, pairs.pulse, pairs.source] = True
+    dense[1, pairs.pulse, pairs.source] = pairs.heralded
+    dense[2, pairs.pulse, pairs.source] = pairs.signal
+    return FireOutcome(*dense)
 
 
 _SOURCE_FIELDS = ("epsilon", "eta_herald", "eta_detect", "indistinguishability", "rep_rate")

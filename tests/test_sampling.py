@@ -6,7 +6,9 @@ import pytest
 from multiphoton.errors import ContractError, DataError, ResourceLimitError
 from multiphoton.linalg import enumerate_patterns, haar_random_unitary, transition_submatrix
 from multiphoton.permanent import permanent_naive, permanent_ryser
+from multiphoton.rng import derive_rng
 from multiphoton.sampling import (
+    _BATCH,
     OutcomeDistribution,
     SampleRecord,
     distinguishable_distribution,
@@ -17,7 +19,7 @@ from multiphoton.sampling import (
     scattershot_run,
     write_sample_log,
 )
-from multiphoton.sources import SourceParams
+from multiphoton.sources import SourceParams, _draw_pairs
 from properties import check_sampling_properties
 
 BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -198,7 +200,73 @@ class TestExpectedRate:
             expected_rate(3, 2, 0.1, 0.5, rep_rate=0.0)
 
 
+def dense_scattershot_reference(u, params, pulses, n_select, seed):
+    """Dense per-pulse selection and a per-event output loop.
+
+    Each batch's sparse pair draw is scattered into ``(pulses, sources)``
+    herald and input arrays; candidates are the rows with n_select heralds
+    and n_select inputs, and each candidate draws its output (and its
+    detector thinning) on its own, in pulse order.
+    """
+    k = len(params)
+    eps = np.array([p.epsilon for p in params])
+    herald_prob = np.array([p.eta_herald * p.eta_detect for p in params])
+    signal_prob = np.array([p.eta_herald for p in params])
+    detect_prob = np.array([p.eta_detect for p in params])
+    lossy = bool(np.any(detect_prob < 1.0))
+    dists = {}
+    records = []
+    for batch, start in enumerate(range(0, pulses, _BATCH)):
+        size = min(_BATCH, pulses - start)
+        rng = derive_rng(seed, "scattershot", batch)
+        pairs = _draw_pairs(rng, eps, herald_prob, signal_prob, size)
+        heralded = np.zeros((size, k), dtype=bool)
+        signal = np.zeros((size, k), dtype=bool)
+        heralded[pairs.pulse, pairs.source] = pairs.heralded
+        signal[pairs.pulse, pairs.source] = pairs.signal
+        inputs = heralded & signal
+        candidates = np.flatnonzero(
+            (heralded.sum(axis=1) == n_select) & (inputs.sum(axis=1) == n_select)
+        )
+        if candidates.size == 0:
+            continue
+        draws = rng.random(candidates.size)
+        for u_draw, row in zip(draws, candidates):
+            key = tuple(int(x) for x in inputs[row])
+            if key not in dists:
+                dists[key] = exact_distribution(u, key)
+            cum = dists[key].cumulative()
+            pick = min(int(np.searchsorted(cum, u_draw, side="right")), len(cum) - 1)
+            output = np.array(dists[key].outcomes[pick])
+            if lossy:
+                output = rng.binomial(output, detect_prob)
+                if output.sum() != n_select:
+                    continue
+            records.append(SampleRecord(
+                trigger=tuple(int(x) for x in heralded[row]),
+                input=key,
+                output=tuple(int(x) for x in output),
+                pulse_index=start + int(row),
+            ))
+    return records
+
+
 class TestScattershotRun:
+    @pytest.mark.parametrize("modes, params, pulses, n, seed", [
+        # ideal, unequal sources
+        (5, [SourceParams(e) for e in (0.05, 0.1, 0.2, 0.3, 0.1)], 20_000, 3, 1),
+        # lossy detectors and heralds, crossing a batch boundary
+        (6, [SourceParams(0.4, eta_herald=0.9, eta_detect=0.7)] * 6, 70_000, 2, 2),
+        # bright sources, four photons
+        (8, [SourceParams.from_lumped_efficiency(0.3, 0.81)] * 8, 5_000, 4, 3),
+    ])
+    def test_matches_dense_per_event_reference(self, modes, params, pulses, n, seed):
+        u = haar_random_unitary(modes, 40 + modes)
+        result = scattershot_run(u, params, pulses, n, seed)
+        reference = dense_scattershot_reference(u, params, pulses, n, seed)
+        assert len(reference) > 0
+        assert result.records == reference
+
     def test_deterministic_sources_retain_every_pulse(self):
         u = haar_random_unitary(3, 27)
         params = [SourceParams(epsilon=1.0)] * 3

@@ -181,6 +181,31 @@ class TestFireSources:
         band = 3.0 * math.sqrt(12 * 0.1 * 0.9 / pulses)
         assert abs(mean - 1.2) <= band
 
+    def test_heterogeneous_rates_match_the_cell_model(self):
+        # pairs are drawn sparsely, yet every cell must follow its source's
+        # Bernoulli probabilities for pair, herald, signal and both
+        params = [
+            SourceParams(0.0, eta_herald=0.9, eta_detect=0.8),
+            SourceParams(0.004, eta_herald=0.7, eta_detect=0.6),
+            SourceParams(0.3, eta_herald=0.5, eta_detect=0.9),
+            SourceParams(1.0, eta_herald=0.8, eta_detect=0.4),
+        ]
+        pulses = 1_000_000
+        fire = fire_sources(params, seed=6, pulses=pulses)
+        both = fire.heralded & fire.signal_present
+        for i, p in enumerate(params):
+            eps, eta_h, eta_d = p.epsilon, p.eta_herald, p.eta_detect
+            for cells, prob in (
+                (fire.pair_created, eps),
+                (fire.heralded, eps * eta_h * eta_d),
+                (fire.signal_present, eps * eta_h),
+                (both, eps * eta_h**2 * eta_d),
+            ):
+                sigma = math.sqrt(prob * (1.0 - prob) / pulses)
+                assert abs(cells[:, i].mean() - prob) <= 5.0 * sigma, (i, prob)
+        assert not np.any(fire.heralded & ~fire.pair_created)
+        assert not np.any(fire.signal_present & ~fire.pair_created)
+
     def test_determinism(self):
         a = fire_sources([SourceParams(epsilon=0.3)] * 4, seed=9, pulses=50)
         b = fire_sources([SourceParams(epsilon=0.3)] * 4, seed=9, pulses=50)
