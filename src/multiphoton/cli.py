@@ -130,12 +130,10 @@ def _emit_report(config: ExperimentConfig, fields: dict, path=None,
 
 def _write_csv(path, config: ExperimentConfig, columns: str, rows,
                extra_header: dict | None = None) -> None:
+    header = "".join(f"# {line}\n" for line in _header_lines(config, extra_header))
+    body = "".join([",".join(map(_fmt, row)) + "\n" for row in rows])
     with open(path, "w", encoding="utf-8") as fh:
-        for line in _header_lines(config, extra_header):
-            fh.write(f"# {line}\n")
-        fh.write(columns + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(f"{header}{columns}\n{body}")
 
 
 def _load_unitary(config: ExperimentConfig) -> np.ndarray:
@@ -349,8 +347,8 @@ def _cmd_validate(config: ExperimentConfig) -> int:
     _emit_report(config, fields, path=config.out)
     trajectory_path = config.params.get("trajectory")
     if trajectory_path:
-        rows = [(i + 1, float(v)) for i, v in enumerate(report.pooled.lr_trajectory)]
-        _write_csv(trajectory_path, config, "sample,log_likelihood_ratio", rows)
+        _write_csv(trajectory_path, config, "sample,log_likelihood_ratio",
+                   enumerate(report.pooled.lr_trajectory.tolist(), 1))
     return EXIT_OK
 
 

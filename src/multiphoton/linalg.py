@@ -132,8 +132,8 @@ def occupation_to_string(pattern) -> str:
 
 
 def occupation_from_string(text: str) -> tuple[int, ...]:
-    """Inverse of :func:`occupation_to_string`."""
-    if not text or not text.isdigit():
+    """Inverse of :func:`occupation_to_string`; only ASCII digits are accepted."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
         raise DataError(f"malformed occupation string: {text!r}")
     return tuple(int(c) for c in text)
 

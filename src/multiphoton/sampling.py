@@ -426,52 +426,76 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
 _LOG_COLUMNS = "pulse_index,trigger_pattern,input_pattern,output_pattern"
 
 
+class _Memo(dict):
+    """``convert(key)`` for each distinct key, computed on its first lookup."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self._convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self._convert(key)
+        return value
+
+
 def write_sample_log(path, records: Sequence[SampleRecord], header_lines=()) -> None:
     """Write retained events as CSV with compact occupation strings.
 
     Lines starting with '#' carry run metadata; the column row follows.
+    A pattern is written as one ASCII digit per mode, so a mode holds at
+    most 9 photons.  Each distinct pattern is validated and encoded once,
+    and the file is written in one piece: a pattern that is not a sequence
+    of integers from 0 to 9 raises ContractError and nothing is written.
     """
+    encoded = _Memo(occupation_to_string)
+    body = "".join([
+        f"{rec.pulse_index},{encoded[tuple(rec.trigger)]},"
+        f"{encoded[tuple(rec.input)]},{encoded[tuple(rec.output)]}\n"
+        for rec in records
+    ])
+    header = "".join(f"# {line}\n" for line in header_lines)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(_LOG_COLUMNS + "\n")
-        for rec in records:
-            fh.write(
-                f"{rec.pulse_index},{occupation_to_string(rec.trigger)},"
-                f"{occupation_to_string(rec.input)},{occupation_to_string(rec.output)}\n"
-            )
+        fh.write(f"{header}{_LOG_COLUMNS}\n{body}")
 
 
 def read_sample_log(path) -> list:
-    """Read a sample log back into records, skipping '#' metadata lines."""
+    """Read a sample log back into records, skipping '#' metadata lines.
+
+    Rows hold the pulse index and the trigger, input and output patterns,
+    all as ASCII digits (one per mode).  Each distinct pattern string is
+    decoded once, and records with equal patterns share one tuple.  Raises
+    DataError, naming the line, for a missing or wrong column header, a row
+    without four fields or a field holding anything but ASCII digits, and
+    for text that is not UTF-8.
+    """
+    decoded = _Memo(occupation_from_string)
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != _LOG_COLUMNS:
-                    raise DataError(
-                        f"line {line_no}: expected column header {_LOG_COLUMNS!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
-            try:
-                records.append(
-                    SampleRecord(
-                        trigger=occupation_from_string(parts[1]),
-                        input=occupation_from_string(parts[2]),
-                        output=occupation_from_string(parts[3]),
-                        pulse_index=int(parts[0]),
-                    )
-                )
-            except (ValueError, ContractError) as exc:
-                raise DataError(f"line {line_no}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"sample log is not UTF-8 text: {exc}") from exc
+    header_seen = False
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != _LOG_COLUMNS:
+                raise DataError(f"line {line_no}: expected column header {_LOG_COLUMNS!r}")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
+        pulse = parts[0]
+        try:
+            if not (pulse.isascii() and pulse.isdigit()):
+                raise DataError(f"malformed pulse index: {pulse!r}")
+            records.append(SampleRecord(trigger=decoded[parts[1]], input=decoded[parts[2]],
+                                        output=decoded[parts[3]], pulse_index=int(pulse)))
+        except ValueError as exc:
+            raise DataError(f"line {line_no}: {exc}") from exc
     if not header_seen:
         raise DataError("sample log has no column header")
     return records

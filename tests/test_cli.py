@@ -90,6 +90,10 @@ class TestSampleCommand:
         code = main(["sample", "--unitary", path, "--input", "100", "--shots", "1"])
         assert code == 4
 
+    @pytest.mark.parametrize("pattern", ["²10", "١٢٠"])
+    def test_non_ascii_input_digits_exit_code(self, pattern):
+        assert main(["sample", "--modes", "3", "--input", pattern, "--shots", "3"]) == 3
+
     def test_needs_interferometer(self):
         assert main(["sample", "--input", "1100", "--shots", "5"]) == 4
 

@@ -120,6 +120,11 @@ class TestOccupations:
         with pytest.raises(DataError):
             occupation_from_string("")
 
+    @pytest.mark.parametrize("text", ["١٢٠", "²10", "1٣", " 10", "+1", "-1", "1_0", 110, None])
+    def test_only_ascii_digits_decode(self, text):
+        with pytest.raises(DataError):
+            occupation_from_string(text)
+
 
 class TestPatternEnumeration:
     def test_counts_match_enumeration(self):

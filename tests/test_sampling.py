@@ -2,9 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from multiphoton import cli
 from multiphoton.errors import ContractError, DataError, ResourceLimitError
-from multiphoton.linalg import enumerate_patterns, haar_random_unitary, transition_submatrix
+from multiphoton.linalg import (
+    enumerate_patterns,
+    haar_random_unitary,
+    occupation_from_string,
+    occupation_to_string,
+    save_matrix,
+    transition_submatrix,
+)
 from multiphoton.permanent import permanent_naive, permanent_ryser
 from multiphoton.rng import derive_rng
 from multiphoton.sampling import (
@@ -359,6 +369,78 @@ class TestScattershotRun:
         assert idx[-1] >= 65_536
 
 
+LOG_COLUMNS = "pulse_index,trigger_pattern,input_pattern,output_pattern"
+
+
+def per_record_write_reference(path, records, header_lines=()):
+    """Sample-log writer with one ``occupation_to_string`` call and one write per field."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(LOG_COLUMNS + "\n")
+        for rec in records:
+            fh.write(
+                f"{rec.pulse_index},{occupation_to_string(rec.trigger)},"
+                f"{occupation_to_string(rec.input)},{occupation_to_string(rec.output)}\n"
+            )
+
+
+def per_record_read_reference(path):
+    """Sample-log reader with one ``occupation_from_string`` call per field."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header_seen = False
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not header_seen:
+                if line != LOG_COLUMNS:
+                    raise DataError(f"line {line_no}: expected column header")
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
+            try:
+                records.append(SampleRecord(
+                    trigger=occupation_from_string(parts[1]),
+                    input=occupation_from_string(parts[2]),
+                    output=occupation_from_string(parts[3]),
+                    pulse_index=int(parts[0]),
+                ))
+            except ValueError as exc:
+                raise DataError(f"line {line_no}: {exc}") from exc
+    if not header_seen:
+        raise DataError("sample log has no column header")
+    return records
+
+
+def _scattershot_log():
+    u = haar_random_unitary(6, 11)
+    run = scattershot_run(u, [SourceParams(0.3)] * 6, 20_000, 3, 8)
+    assert len(run.records) > 100
+    return run.records, ["multiphoton 0.1.0", "command: scattershot", "seed: 8"]
+
+
+def _bunched_log():
+    pattern = (1, 1, 1, 0)
+    outputs = sample_outputs(exact_distribution(haar_random_unitary(4, 3), pattern), 300, 4)
+    assert any(max(out) > 1 for out in outputs)
+    records = [SampleRecord(pattern, pattern, out, i) for i, out in enumerate(outputs)]
+    return records + [SampleRecord((9, 0), (9, 0), (0, 9), 300)], ()
+
+
+def _mixed_length_log():
+    patterns = [(1, 0), (0, 1, 1), (1,) * 12, (0, 2, 0), (1, 0), (0,)]
+    records = [SampleRecord(p, p, p[::-1], 7 * i) for i, p in enumerate(patterns)]
+    return records, ["seed: 2"]
+
+
+LOG_CASES = {"scattershot": _scattershot_log, "bunched": _bunched_log,
+             "mixed_lengths": _mixed_length_log}
+
+
 class TestSampleLog:
     def test_round_trip(self, tmp_path):
         records = [
@@ -371,6 +453,52 @@ class TestSampleLog:
         text = path.read_text()
         assert text.startswith("# seed: 1\n")
         assert "pulse_index,trigger_pattern,input_pattern,output_pattern" in text
+
+    @pytest.mark.parametrize("case", LOG_CASES)
+    def test_write_matches_per_record_writer(self, tmp_path, case):
+        records, header = LOG_CASES[case]()
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        write_sample_log(ours, records, header)
+        per_record_write_reference(reference, records, header)
+        assert ours.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("case", LOG_CASES)
+    def test_read_matches_per_record_reader(self, tmp_path, case):
+        records, header = LOG_CASES[case]()
+        path = tmp_path / "samples.csv"
+        per_record_write_reference(path, records, header)
+        back = read_sample_log(path)
+        assert back == per_record_read_reference(path) == records
+        # Equal patterns are decoded once and shared.
+        patterns = [p for r in back for p in (r.trigger, r.input, r.output)]
+        assert len({id(p) for p in patterns}) == len(set(patterns))
+
+    @pytest.mark.parametrize("bad", [(10, 0, 0), (0, -1, 1), (1.5, 0, 0)])
+    @pytest.mark.parametrize("field", ["trigger", "input", "output"])
+    @pytest.mark.parametrize("after_cached", [False, True])
+    def test_invalid_pattern_rejected_on_write(self, tmp_path, bad, field, after_cached):
+        good = (1, 0, 0)
+        records = [SampleRecord(good, good, good, i) for i in range(5 if after_cached else 0)]
+        fields = dict(trigger=good, input=good, output=good, pulse_index=len(records))
+        fields[field] = bad
+        records.append(SampleRecord(**fields))
+        path = tmp_path / "samples.csv"
+        with pytest.raises(ContractError):
+            write_sample_log(path, records)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("row", [
+        "200,110,110,0x0", "200,110,110,", "200,110, 110,020", "200,110,110,١٢٠",
+        "200,²10,110,020", "-5,110,110,020", "+5,110,110,020", "1_0,110,110,020",
+        "٣,110,110,020", ",110,110,020", "200,110,110",
+    ])
+    def test_bad_row_after_cached_repeats_names_its_line(self, tmp_path, row):
+        good = [f"{i},110,110,020" for i in range(200)]
+        path = tmp_path / "samples.csv"
+        path.write_text("\n".join(["# seed: 1", LOG_COLUMNS, *good, row, "201,110,110,020"])
+                        + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"^line 203: "):
+            read_sample_log(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -393,6 +521,70 @@ class TestSampleLog:
         )
         with pytest.raises(DataError):
             read_sample_log(path)
+
+    def test_text_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(LOG_COLUMNS.encode() + b"\n1,110,110,\xff20\n")
+        with pytest.raises(DataError):
+            read_sample_log(path)
+
+
+# Fuzzed sample-log bodies: valid rows and skipped lines, with at most one
+# malformed row or line of arbitrary text inserted among them.
+_DIGITS = st.text("0123456789", min_size=1, max_size=6)
+_GOOD_ROW = st.tuples(st.integers(0, 10**12).map(str) | st.just("007"),
+                      _DIGITS, _DIGITS, _DIGITS).map(",".join)
+_SKIPPED = st.sampled_from(["", "  ", "# note", "\t# x,1,1,1"])
+_BAD_FIELD = st.sampled_from(["", "١٢٠", "²10", "1x0", " 12", "-1", "+1", "1_0", "٣", "1e3"])
+_BAD_ROW = st.tuples(_GOOD_ROW, st.integers(0, 3), _BAD_FIELD).map(
+    lambda t: ",".join(t[2] if i == t[1] else f for i, f in enumerate(t[0].split(","))))
+_NOISE = st.text("0123456789,#-+_ x٣²\r\t", max_size=30) | st.text(max_size=30)
+_BODY = st.tuples(st.lists(_GOOD_ROW | _SKIPPED, max_size=6),
+                  st.none() | _BAD_ROW | _NOISE, st.integers(0, 6)).map(
+    lambda t: "\n".join(t[0] if t[1] is None else t[0][: t[2]] + [t[1]] + t[0][t[2]:]))
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _data_rows(path):
+    lines = [line.strip() for line in path.read_text(encoding="utf-8").split("\n")]
+    return [line.split(",") for line in lines if line and not line.startswith("#")][1:]
+
+
+class TestSampleLogFuzz:
+    @_FUZZ
+    @given(body=_BODY)
+    def test_reads_records_that_round_trip_or_raises_data_error(self, tmp_path, body):
+        path = tmp_path / "fuzz.csv"
+        path.write_text(f"{LOG_COLUMNS}\n{body}", encoding="utf-8")
+        try:
+            records = read_sample_log(path)
+        except DataError:
+            return
+        assert records == per_record_read_reference(path)
+        again = tmp_path / "again.csv"
+        write_sample_log(again, records)
+        assert read_sample_log(again) == records
+        # Accepted fields are plain ASCII digits, so they are written back as
+        # given, up to leading zeros of the pulse index.
+        given, written = _data_rows(path), _data_rows(again)
+        assert [r[1:] for r in written] == [r[1:] for r in given]
+        assert [r[0] for r in written] == [r[0].lstrip("0") or "0" for r in given]
+
+    @_FUZZ
+    @given(body=_BODY)
+    def test_validate_exits_with_data_or_contract_error(self, tmp_path, body):
+        # Fuzzed patterns hold at most 6 digits and other lines at most 30
+        # characters, while a 12-mode record needs 40, so no fuzzed log is
+        # valid against the 12-mode interferometer.
+        unitary = tmp_path / "u.json"
+        if not unitary.exists():
+            save_matrix(unitary, haar_random_unitary(12, 1))
+        log = tmp_path / "fuzz.csv"
+        log.write_text(f"{LOG_COLUMNS}\n{body}", encoding="utf-8")
+        code = cli.main(["validate", "--samples", str(log), "--unitary", str(unitary),
+                         "--out", str(tmp_path / "report.txt")])
+        assert code in (cli.EXIT_DATA, cli.EXIT_CONTRACT)
 
 
 def test_enumeration_order_is_stable():
