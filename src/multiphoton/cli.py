@@ -91,10 +91,10 @@ class ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    """Report text of a value: str() of a scalar, which for a float is its
+    shortest round-trip repr, and sequences in brackets."""
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+        return "[" + ", ".join(map(_fmt, value)) + "]"
     return str(value)
 
 
@@ -130,8 +130,9 @@ def _emit_report(config: ExperimentConfig, fields: dict, path=None,
 
 def _write_csv(path, config: ExperimentConfig, columns: str, rows,
                extra_header: dict | None = None) -> None:
+    """Write a CSV whose cells are scalars, so str() gives each the text _fmt would."""
     header = "".join(f"# {line}\n" for line in _header_lines(config, extra_header))
-    body = "".join([",".join(map(_fmt, row)) + "\n" for row in rows])
+    body = "".join([",".join(map(str, row)) + "\n" for row in rows])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{header}{columns}\n{body}")
 

@@ -1,13 +1,26 @@
-"""Matrix permanents: factorial-time oracle, Gray-code Ryser kernel, and a
-parallel segment decomposition.
+"""Matrix permanents: a factorial-time oracle and one Glynn kernel.
 
 Every multi-photon transition probability in this package reduces to the
 permanent of a complex sub-matrix, so this module is the hot path.  The
-Ryser kernel iterates column subsets in binary-reflected Gray-code order,
-updating the running row sums by a single column per step; the update
-stream is evaluated as a vectorized cumulative sum over fixed-size chunks,
-and each chunk (or parallel segment) re-seeds its row sums exactly from its
-starting subset so rounding error cannot accumulate across chunks.
+kernel evaluates Glynn's formula (Glynn, Eur. J. Combin. 31 (2010) 1887)
+
+    perm(A) = 2^-(n-1) * sum over d in {+1, -1}^n with d_0 = +1 of
+              (d_0 * ... * d_(n-1)) * prod_i sum_j d_j A[i, j],
+
+2^(n-1) terms instead of Ryser's 2^n subsets.  The n - 1 free signs are
+split into a low half of k = min(n - 1, 12) columns and a high half.  A
+table holds the row sums of the low columns under all 2^k sign vectors;
+per block of high sign vectors, the row sums of column 0 and the high
+columns are formed afresh, and each term's row sums are one broadcast add
+of the two.  No row sum is a running sum, so rounding error cannot build
+up across terms: against a long-double evaluation of the same formula the
+relative error is about 1e-15 at n=16 and 1e-14 at n=20, where the
+Gray-code Ryser kernel it replaced erred by 1e-12 and 1e-10 to 3e-9.
+
+``permanent_ryser`` keeps its name, although it now runs Glynn's formula,
+because it is the package's public single-thread entry point and callers,
+the tests and the benchmark reach it by that name; ``permanent_parallel``
+runs the same kernel on a thread pool.
 """
 
 from __future__ import annotations
@@ -25,11 +38,13 @@ __all__ = ["permanent_naive", "permanent_ryser", "permanent_parallel"]
 NAIVE_LIMIT = 10
 RYSER_LIMIT = 30
 
-_CHUNK = 1 << 14
+_NAIVE_CHUNK = 1 << 12
 
-# Permutation index tables are tiny up to 8! and reused heavily by tests.
-_PERM_CACHE_LIMIT = 8
-_perm_cache: dict[int, np.ndarray] = {}
+# Sign-table shape, tuned on a 2-core host: k=12 low bits against blocks of
+# 8 high sign vectors ran fastest of k=10-13 and blocks of 1-16 at n=20-24
+# (k=10 and k=11 took about twice as long).
+_LOW_BITS = 12
+_HIGH_BLOCK = 8
 
 
 def _square(matrix) -> np.ndarray:
@@ -42,8 +57,9 @@ def _square(matrix) -> np.ndarray:
 def permanent_naive(matrix) -> complex:
     """Permanent by explicit sum over all permutations.
 
-    This is the independent oracle for the Ryser kernel; it shares no code
-    with it.  Guarded at n <= 10 because the term count grows factorially;
+    This is the independent oracle for the Glynn kernel; it shares no code
+    with it.  Permutations stream from ``itertools.permutations`` in fixed
+    chunks.  Guarded at n <= 10 because the term count grows factorially;
     use :func:`permanent_ryser` beyond that.
     """
     a = _square(matrix)
@@ -56,127 +72,102 @@ def permanent_naive(matrix) -> complex:
     if n == 0:
         return 1.0 + 0.0j
     rows = np.arange(n)
-    if n <= _PERM_CACHE_LIMIT:
-        if n not in _perm_cache:
-            _perm_cache[n] = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-        perms = _perm_cache[n]
-        return complex(a[rows, perms].prod(axis=1).sum())
-    total = 0.0 + 0.0j
     stream = itertools.permutations(range(n))
-    while True:
-        chunk = list(itertools.islice(stream, 20000))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=np.intp)
-        total += a[rows, idx].prod(axis=1).sum()
+    total = 0.0 + 0.0j
+    # A permutation packs into n bytes, which numpy reads far faster than tuples.
+    while chunk := b"".join(map(bytes, itertools.islice(stream, _NAIVE_CHUNK))):
+        cols = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, n)
+        total += a[rows, cols].prod(axis=1).sum()
     return complex(total)
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values)
+def _low_table(cols: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row sums of ``cols`` under every sign vector, and how many come first.
 
-
-def _gray(ranks: np.ndarray) -> np.ndarray:
-    return ranks ^ (ranks >> np.uint64(1))
-
-
-def _row_sums_at(a: np.ndarray, subset: int) -> np.ndarray:
-    """Row sums over the columns named by the bits of ``subset``."""
-    n = a.shape[0]
-    cols = [j for j in range(n) if (subset >> j) & 1]
-    if not cols:
-        return np.zeros(n, dtype=complex)
-    return a[:, cols].sum(axis=1)
-
-
-def _ryser_segment(a: np.ndarray, start: int, stop: int) -> complex:
-    """Signed inclusion-exclusion sum over subset ranks [start, stop).
-
-    Ranks are positions in the binary-reflected Gray sequence; rank k maps
-    to the subset k ^ (k >> 1).  The final (-1)^n factor is applied by the
-    caller.
+    Each column doubles the table, added to one copy and subtracted from
+    the other, so every row sum is a fresh sum of one term per column.
+    Vectors whose sign product is +1 come first.
     """
-    n = a.shape[0]
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        ranks = np.arange(lo, hi, dtype=np.uint64)
-        grays = _gray(ranks)
-        sums = np.empty((n, hi - lo), dtype=complex)
-        sums[:, 0] = _row_sums_at(a, int(grays[0]))
-        if hi - lo > 1:
-            # Between consecutive Gray codes exactly one column toggles: the
-            # bit at the trailing-zero count of the rank, turning on when it
-            # is set in the new code.
-            tail = ranks[1:]
-            low_bit = tail & (~tail + np.uint64(1))
-            flips = _popcount(low_bit - np.uint64(1)).astype(np.intp)
-            turned_on = (grays[1:] & low_bit).astype(bool)
-            direction = np.where(turned_on, 1.0, -1.0)
-            sums[:, 1:] = a[:, flips] * direction
-            np.cumsum(sums, axis=1, out=sums)
-        products = sums.prod(axis=0)
-        signs = 1.0 - 2.0 * (_popcount(grays) & np.uint64(1)).astype(np.float64)
-        partial = complex((signs * products).sum())
-        # Kahan update keeps the outer inclusion-exclusion sum compensated.
-        y = partial - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    plus = np.zeros((cols.shape[0], 1), dtype=complex)
+    minus = plus[:, :0]
+    for col in cols.T[:, :, None]:
+        plus, minus = np.hstack([plus + col, minus - col]), np.hstack([minus + col, plus - col])
+    return np.hstack([plus, minus]), plus.shape[1]
 
 
-def permanent_ryser(matrix) -> complex:
-    """Permanent via Ryser's inclusion-exclusion formula in O(2^n * n).
+def _glynn(matrix, threads: int) -> complex:
+    """Glynn's formula, the high sign blocks split over ``threads`` workers.
 
-    Guarded at n <= 30 as a resource limit: 2^30 subsets is roughly the
-    largest workload that finishes in reasonable time on one machine.
-    """
-    a = _square(matrix)
-    n = a.shape[0]
-    if n > RYSER_LIMIT:
-        raise ResourceLimitError(f"permanent_ryser is limited to n <= {RYSER_LIMIT} (got n={n})")
-    if n == 0:
-        return 1.0 + 0.0j
-    sign = -1.0 if n % 2 else 1.0
-    return complex(sign * _ryser_segment(a, 1, 1 << n))
-
-
-def permanent_parallel(matrix, threads: int) -> complex:
-    """Ryser permanent with the subset space split into contiguous segments.
-
-    Each segment re-seeds its row sums from its starting subset, so results
-    are independent of the segment a term lands in; partial sums are reduced
-    in segment order, which makes the value bit-stable for a fixed thread
-    count and equal across thread counts to well below 1e-9 relative.
+    Each block's sum is reduced in block order whatever the split, so the
+    value is bit-identical for every thread count.  No BLAS call is made:
+    OpenBLAS worker threads spin on after a matrix product, and on a 2-core
+    host they kept the pool's second thread from running.
     """
     if threads < 1:
         raise ContractError("thread count must be at least 1")
     a = _square(matrix)
     n = a.shape[0]
     if n > RYSER_LIMIT:
-        raise ResourceLimitError(f"permanent_parallel is limited to n <= {RYSER_LIMIT} (got n={n})")
+        raise ResourceLimitError(f"permanents are limited to n <= {RYSER_LIMIT} (got n={n})")
     if n == 0:
         return 1.0 + 0.0j
-    total_ranks = (1 << n) - 1
-    segments = 1
-    while segments < threads:
-        segments *= 2
-    segments = min(segments, total_ranks)
-    bounds = np.linspace(1, 1 << n, segments + 1, dtype=np.int64)
-    jobs = [(int(bounds[i]), int(bounds[i + 1])) for i in range(segments)]
-    if threads == 1:
-        partials = [_ryser_segment(a, lo, hi) for lo, hi in jobs]
+    low_bits = min(n - 1, _LOW_BITS)
+    high_bits = n - 1 - low_bits
+    table, plus = _low_table(a[:, 1:low_bits + 1])
+    first, high = a[:, :1], a[:, low_bits + 1:, None]
+    size = min(_HIGH_BLOCK, 1 << high_bits)
+    starts = range(0, 1 << high_bits, size)
+
+    def block_values(segment: range) -> list:
+        terms = np.empty((size, table.shape[1]), dtype=complex)
+        scratch = np.empty_like(terms)
+        values = []
+        for start in segment:
+            # Column j of ``signs`` is high sign vector start + j: bit b set
+            # gives high column b the sign -1.
+            codes = np.arange(start, start + size)
+            signs = 1.0 - 2.0 * ((codes >> np.arange(high_bits)[:, None]) & 1)
+            sums = first + (high * signs).sum(axis=1)
+            np.add(sums[0, :, None], table[0], out=terms)
+            for i in range(1, n):
+                np.add(sums[i, :, None], table[i], out=scratch)
+                terms *= scratch
+            low = terms[:, :plus].sum(axis=1) - terms[:, plus:].sum(axis=1)
+            values.append((signs.prod(axis=0) * low).sum())
+        return values
+
+    workers = min(threads, len(starts))
+    if workers == 1:
+        values = block_values(starts)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda job: _ryser_segment(a, *job), jobs))
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for partial in partials:
-        y = partial - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    sign = -1.0 if n % 2 else 1.0
-    return complex(sign * total)
+        cuts = [len(starts) * w // workers for w in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(block_values, [starts[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+            values = [v for part in parts for v in part]
+    return complex(sum(values) / (1 << (n - 1)))
+
+
+def permanent_ryser(matrix) -> complex:
+    """Permanent by Glynn's formula on one thread, in O(2^(n-1) * n).
+
+    The name is kept from the Gray-code Ryser kernel this replaced, because
+    callers, the tests and the benchmark reach the single-thread kernel by
+    it.  The relative error against a long-double evaluation is about 1e-15
+    at n=16 and 1e-14 at n=20 (Ryser: 1e-12 and up to 3e-9).  Guarded at
+    n <= 30 as a resource limit: 2^29 terms is roughly the largest workload
+    that finishes in reasonable time on one machine.
+    """
+    return _glynn(matrix, 1)
+
+
+def permanent_parallel(matrix, threads: int) -> complex:
+    """Permanent by the same Glynn kernel, its high sign blocks split into
+    at most ``threads`` contiguous segments run on a thread pool.
+
+    Block sums are reduced in block order, so the value is bit-identical to
+    :func:`permanent_ryser` for every thread count, with the same accuracy:
+    about 1e-14 relative at n=20.  This is what the CLI ``permanent``
+    command runs; ``permanent_ryser`` keeps the Ryser name, though it runs
+    this kernel too, because callers reach the single-thread kernel by it.
+    """
+    return _glynn(matrix, threads)
