@@ -326,11 +326,6 @@ def _cmd_jsa(config: ExperimentConfig) -> int:
 def _cmd_validate(config: ExperimentConfig) -> int:
     records = read_sample_log(config.params["samples"])
     u = load_matrix(config.params["unitary"])
-    hypothesis = config.params.get("hypothesis", "distinguishable")
-    if hypothesis != "distinguishable":
-        raise ContractError(
-            f"only the distinguishable alternative hypothesis is supported, got {hypothesis!r}"
-        )
     threshold = float(config.params.get("threshold", 5.0))
     collisions = config.params.get("collisions", True)
     report = scattershot_aggregate_validation(records, u, collisions, threshold)
@@ -472,8 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a sample log against theory")
     p.add_argument("--samples", default=None, help="sample log CSV")
     p.add_argument("--unitary", default=None, help="interferometer matrix file")
-    p.add_argument("--hypothesis", default=None, choices=["distinguishable"],
-                   help="alternative hypothesis to test against")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--collisions", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--trajectory", default=None, help="write the LR trajectory CSV here")

@@ -228,8 +228,9 @@ class _PatternTable:
     Row k is pattern k of :func:`enumerate_patterns`: ``cols[k]`` lists its
     occupied modes with repeats, ``occupations[k]`` its mode occupations and
     ``factors[k]`` the product of their factorials.  The tuple view
-    ``outcomes`` and its pattern -> row ``index`` are built on first use.
-    ``_pattern_table`` caches one table per space for all its users.
+    ``outcomes``, its pattern -> row ``index`` and the prefix-tree links
+    ``parents`` are built on first use.  ``_pattern_table`` caches one table
+    per space for all its users.
     """
 
     def __init__(self, modes: int, photons: int, collisions: bool):
@@ -245,6 +246,7 @@ class _PatternTable:
                                        minlength=size * modes).reshape(size, modes)
         factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=float)
         self.factors = factorials[self.occupations].prod(axis=1)
+        self.collisions = collisions
         for array in (self.cols, self.occupations, self.factors):
             array.flags.writeable = False
 
@@ -255,6 +257,15 @@ class _PatternTable:
     @functools.cached_property
     def index(self) -> dict:
         return dict(zip(self.outcomes, range(len(self.outcomes))))
+
+    @functools.cached_property
+    def parents(self) -> np.ndarray:
+        """Row of each pattern's first n - 1 occupied modes in the (n - 1)-photon table;
+        both tables are lexicographic, so their base-``modes`` codes are sorted."""
+        modes, photons = self.occupations.shape[1], self.cols.shape[1]
+        place = modes ** np.arange(photons - 2, -1, -1)
+        prefixes = _pattern_table(modes, photons - 1, self.collisions).cols
+        return np.searchsorted(prefixes @ place, self.cols[:, :-1] @ place)
 
 
 _pattern_table = functools.lru_cache(maxsize=32)(_PatternTable)

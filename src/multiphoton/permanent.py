@@ -84,15 +84,22 @@ def permanent_naive(matrix) -> complex:
 def _low_table(cols: np.ndarray) -> tuple[np.ndarray, int]:
     """Row sums of ``cols`` under every sign vector, and how many come first.
 
-    Each column doubles the table, added to one copy and subtracted from
-    the other, so every row sum is a fresh sum of one term per column.
-    Vectors whose sign product is +1 come first.
+    Each column doubles the filled part of one preallocated table in place:
+    with P and M its halves, column c turns [P | M] into
+    [P + c | M - c | M + c | P - c] (the first column turns [0] into
+    [0 + c | 0 - c]), so every row sum is a fresh sum of one term per
+    column, and vectors whose sign product is +1 come first.
     """
-    plus = np.zeros((cols.shape[0], 1), dtype=complex)
-    minus = plus[:, :0]
-    for col in cols.T[:, :, None]:
-        plus, minus = np.hstack([plus + col, minus - col]), np.hstack([minus + col, plus - col])
-    return np.hstack([plus, minus]), plus.shape[1]
+    rows, k = cols.shape
+    table = np.zeros((rows, 1 << k), dtype=cols.dtype)
+    steps = cols[:, :, None, None] * np.array([[1.0], [-1.0]])  # +c and -c; x + -c == x - c
+    if k:
+        np.add(table[:, :1, None], steps[:, 0], out=table[:, :2, None])
+    for j in range(1, k):
+        blocks = table[:, :2 << j].reshape(rows, 4, -1)
+        np.add(blocks[:, 1::-1], steps[:, j], out=blocks[:, 2:])
+        blocks[:, :2] += steps[:, j]
+    return table, table.shape[1] - table.shape[1] // 2
 
 
 def _glynn(matrix, threads: int) -> complex:

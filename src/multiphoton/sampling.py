@@ -2,13 +2,14 @@
 
 Builds exact output distributions for indistinguishable photons (permanent
 of the transition submatrix) and for the distinguishable-photon reference
-model over the shared integer pattern table of their outcome space, draws
-output samples, and simulates the full scattershot pipeline:
-every pulse each source may fire, heralded inputs select a random input
-pattern, and events are retained when exactly ``n_select`` heralds and
-``n_select`` detected output photons coincide.  A run draws only the pairs
-that were created, selects the candidate pulses from those pairs, and draws
-the outputs of each batch per distinct input pattern on arrays.
+model with one batched Glynn engine over the shared integer pattern table
+of their outcome space, draws output samples, and simulates the full
+scattershot pipeline: every pulse each source may fire, heralded inputs
+select a random input pattern, and events are retained when exactly
+``n_select`` heralds and ``n_select`` detected output photons coincide.  A
+run draws only the pairs that were created, selects the candidate pulses
+from those pairs, builds each batch's new inputs in one engine call, and
+draws the outputs per distinct input pattern on arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .linalg import (
     occupation_from_string,
     occupation_to_string,
 )
+from .permanent import _low_table
 from .rng import derive_rng
 from .sources import SourceParams, _draw_pairs, _Pairs
 
@@ -129,58 +131,67 @@ def _guard_enumeration(modes: int, photons: int, collisions: bool, caller: str) 
         )
 
 
-# Outcome chunk size for the batched permanent evaluation; bounds the
-# (2^n - 1, chunk, n) intermediate to a few tens of MB at n = 6.
-_OUTCOME_CHUNK = 4096
+# Inputs are built in chunks whose (outputs, 2^(n-1) * chunk) block of
+# products would stay near this many bytes.
+_BLOCK_BYTES = 1 << 22
 
 
-def _all_output_permanents(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Permanents of the transition submatrix for one input against every output.
+def _distributions(u: np.ndarray, inputs: np.ndarray, collisions: bool,
+                   interfering: bool) -> list:
+    """Output distributions of every input (rows of an occupation array) by Glynn's formula.
 
-    ``rows`` holds the input-selected rows of the interferometer (one row
-    per photon, repeats included), shape (n, m), and ``cols`` the occupied
-    output modes of every pattern, shape (K, n).  For each output pattern T
-    the submatrix permanent equals ``sum_R (-1)^(n-|R|) prod_{j in T} v_R[j]``
-    over non-empty photon subsets R, where ``v_R`` is the subset row sum;
-    the ``v_R`` vectors are shared across outputs, which is what makes the
-    full distribution cheap compared with one Ryser evaluation per output.
+    ``u`` must be a checked unitary.  With r_i the rows of the source matrix
+    (``u``, or ``|u|^2`` for distinguishable photons) picked by the input's
+    photons, every output T's permanent is 2^-(n-1) sum_d (prod d)
+    prod_(j in T) w_d[j] over the sign vectors d with d_0 = +1, where
+    w_d = sum_i d_i r_i.  A chunk of inputs takes its row sums w from one
+    sign table, laid out as (mode, sign vector, input); products grow along
+    the pattern table's prefix tree (pattern k = its parent in the
+    (n-1)-photon table times ``w[cols[k, n-1]]``), the last level one sign
+    vector at a time.  Every step is elementwise per input, so an input's
+    probabilities do not depend on the chunk it is built in.
     """
-    n = rows.shape[0]
-    ranks = np.arange(1, 1 << n)
-    membership = ((ranks[:, None] >> np.arange(n)) & 1).astype(float)
-    v = membership @ rows
-    weights = np.where((n - np.bitwise_count(ranks)) & 1, -1.0, 1.0)
-    perms = np.empty(len(cols), dtype=v.dtype)
-    for start in range(0, len(cols), _OUTCOME_CHUNK):
-        block = cols[start : start + _OUTCOME_CHUNK]
-        perms[start : start + len(block)] = weights @ v[:, block].prod(axis=2)
-    return perms
-
-
-def _distribution(unitary, input_pattern, collisions: bool, interfering: bool,
-                  caller: str) -> OutcomeDistribution:
-    """Output distribution of one input over the pattern table of its outcome space."""
-    u = _require_unitary(unitary, caller)
+    caller = "exact_distribution" if interfering else "distinguishable_distribution"
     modes = u.shape[0]
-    occ = as_occupation(input_pattern, modes)
-    n = sum(occ)
-    _guard_enumeration(modes, n, collisions, caller)
-    table = _pattern_table(modes, n, collisions)
     # re^2 + im^2 rather than abs()**2: keeps the n=1 case bit-identical
     # between the two models, where they coincide by definition.
     source = u if interfering else u.real**2 + u.imag**2
-    amps = _all_output_permanents(source[np.repeat(np.arange(modes), occ), :], table.cols)
-    if interfering:
-        input_factor = math.prod(math.factorial(x) for x in occ)
-        probs = (amps.real**2 + amps.imag**2) / (input_factor * table.factors)
-    else:
-        probs = np.clip(amps.real, 0.0, None) / table.factors
-    if not collisions:
-        total = probs.sum()
-        if total <= 0:
-            raise ContractError("no probability mass on collision-free outputs")
-        probs /= total
-    return OutcomeDistribution(table, probs)
+    photons = inputs.sum(axis=1)
+    dists = [None] * len(inputs)
+    for n in sorted(set(photons.tolist())):
+        _guard_enumeration(modes, n, collisions, caller)
+        *levels, table = [_pattern_table(modes, k, collisions) for k in range(1, n + 1)]
+        signs = 1 << (n - 1)
+        at = np.flatnonzero(photons == n)
+        chunk = max(1, _BLOCK_BYTES // (max(len(table.cols), 1) * signs * source.itemsize))
+        for lo in range(0, len(at), chunk):
+            occ = inputs[at[lo:lo + chunk]]
+            rows = source[np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel())]
+            rows = rows.reshape(len(occ), n, modes).transpose(2, 0, 1)  # (mode, input, photon)
+            sums, plus = _low_table(rows[:, :, 1:].reshape(modes * len(occ), n - 1))
+            sums += rows[:, :, :1].reshape(-1, 1)
+            sums = sums.reshape(modes, len(occ), signs).transpose(0, 2, 1).copy()
+            terms = np.ones((1, signs, len(occ)), dtype=source.dtype)  # the empty pattern
+            for level in levels:
+                terms = terms[level.parents] * sums[level.cols[:, -1]]
+            halves = np.zeros((2, len(table.cols), len(occ)), dtype=source.dtype)
+            for d in range(signs):
+                halves[int(d >= plus)] += terms[table.parents, d] * sums[table.cols[:, -1], d]
+            perms = (halves[0] - halves[1]) / signs
+            if interfering:
+                input_factors = [math.prod(map(math.factorial, row)) for row in occ.tolist()]
+                probs = (perms.real**2 + perms.imag**2) / (table.factors[:, None] * input_factors)
+            else:
+                probs = np.clip(perms, 0.0, None) / table.factors[:, None]
+            probs = probs.T.copy()  # a contiguous row per input sums alike in any chunk
+            if not collisions:
+                totals = probs.sum(axis=1, keepdims=True)
+                if (totals <= 0).any():
+                    raise ContractError("no probability mass on collision-free outputs")
+                probs /= totals
+            for i, row in zip(at[lo:lo + chunk], probs):
+                dists[i] = OutcomeDistribution(table, row)
+    return dists
 
 
 def exact_distribution(unitary, input_pattern, collisions: bool = True) -> OutcomeDistribution:
@@ -200,7 +211,9 @@ def exact_distribution(unitary, input_pattern, collisions: bool = True) -> Outco
         If the photon number or the output-pattern count exceeds the
         exact-enumeration limits.
     """
-    return _distribution(unitary, input_pattern, collisions, True, "exact_distribution")
+    u = _require_unitary(unitary, "exact_distribution")
+    return _distributions(u, np.array([as_occupation(input_pattern, u.shape[0])]),
+                          collisions, True)[0]
 
 
 def distinguishable_distribution(unitary, input_pattern,
@@ -211,8 +224,9 @@ def distinguishable_distribution(unitary, input_pattern,
     ``M = |U|^2``; output pattern T has probability
     ``perm(M_{S,T}) / prod_j t_j!``.  Raises like :func:`exact_distribution`.
     """
-    return _distribution(unitary, input_pattern, collisions, False,
-                         "distinguishable_distribution")
+    u = _require_unitary(unitary, "distinguishable_distribution")
+    return _distributions(u, np.array([as_occupation(input_pattern, u.shape[0])]),
+                          collisions, False)[0]
 
 
 def sample_outputs(distribution: OutcomeDistribution, shots: int, seed: int) -> list:
@@ -388,17 +402,19 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         if candidates.size == 0:
             continue
         draws = rng.random(candidates.size)
-        # One distribution lookup and one searchsorted per distinct input.
+        # The batch's new inputs are built in one engine call, then one
+        # searchsorted runs per distinct input.
         outputs = np.empty_like(triggers)
         patterns, group, counts = np.unique(triggers, axis=0, return_inverse=True,
                                             return_counts=True)
         by_pattern = np.split(np.argsort(group.reshape(-1)),
                               np.cumsum(counts)[:-1])
-        for pattern, rows in zip(patterns, by_pattern):
-            key = pattern.tobytes()
-            dist = dist_cache.get(key)
-            if dist is None:
-                dist = dist_cache[key] = exact_distribution(u, pattern)
+        keys = [pattern.tobytes() for pattern in patterns]
+        new = [i for i, key in enumerate(keys) if key not in dist_cache]
+        dist_cache.update(zip([keys[i] for i in new],
+                              _distributions(u, patterns[new], True, True)))
+        for key, rows in zip(keys, by_pattern):
+            dist = dist_cache[key]
             cum = dist.cumulative()
             picks = np.searchsorted(cum, draws[rows], side="right")
             outputs[rows] = dist._support.occupations[np.minimum(picks, len(cum) - 1)]

@@ -17,13 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, DataError
-from .linalg import _require_unitary
-from .sampling import (
-    OutcomeDistribution,
-    SampleRecord,
-    distinguishable_distribution,
-    exact_distribution,
-)
+from .linalg import _require_unitary, as_occupation
+from .sampling import OutcomeDistribution, SampleRecord, _distributions
 
 __all__ = [
     "ValidationReport",
@@ -183,28 +178,25 @@ def _model(model, input_pattern) -> OutcomeDistribution:
     return dist
 
 
-def _evaluate(inputs, block, outputs, q_model, p_model) -> tuple:
+def _evaluate(block, outputs, q_dists, p_dists) -> tuple:
     """Evaluate both hypotheses on every sample of a stream split into input blocks.
 
-    Sample t has input ``inputs[block[t]]`` and output ``outputs[t]``.
-    Returns each block's q distribution, each sample's row in it (-1
-    outside its support) and each sample's probability under q and p.
+    Sample t has output ``outputs[t]`` and the models ``q_dists[block[t]]``
+    and ``p_dists[block[t]]``.  Returns each sample's row in its q
+    distribution (-1 outside its support) and its probability under q and p.
     """
     order = np.argsort(block, kind="stable")
-    bounds = np.searchsorted(block[order], np.arange(len(inputs) + 1))
+    bounds = np.searchsorted(block[order], np.arange(len(q_dists) + 1))
     rows = np.empty(len(block), dtype=np.intp)
     q_val, p_val = np.empty(len(block)), np.empty(len(block))
-    q_dists = []
-    for b, inp in enumerate(inputs):
+    for b, (q, p) in enumerate(zip(q_dists, p_dists)):
         at = order[bounds[b] : bounds[b + 1]]
-        q, p = _model(q_model, inp), _model(p_model, inp)
         outs = list(map(outputs.__getitem__, at.tolist()))
         rows[at] = q_rows = _rows(q._support.index, outs)
         p_rows = q_rows if p._support is q._support else _rows(p._support.index, outs)
         q_val[at] = np.where(q_rows >= 0, q.probabilities[q_rows], 0.0)
         p_val[at] = np.where(p_rows >= 0, p.probabilities[p_rows], 0.0)
-        q_dists.append(q)
-    return q_dists, rows, q_val, p_val
+    return rows, q_val, p_val
 
 
 def _pooled_report(block, q_dists, rows, q_val, p_val, threshold, sample_at) -> ValidationReport:
@@ -266,7 +258,8 @@ def likelihood_ratio_test(samples, q_model, p_model, threshold: float = 5.0) -> 
     inputs, outputs = map(list, zip(*pairs))
     ids: dict = {}
     block = np.array([ids.setdefault(inp, len(ids)) for inp in inputs], dtype=np.intp)
-    return _pooled_report(block, *_evaluate(list(ids), block, outputs, q_model, p_model),
+    q_dists, p_dists = zip(*[(_model(q_model, inp), _model(p_model, inp)) for inp in ids])
+    return _pooled_report(block, q_dists, *_evaluate(block, outputs, q_dists, p_dists),
                           threshold, pairs.__getitem__)
 
 
@@ -307,11 +300,11 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     triggers, outputs = triggers[order], list(map(tuple, outputs[order].tolist()))
     first = np.r_[True, (triggers[1:] != triggers[:-1]).any(axis=1)]
     block = np.cumsum(first) - 1
-    inputs = list(map(tuple, triggers[first].tolist()))
-    q_dists, rows, q_val, p_val = _evaluate(
-        inputs, block, outputs,
-        lambda inp: exact_distribution(u, inp, collisions),
-        lambda inp: distinguishable_distribution(u, inp, collisions))
+    # the checks exact_distribution makes on its input: length and occupations
+    inputs = [as_occupation(inp, u.shape[0]) for inp in triggers[first].tolist()]
+    q_dists = _distributions(u, triggers[first], collisions, True)
+    rows, q_val, p_val = _evaluate(block, outputs, q_dists,
+                                   _distributions(u, triggers[first], collisions, False))
     if (rows < 0).any():
         raise DataError(f"sample {outputs[np.argmin(rows)]} lies outside the outcome support")
     bounds = np.searchsorted(block, np.arange(len(inputs) + 1))

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from multiphoton.cli import _build_parser, main, resolve_config
+from multiphoton.cli import EXIT_DATA, _build_parser, main, resolve_config
 from multiphoton.linalg import haar_random_unitary, save_matrix
 
 
@@ -223,7 +223,7 @@ class TestValidateCommand:
                      "--shots", "2000", "--seed", "2", "--out", str(log)]) == 0
         trajectory = tmp_path / "lr.csv"
         code = main(["validate", "--samples", str(log), "--unitary", str(unitary),
-                     "--hypothesis", "distinguishable", "--threshold", "5.0",
+                     "--threshold", "5.0",
                      "--trajectory", str(trajectory)])
         assert code == 0
         out = capsys.readouterr().out
@@ -261,6 +261,20 @@ class TestConfigFile:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"k": 12, "n": 3, "wavelength": 775}))
         assert main(["rates", "--config", str(config)]) == 3
+
+    def test_removed_hypothesis_key_rejected(self, tmp_path, capsys):
+        # validate always tests against the distinguishable hypothesis; the
+        # key that could only name it is gone, so a config carrying it is an
+        # unknown-key data error
+        unitary, log = tmp_path / "u.json", tmp_path / "samples.csv"
+        save_matrix(unitary, haar_random_unitary(3, 5))
+        assert main(["sample", "--unitary", str(unitary), "--input", "110",
+                     "--shots", "50", "--out", str(log)]) == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"samples": str(log), "unitary": str(unitary),
+                                      "hypothesis": "distinguishable"}))
+        assert main(["validate", "--config", str(config)]) == EXIT_DATA
+        assert "unknown keys: ['hypothesis']" in capsys.readouterr().err
 
     def test_invalid_json_rejected(self, tmp_path):
         config = tmp_path / "run.json"

@@ -35,6 +35,15 @@ def glynn_longdouble(matrix):
     return total / np.longdouble(2) ** (n - 1)
 
 
+def hstack_low_table(cols):
+    """The sign-table builder that doubled the table with ``np.hstack`` per column."""
+    plus = np.zeros((cols.shape[0], 1), dtype=complex)
+    minus = plus[:, :0]
+    for col in cols.T[:, :, None]:
+        plus, minus = np.hstack([plus + col, minus - col]), np.hstack([minus + col, plus - col])
+    return np.hstack([plus, minus]), plus.shape[1]
+
+
 class TestNaive:
     def test_identity(self):
         assert permanent_naive(np.eye(3)) == 1
@@ -112,6 +121,22 @@ class TestGlynnKernel:
             a = gaussian_matrix(rng, n)
             ref = permanent_naive(a)
             assert abs(permanent_ryser(a) - ref) <= 1e-12 * abs(ref), f"n={n}"
+
+    def test_low_table_matches_hstack_builder(self):
+        # the 200-matrix set above, then the split sizes n=13-16 (k=12 low columns)
+        rng = np.random.default_rng(2026)
+        sizes = [1 + case % 8 for case in range(198)] + [9, 10, 13, 14, 16]
+        for n in sizes:
+            a = gaussian_matrix(rng, n)
+            cols = a[:, 1:min(n - 1, permanent._LOW_BITS) + 1]
+            table, plus = permanent._low_table(cols)
+            want, want_plus = hstack_low_table(cols)
+            assert plus == want_plus
+            assert np.array_equal(table, want), f"n={n}"
+            # a real matrix gives the real part of the same table
+            real, _ = permanent._low_table(cols.real.copy())
+            assert real.dtype == np.float64
+            assert np.array_equal(real, hstack_low_table(cols.real)[0].real)
 
     def test_matches_long_double_glynn_at_sixteen(self):
         # n=16 leaves three high sign columns, so the split path runs

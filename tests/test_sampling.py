@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multiphoton import cli
+from multiphoton import cli, sampling
 from multiphoton.errors import ContractError, DataError, ResourceLimitError
 from multiphoton.linalg import (
     enumerate_patterns,
@@ -19,6 +20,7 @@ from multiphoton.permanent import permanent_naive, permanent_ryser
 from multiphoton.rng import derive_rng
 from multiphoton.sampling import (
     _BATCH,
+    _distributions,
     OutcomeDistribution,
     SampleRecord,
     distinguishable_distribution,
@@ -72,8 +74,8 @@ class TestExactDistribution:
         assert dist.prob((1, 1, 1)) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_matches_per_output_permanents(self):
-        # dual route: the shared-subset batch evaluation against one Ryser
-        # permanent per output pattern
+        # dual route: the batched Glynn engine against one kernel permanent
+        # per output pattern
         u = haar_random_unitary(8, 21)
         occ = (1, 0, 1, 0, 0, 1, 0, 0)
         dist = exact_distribution(u, occ)
@@ -115,6 +117,131 @@ class TestExactDistribution:
         # |U|^2 is doubly stochastic here, so the probabilities sum to 1
         with pytest.raises(ContractError):
             distinguishable_distribution(0.5 * np.ones((4, 4)), (1, 1, 0, 0))
+
+
+def ryser_reference(unitary, occ, collisions, interfering, precise=True):
+    """Unnormalised output weights of one input by Ryser's formula, per input.
+
+    This is the per-input builder the batched Glynn engine replaced: 2^n - 1
+    subset row sums ``v_R`` and ``sum_R (-1)^(n-|R|) prod_(j in T) v_R[j]``
+    for every output T.  ``precise`` evaluates it in 80-bit long double, so
+    that its own rounding (up to 7e-15 in double for bunched inputs at small
+    m) stays far below the 1e-15 the engine is held to.  Returns the
+    outcomes and the weights before any collision-free renormalisation.
+    """
+    real = np.longdouble if precise else np.float64
+    u = np.asarray(unitary, dtype=complex)
+    modes, n = u.shape[0], sum(occ)
+    outcomes = enumerate_patterns(modes, n, collisions)
+    occupations = np.array(outcomes, dtype=np.intp).reshape(len(outcomes), modes)
+    cols = np.repeat(np.tile(np.arange(modes), len(outcomes)),
+                     occupations.ravel()).reshape(len(outcomes), n)
+    source = u if interfering else u.real**2 + u.imag**2
+    rows = source[np.repeat(np.arange(modes), occ)].astype(np.result_type(real, source.dtype))
+    ranks = np.arange(1, 1 << n)
+    v = ((ranks[:, None] >> np.arange(n)) & 1).astype(real) @ rows
+    signs = np.where((n - np.bitwise_count(ranks)) & 1, -1.0, 1.0).astype(real)
+    amps = np.concatenate([signs @ v[:, block].prod(axis=2)
+                           for block in np.array_split(cols, len(cols) // 512 + 1)])
+    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=real)
+    factors = factorials[occupations].prod(axis=1)
+    if interfering:
+        weights = (amps.real**2 + amps.imag**2) / (math.prod(map(math.factorial, occ)) * factors)
+    else:
+        weights = np.clip(amps.real, 0, None) / factors
+    return outcomes, weights
+
+
+def reference_distribution(unitary, occ, collisions=True, interfering=True, precise=True):
+    outcomes, weights = ryser_reference(unitary, occ, collisions, interfering, precise)
+    return OutcomeDistribution(outcomes, (weights / weights.sum() if not collisions
+                                          else weights).astype(float))
+
+
+def _spread_and_bunched(modes, n):
+    """A collision-free input (when n <= modes) and a bunched one, (2, 1, 0, ...) at n=3."""
+    bunched = tuple(np.bincount(np.r_[0, np.arange(n - 1)] % modes, minlength=modes).tolist())
+    spread = (1,) * n + (0,) * (modes - n)
+    return ([spread] if n <= modes else []) + [bunched]
+
+
+def _builder(interfering):
+    return exact_distribution if interfering else distinguishable_distribution
+
+
+class TestGlynnEngine:
+    @pytest.mark.parametrize("interfering", [True, False])
+    @pytest.mark.parametrize("collisions", [True, False])
+    def test_matches_per_input_ryser_and_naive(self, interfering, collisions):
+        worst = 0.0
+        for modes in range(2, 13):
+            u = haar_random_unitary(modes, 300 + modes)
+            source = u if interfering else np.abs(u) ** 2
+            for n in range(1, 7):
+                for occ in _spread_and_bunched(modes, n):
+                    if not collisions and n > modes:
+                        continue
+                    dist = _builder(interfering)(u, occ, collisions)
+                    outcomes, weights = ryser_reference(u, occ, collisions, interfering)
+                    mass = float(weights.sum()) if not collisions else 1.0
+                    assert dist.outcomes == tuple(outcomes)
+                    err = np.abs(dist.probabilities - (weights / mass).astype(float)).max()
+                    assert err <= 1e-15, f"m={modes} input={occ}"
+                    worst = max(worst, err)
+                    # 16 outcomes by the permutation sum, sharing no code with
+                    # either, compared before any collision-free renormalisation
+                    for k in np.unique(np.linspace(0, len(outcomes) - 1, 16).astype(int)):
+                        out = outcomes[k]
+                        perm = permanent_naive(transition_submatrix(source, occ, out))
+                        want = (abs(perm) ** 2 / math.prod(map(math.factorial, occ))
+                                if interfering else perm.real)
+                        want /= math.prod(map(math.factorial, out))
+                        assert dist.probabilities[k] * mass == pytest.approx(want, abs=1e-15)
+        assert worst > 0  # the two routes round differently, so the check compares
+
+    @pytest.mark.parametrize("interfering", [True, False])
+    def test_batch_invariance_across_all_four_photon_inputs(self, interfering, monkeypatch):
+        u = haar_random_unitary(12, 41)
+        inputs = np.array([o for o in enumerate_patterns(12, 4, False)])
+        together = _distributions(u, inputs, True, interfering)
+        assert len(together) == 495
+        for k, occ in enumerate(inputs):
+            alone = _builder(interfering)(u, occ)
+            assert np.array_equal(alone.probabilities, together[k].probabilities)
+        # chunks of 7 complex (14 real) inputs, so chunk boundaries fall elsewhere
+        monkeypatch.setattr(sampling, "_BLOCK_BYTES", 7 * 1365 * 8 * 16)
+        picked = [3, 4, 5, 200, 494, 0, 17, 18, 300, 301]
+        chunked = _distributions(u, inputs[picked], True, interfering)
+        for k, dist in zip(picked, chunked):
+            assert np.array_equal(dist.probabilities, together[k].probabilities)
+
+    def test_batch_invariance_at_six_photons_and_mixed_photon_numbers(self, monkeypatch):
+        u = haar_random_unitary(8, 42)
+        inputs = np.array([(1, 1, 1, 1, 1, 1, 0, 0), (2, 0, 1, 0, 3, 0, 0, 0),
+                           (0, 1, 0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1, 1, 1)])
+        alone = [exact_distribution(u, occ, False) for occ in inputs]
+        monkeypatch.setattr(sampling, "_BLOCK_BYTES", 1 << 30)
+        together = _distributions(u, inputs, False, True)
+        for a, b in zip(alone, together):
+            assert a._support is b._support
+            assert np.array_equal(a.probabilities, b.probabilities)
+
+    def test_builds_stay_small(self):
+        # the engine's working set is chunked; a later chunk-size change
+        # must not quietly grow the peak
+        u = haar_random_unitary(12, 43)
+        inputs = np.array(enumerate_patterns(12, 4, False))
+        exact_distribution(u, (1,) * 6 + (0,) * 6)  # pattern tables cached first
+        _distributions(u, inputs[:1], True, True)
+        for build in (lambda: _distributions(u, inputs, True, True),
+                      lambda: exact_distribution(u, (1,) * 6 + (0,) * 6)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestDistinguishableDistribution:
@@ -210,13 +337,14 @@ class TestExpectedRate:
             expected_rate(3, 2, 0.1, 0.5, rep_rate=0.0)
 
 
-def dense_scattershot_reference(u, params, pulses, n_select, seed):
+def dense_scattershot_reference(u, params, pulses, n_select, seed, build=exact_distribution):
     """Dense per-pulse selection and a per-event output loop.
 
     Each batch's sparse pair draw is scattered into ``(pulses, sources)``
     herald and input arrays; candidates are the rows with n_select heralds
     and n_select inputs, and each candidate draws its output (and its
-    detector thinning) on its own, in pulse order.
+    detector thinning) on its own, in pulse order, from ``build(u, input)``
+    built once per input.
     """
     k = len(params)
     eps = np.array([p.epsilon for p in params])
@@ -244,7 +372,7 @@ def dense_scattershot_reference(u, params, pulses, n_select, seed):
         for u_draw, row in zip(draws, candidates):
             key = tuple(int(x) for x in inputs[row])
             if key not in dists:
-                dists[key] = exact_distribution(u, key)
+                dists[key] = build(u, key)
             cum = dists[key].cumulative()
             pick = min(int(np.searchsorted(cum, u_draw, side="right")), len(cum) - 1)
             output = np.array(dists[key].outcomes[pick])
@@ -275,6 +403,18 @@ class TestScattershotRun:
         result = scattershot_run(u, params, pulses, n, seed)
         reference = dense_scattershot_reference(u, params, pulses, n, seed)
         assert len(reference) > 0
+        assert result.records == reference
+
+    @pytest.mark.parametrize("n, pulses", [(4, 4_000), (5, 2_500)])
+    def test_matches_per_input_ryser_run(self, n, pulses):
+        # bright criterion-3 sources; every input's distribution is built on
+        # its own by the per-input Ryser reference in double precision
+        u = haar_random_unitary(12, 44)
+        params = [SourceParams.from_lumped_efficiency(0.3, 0.81)] * 12
+        result = scattershot_run(u, params, pulses, n, seed=n)
+        reference = dense_scattershot_reference(
+            u, params, pulses, n, n, lambda u, occ: reference_distribution(u, occ, precise=False))
+        assert len(reference) > 100
         assert result.records == reference
 
     def test_deterministic_sources_retain_every_pulse(self):
