@@ -29,7 +29,6 @@ from .sources import (
     fire_sources,
     gaussian_jsa,
     hom_dip,
-    predicted_visibility,
     schmidt_purity,
     tune_correlation_angle,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "fire_sources",
     "gaussian_jsa",
     "hom_dip",
-    "predicted_visibility",
     "schmidt_purity",
     "tune_correlation_angle",
     "BasisCounts",

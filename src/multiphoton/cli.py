@@ -54,7 +54,6 @@ from .sources import (
     gaussian_jsa,
     hom_dip,
     load_source_params,
-    predicted_visibility,
     schmidt_purity,
     tune_correlation_angle,
 )
@@ -68,8 +67,6 @@ EXIT_DATA = 3
 EXIT_CONTRACT = 4
 EXIT_RESOURCE = 5
 
-COMMANDS = ("permanent", "sample", "scattershot", "ghz", "hom", "jsa", "validate", "rates")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -82,7 +79,7 @@ class ExperimentConfig:
     params: dict
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _HANDLERS:
             raise ContractError(f"unknown command {self.command!r}")
         if self.seed < 0:
             raise ContractError("seed must be non-negative")
@@ -280,7 +277,7 @@ def _cmd_hom(config: ExperimentConfig) -> int:
             int(config.params.get("grid_size", 256)),
             config.params.get("span"),
         )
-        visibility = predicted_visibility(jsa)
+        visibility = schmidt_purity(jsa)
     sigma = float(config.params.get("sigma", 1.0))
     tau_max = float(config.params.get("tau_max", 4.0 / sigma))
     steps = int(config.params.get("steps", 201))
@@ -397,14 +394,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="root RNG seed (default 0)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker thread cap (default: CPUs this process may use)")
         p.add_argument("--out", default=None, help="primary output file")
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags override its entries")
 
     p = sub.add_parser("permanent", help="permanent of a matrix file")
     p.add_argument("matrix", help="matrix file (rows/cols/entries format)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker thread cap (default: CPUs this process may use)")
     common(p)
 
     p = sub.add_parser("sample", help="sample outputs of a fixed-input interferometer")
@@ -502,11 +499,17 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or text that is not UTF-8
         raise DataError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError("config file must hold a JSON object")
     return doc
+
+
+# The JSON type a config value needs, by its flag's declared type; on/off flags
+# (nargs 0) take a boolean, and a boolean is never a number.
+_JSON_TYPES = {bool: ("boolean", bool), int: ("integer", int),
+               float: ("number", (int, float)), str: ("string", str)}
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -517,7 +520,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(file_values) - set(values)
         if unknown:
             raise DataError(f"config file has unknown keys: {sorted(unknown)}")
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        kinds = {a.dest: bool if a.nargs == 0 else a.type or str
+                 for a in sub.choices[args.command]._actions}
         for key, value in file_values.items():
+            name, allowed = _JSON_TYPES[kinds[key]]
+            if isinstance(value, bool) != (name == "boolean") or not isinstance(value, allowed):
+                raise DataError(f"config key {key!r} must be a JSON {name}, got {value!r}")
             if values.get(key) is None:
                 values[key] = value
     seed = values.pop("seed", None)

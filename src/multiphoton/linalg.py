@@ -30,8 +30,6 @@ __all__ = [
     "transition_submatrix",
     "svd_singular_values",
     "as_occupation",
-    "photon_count",
-    "is_no_collision",
     "occupation_to_string",
     "occupation_from_string",
     "load_matrix",
@@ -113,16 +111,6 @@ def as_occupation(pattern, modes: int | None = None) -> tuple[int, ...]:
     return occ
 
 
-def photon_count(pattern) -> int:
-    """Total photon number of an occupation pattern."""
-    return sum(as_occupation(pattern))
-
-
-def is_no_collision(pattern) -> bool:
-    """True iff every mode holds zero or one photon."""
-    return all(x in (0, 1) for x in as_occupation(pattern))
-
-
 def occupation_to_string(pattern) -> str:
     """Compact single-digit-per-mode encoding, e.g. ``(0,1,2) -> "012"``."""
     occ = as_occupation(pattern)
@@ -191,15 +179,17 @@ def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except DataError:
+            raise
+        except ValueError as exc:  # invalid JSON or text that is not UTF-8
             raise DataError(f"not a valid matrix file: {exc}") from exc
     try:
         rows, cols = int(doc["rows"]), int(doc["cols"])
-        entries = doc["entries"]
-    except (KeyError, TypeError) as exc:
-        raise DataError("matrix file must contain 'rows', 'cols' and 'entries'") from exc
-    if len(entries) != rows * cols:
-        raise DataError(f"expected {rows * cols} entries, found {len(entries)}")
+        entries = list(doc["entries"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError("matrix file needs integer 'rows' and 'cols', and 'entries'") from exc
+    if min(rows, cols) < 0 or len(entries) != rows * cols:
+        raise DataError(f"matrix file declares {rows}x{cols} but holds {len(entries)} entries")
     try:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     except (TypeError, ValueError) as exc:

@@ -26,7 +26,6 @@ __all__ = [
     "FireOutcome",
     "gaussian_jsa",
     "schmidt_purity",
-    "predicted_visibility",
     "hom_dip",
     "tune_correlation_angle",
     "fire_sources",
@@ -34,14 +33,14 @@ __all__ = [
     "save_source_params",
 ]
 
-NORMALIZATION_TOL = 1e-6
-
 # Boundary amplitude above exp(-4) of the peak means the grid clips the
 # envelope inside its 4-sigma extent.
 _EDGE_FRACTION = math.exp(-4.0)
 
 
 def _check_unit_interval(name: str, value: float) -> float:
+    if isinstance(value, (str, bool)):  # float() would read "0.1" and True
+        raise ContractError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise ContractError(f"{name} must lie in [0, 1], got {value}")
@@ -54,24 +53,21 @@ class SourceParams:
 
     epsilon is the pair-generation probability per pump pulse, eta_herald
     the per-arm collection efficiency (applied symmetrically to the idler
-    and signal arms), eta_detect the single-photon detector efficiency, and
-    indistinguishability the wavepacket overlap between photons from
-    independent sources.
+    and signal arms), eta_detect the single-photon detector efficiency and
+    rep_rate the pump repetition rate in Hz.
     """
 
     epsilon: float
     eta_herald: float = 1.0
     eta_detect: float = 1.0
-    indistinguishability: float = 1.0
     rep_rate: float = 80e6
 
     def __post_init__(self):
         _check_unit_interval("epsilon", self.epsilon)
         _check_unit_interval("eta_herald", self.eta_herald)
         _check_unit_interval("eta_detect", self.eta_detect)
-        _check_unit_interval("indistinguishability", self.indistinguishability)
-        if not self.rep_rate > 0:
-            raise ContractError(f"rep_rate must be positive, got {self.rep_rate}")
+        if isinstance(self.rep_rate, (str, bool)) or not 0 < self.rep_rate < math.inf:
+            raise ContractError(f"rep_rate must be finite and positive, got {self.rep_rate!r}")
 
     @property
     def herald_probability(self) -> float:
@@ -89,8 +85,8 @@ class SourceParams:
         return (self.eta_herald * self.eta_detect) ** 2
 
     @classmethod
-    def from_lumped_efficiency(cls, epsilon: float, eta: float, rep_rate: float = 80e6,
-                               indistinguishability: float = 1.0) -> "SourceParams":
+    def from_lumped_efficiency(cls, epsilon: float, eta: float,
+                               rep_rate: float = 80e6) -> "SourceParams":
         """Build symmetric-arm parameters with a given lumped efficiency.
 
         The per-pair success probability eta is split evenly between the
@@ -103,7 +99,6 @@ class SourceParams:
             epsilon=epsilon,
             eta_herald=math.sqrt(eta),
             eta_detect=1.0,
-            indistinguishability=indistinguishability,
             rep_rate=rep_rate,
         )
 
@@ -207,15 +202,6 @@ def schmidt_purity(jsa: JointSpectrum) -> float:
     if s <= 0:
         raise ContractError("joint spectrum grid is identically zero")
     return float((weights**2).sum() / s**2)
-
-
-def predicted_visibility(jsa: JointSpectrum) -> float:
-    """Two-photon interference visibility between two identical heralded sources.
-
-    For independent photons heralded from two copies of the same pair
-    source, the dip visibility equals the spectral purity.
-    """
-    return schmidt_purity(jsa)
 
 
 def hom_dip(visibility: float, sigma: float, tau: float) -> float:
@@ -348,19 +334,19 @@ def fire_sources(params: Sequence[SourceParams], seed: int, pulses: int = 1) -> 
     return FireOutcome(*dense)
 
 
-_SOURCE_FIELDS = ("epsilon", "eta_herald", "eta_detect", "indistinguishability", "rep_rate")
+_SOURCE_FIELDS = ("epsilon", "eta_herald", "eta_detect", "rep_rate")
 
 
 def load_source_params(path) -> list[SourceParams]:
     """Read per-source parameters from a JSON config file.
 
     The file holds ``{"sources": [{...}, ...]}`` with the keys epsilon,
-    eta_herald, eta_detect, indistinguishability and rep_rate per source.
+    eta_herald, eta_detect and rep_rate per source.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or text that is not UTF-8
             raise DataError(f"not a valid source config: {exc}") from exc
     entries = doc.get("sources") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not entries:

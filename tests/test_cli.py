@@ -65,6 +65,14 @@ class TestRatesCommand:
         assert main(["rates", "--k", "12"]) == 4
         assert "--n" in capsys.readouterr().err
 
+    def test_threads_flag_is_permanent_only(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rates", "--k", "4", "--n", "2", "--threads", "3"])
+        assert excinfo.value.code == 2
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"k": 4, "n": 2, "threads": 3}))
+        assert main(["rates", "--config", str(config)]) == EXIT_DATA
+
 
 class TestSampleCommand:
     def test_stdout_samples(self, capsys):
@@ -144,6 +152,15 @@ class TestScattershotCommand:
         code = main(["scattershot", "--modes", "4", "--sources", str(config),
                      "--n", "2", "--pulses", "10"])
         assert code == 4
+
+    def test_removed_indistinguishability_field_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "sources.json"
+        config.write_text(json.dumps({"sources": [{"epsilon": 0.1, "indistinguishability": 1.0}]
+                                      * 3}))
+        code = main(["scattershot", "--modes", "3", "--sources", str(config),
+                     "--n", "2", "--pulses", "10"])
+        assert code == EXIT_DATA
+        assert "indistinguishability" in capsys.readouterr().err
 
 
 class TestGhzCommand:
@@ -281,6 +298,31 @@ class TestConfigFile:
         config.write_text("k = 12")
         assert main(["rates", "--config", str(config)]) == 3
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["ghz", "--photons", "4", "--population", "0.8", "--coherence", "0.6"],
+         {"shots": "abc"}),
+        (["rates", "--k", "4", "--n", "2"], {"seed": "x"}),
+        (["sample", "--modes", "3", "--input", "110", "--shots", "3"], {"collisions": "no"}),
+        (["scattershot", "--modes", "3", "--epsilon", "0.3", "--eta", "0.8", "--n", "2"],
+         {"pulses": 1e3}),
+        (["rates", "--k", "4", "--n", "2"], {"epsilon": True}),
+        (["rates", "--k", "4", "--n", "2"], {"scattershot": 1}),
+        (["validate", "--samples", "s.csv", "--unitary", "u.json"], {"threshold": None}),
+    ], ids=["int-string", "seed-string", "bool-string", "int-float", "float-bool", "bool-int",
+            "float-null"])
+    def test_value_of_the_wrong_type_rejected(self, tmp_path, capsys, argv, doc):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        assert main(argv + ["--config", str(config)]) == EXIT_DATA
+        assert f"config key {next(iter(doc))!r}" in capsys.readouterr().err
+
+    def test_integer_accepted_for_float_flag_unconverted(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"k": 4, "n": 2, "epsilon": 1, "scattershot": False}))
+        assert main(["rates", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert "# epsilon: 1\n" in out and "mode: standard" in out
+
     def test_default_threads_follow_affinity_mask(self, monkeypatch):
         args = _build_parser().parse_args(["rates", "--k", "4", "--n", "2"])
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -289,4 +331,21 @@ class TestConfigFile:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert resolve_config(args).threads == 64
         assert resolve_config(_build_parser().parse_args(
-            ["rates", "--k", "4", "--n", "2", "--threads", "3"])).threads == 3
+            ["permanent", "m.json", "--threads", "3"])).threads == 3
+
+
+@pytest.mark.parametrize("argv, name, content", [
+    (["permanent", "{}"], "m.json", b'\xff{"rows": 1}'),
+    (["permanent", "{}"], "m.json", b'{"rows": "x", "cols": 1, "entries": [[1, 0]]}'),
+    (["permanent", "{}"], "m.json", b'{"rows": 1e400, "cols": 1, "entries": [[1, 0]]}'),
+    (["permanent", "{}"], "m.json", b'{"rows": -1, "cols": -1, "entries": [[1, 0]]}'),
+    (["permanent", "{}"], "m.json", b'{"rows": 1, "cols": 1, "entries": 5}'),
+    (["scattershot", "--modes", "1", "--n", "1", "--pulses", "1", "--sources", "{}"],
+     "sources.json", b'\xff{"sources": []}'),
+    (["rates", "--k", "4", "--n", "2", "--config", "{}"], "run.json", b'\xff{"k": 4}'),
+], ids=["matrix-not-utf8", "matrix-rows-not-int", "matrix-rows-overflow", "matrix-negative-size",
+        "matrix-entries-not-list", "sources-not-utf8", "config-not-utf8"])
+def test_malformed_json_file_exit_code(tmp_path, argv, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main([arg.format(path) for arg in argv]) == EXIT_DATA

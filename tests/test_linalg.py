@@ -11,11 +11,9 @@ from multiphoton.linalg import (
     count_patterns,
     enumerate_patterns,
     haar_random_unitary,
-    is_no_collision,
     load_matrix,
     occupation_from_string,
     occupation_to_string,
-    photon_count,
     save_matrix,
     svd_singular_values,
     transition_submatrix,
@@ -106,11 +104,6 @@ class TestOccupations:
             as_occupation([0.5, 1])
         with pytest.raises(DimensionError):
             as_occupation([1, 1], modes=3)
-
-    def test_counts_and_collisions(self):
-        assert photon_count((1, 0, 2)) == 3
-        assert is_no_collision((1, 0, 1))
-        assert not is_no_collision((2, 0))
 
     def test_string_round_trip(self):
         assert occupation_to_string((0, 1, 2)) == "012"

@@ -14,7 +14,6 @@ from multiphoton.sources import (
     hom_dip,
     load_source_params,
     normalized_joint_spectrum,
-    predicted_visibility,
     save_source_params,
     schmidt_purity,
     tune_correlation_angle,
@@ -51,6 +50,15 @@ class TestSourceParams:
             SourceParams(epsilon=0.1, eta_herald=-0.1)
         with pytest.raises(ContractError):
             SourceParams(epsilon=0.1, rep_rate=0.0)
+        with pytest.raises(ContractError):
+            SourceParams(epsilon=0.1, rep_rate=math.inf)
+
+    @pytest.mark.parametrize("field, value", [("epsilon", "0.1"), ("epsilon", "abc"),
+                                              ("eta_detect", True), ("rep_rate", True)])
+    def test_rejects_strings_and_booleans(self, field, value):
+        # float() reads "0.1" and True, but the dataclass would keep the raw value
+        with pytest.raises(ContractError, match=field):
+            SourceParams(**{"epsilon": 0.1, field: value})
 
     def test_from_lumped_efficiency(self):
         s = SourceParams.from_lumped_efficiency(0.01, 0.5)
@@ -138,11 +146,7 @@ class TestPredictedVisibility:
     def test_separable_spectrum(self):
         angle = -0.5 * math.asin(1.0)
         jsa = gaussian_jsa(1.0, math.sqrt(0.5), angle, grid_size=128)
-        assert predicted_visibility(jsa) == pytest.approx(1.0, abs=1e-3)
-
-    def test_equals_purity(self):
-        jsa = gaussian_jsa(1.0, 0.6, -0.1, grid_size=128)
-        assert abs(predicted_visibility(jsa) - schmidt_purity(jsa)) <= 1e-12
+        assert schmidt_purity(jsa) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestTuneCorrelationAngle:
@@ -221,8 +225,8 @@ class TestFireSources:
 class TestSourceConfigFile:
     def test_round_trip(self, tmp_path):
         params = [
-            SourceParams(0.01, 0.9, 0.75, 0.96, 80e6),
-            SourceParams(0.02, 0.8, 0.75, 1.0, 80e6),
+            SourceParams(0.01, 0.9, 0.75, 80e6),
+            SourceParams(0.02, 0.8, 0.75, 80e6),
         ]
         path = tmp_path / "sources.json"
         save_source_params(path, params)
@@ -232,6 +236,12 @@ class TestSourceConfigFile:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"sources": [{"epsilon": 0.1, "gain": 2}]}))
         with pytest.raises(DataError):
+            load_source_params(path)
+
+    def test_removed_indistinguishability_field_rejected(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"sources": [{"epsilon": 0.1, "indistinguishability": 1.0}]}))
+        with pytest.raises(DataError, match="unknown fields"):
             load_source_params(path)
 
     def test_out_of_range_value_rejected(self, tmp_path):
