@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -68,8 +69,10 @@ class BasisCounts:
 
     Outcomes are bitstrings of length ``n_photons``; character k is '0'
     when photon k gave the +1 eigenvalue outcome (H in the computational
-    basis) and '1' for the -1 outcome.  ``theta`` is the equatorial basis
-    angle and is None for the computational basis.
+    basis) and '1' for the -1 outcome.  Each count is a non-negative
+    integer: a Python ``int`` or a numpy integer, never a ``bool``.
+    ``theta`` is the equatorial basis angle and is None for the
+    computational basis.
     """
 
     basis: str
@@ -84,11 +87,16 @@ class BasisCounts:
             raise ContractError("theta basis counts need the setting angle")
         if self.basis == "hv" and self.theta is not None:
             raise ContractError("computational-basis counts carry no angle")
-        for key, value in self.counts.items():
-            if len(key) != self.n_photons or set(key) - {"0", "1"}:
-                raise ContractError(f"outcome {key!r} is not a {self.n_photons}-bit string")
-            if int(value) < 0:
-                raise ContractError(f"count for {key!r} is negative")
+        # Whole-dict passes first; only a failing dict is walked key by key,
+        # to name the offending outcome.
+        keys, values = self.counts.keys(), self.counts.values()
+        if not (set(map(type, keys)) <= {str}
+                and set(map(len, keys)) <= {self.n_photons}
+                and not "".join(keys).translate(_DROP_BITS)
+                and all(map(_is_count_type, set(map(type, values))))
+                and min(values, default=0) >= 0):
+            for key, value in self.counts.items():
+                _check_outcome(key, value, self.n_photons)
 
     @property
     def total(self) -> int:
@@ -105,8 +113,20 @@ class WitnessResult:
     significance: float
 
 
-def _bitstring(index: int, n: int) -> str:
-    return format(index, f"0{n}b")
+_DROP_BITS = str.maketrans("", "", "01")
+
+
+def _is_count_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
+def _check_outcome(key, value, n: int) -> None:
+    if not isinstance(key, str) or len(key) != n or key.translate(_DROP_BITS):
+        raise ContractError(f"outcome {key!r} is not a {n}-bit string")
+    if not _is_count_type(type(value)):
+        raise ContractError(f"count for {key!r} must be an integer, got {value!r}")
+    if value < 0:
+        raise ContractError(f"count for {key!r} is negative")
 
 
 def hv_outcome_distribution(model: GhzModel) -> np.ndarray:
@@ -164,10 +184,13 @@ def simulate_counts(model: GhzModel, basis: str, shots: int, seed: int,
         raise ContractError(f"basis must be 'hv' or 'theta', got {basis!r}")
     rng = derive_rng(seed, label)
     draws = rng.multinomial(shots, probs)
-    counts = {
-        _bitstring(i, model.n_photons): int(c) for i, c in enumerate(draws) if c > 0
-    }
-    return BasisCounts(basis, model.n_photons, counts, theta)
+    n = model.n_photons
+    hit = np.flatnonzero(draws)
+    # Bit k of each outcome, most significant first, as the code point of '0'
+    # or '1': the rows read as length-n unicode strings.
+    digits = ((hit[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint32) + ord("0")
+    counts = dict(zip(digits.view(f"U{n}").ravel().tolist(), draws[hit].tolist()))
+    return BasisCounts(basis, n, counts, theta)
 
 
 def simulate_ghz_experiment(model: GhzModel, shots: int, seed: int):
@@ -206,11 +229,11 @@ def _parity_expectation(counts: BasisCounts):
     total = counts.total
     if total < 1:
         raise DataError("no counts recorded")
-    acc = 0
-    for key, value in counts.counts.items():
-        sign = -1 if key.count("1") & 1 else 1
-        acc += sign * value
-    m_hat = acc / total
+    keys = counts.counts.keys()
+    digits = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
+    odd = (digits.reshape(len(keys), counts.n_photons) == ord("1")).sum(axis=1) & 1
+    odd_total = sum(compress(counts.counts.values(), odd.tolist()))
+    m_hat = (total - 2 * odd_total) / total
     variance = (1.0 - m_hat**2) / total
     return m_hat, variance
 

@@ -167,6 +167,9 @@ def svd_singular_values(matrix) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+_JSON_NUMBERS = (int, float)
+
+
 def _reject_constant(token: str):
     raise DataError(f"matrix file contains non-finite value {token!r}")
 
@@ -183,17 +186,22 @@ def load_matrix(path) -> np.ndarray:
             raise
         except ValueError as exc:  # invalid JSON or text that is not UTF-8
             raise DataError(f"not a valid matrix file: {exc}") from exc
-    try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        entries = list(doc["entries"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError("matrix file needs integer 'rows' and 'cols', and 'entries'") from exc
+    # JSON gives int for integers and float for other numbers; bool is an int
+    # subclass, so the types are compared exactly.
+    if not isinstance(doc, dict):
+        doc = {}
+    rows, cols, entries = doc.get("rows"), doc.get("cols"), doc.get("entries")
+    if type(rows) is not int or type(cols) is not int or type(entries) is not list:
+        raise DataError("matrix file needs integer 'rows' and 'cols', and an 'entries' list")
     if min(rows, cols) < 0 or len(entries) != rows * cols:
         raise DataError(f"matrix file declares {rows}x{cols} but holds {len(entries)} entries")
+    if not all(type(e) is list and len(e) == 2 and type(e[0]) in _JSON_NUMBERS
+               and type(e[1]) in _JSON_NUMBERS for e in entries):
+        raise DataError("each entry must be a two-element [re, im] array of numbers")
     try:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise DataError("each entry must be a two-element [re, im] array") from exc
+    except OverflowError as exc:  # an integer literal too large for a float
+        raise DataError(f"matrix entry out of range: {exc}") from exc
     return as_complex_matrix(flat.reshape(rows, cols))
 
 

@@ -147,9 +147,9 @@ def _distributions(u: np.ndarray, inputs: np.ndarray, collisions: bool,
     w_d = sum_i d_i r_i.  A chunk of inputs takes its row sums w from one
     sign table, laid out as (mode, sign vector, input); products grow along
     the pattern table's prefix tree (pattern k = its parent in the
-    (n-1)-photon table times ``w[cols[k, n-1]]``), the last level one sign
-    vector at a time.  Every step is elementwise per input, so an input's
-    probabilities do not depend on the chunk it is built in.
+    (n-1)-photon table times ``w[cols[k, n-1]]``), the last two levels one
+    sign vector at a time.  Every step is elementwise per input, so an
+    input's probabilities do not depend on the chunk it is built in.
     """
     caller = "exact_distribution" if interfering else "distinguishable_distribution"
     modes = u.shape[0]
@@ -172,11 +172,22 @@ def _distributions(u: np.ndarray, inputs: np.ndarray, collisions: bool,
             sums += rows[:, :, :1].reshape(-1, 1)
             sums = sums.reshape(modes, len(occ), signs).transpose(0, 2, 1).copy()
             terms = np.ones((1, signs, len(occ)), dtype=source.dtype)  # the empty pattern
-            for level in levels:
+            for level in levels[:-1]:
                 terms = terms[level.parents] * sums[level.cols[:, -1]]
             halves = np.zeros((2, len(table.cols), len(occ)), dtype=source.dtype)
+            # The widest two levels never exist for every sign vector at once:
+            # per sign vector they stay small, and the last one is gathered
+            # into reused buffers (mode="clip" lets take write to them
+            # directly; every index is in range).
+            parent, factor = np.empty((2, len(table.cols), len(occ)), dtype=source.dtype)
             for d in range(signs):
-                halves[int(d >= plus)] += terms[table.parents, d] * sums[table.cols[:, -1], d]
+                prefix = terms[:, d]
+                if levels:
+                    prefix = prefix[levels[-1].parents] * sums[levels[-1].cols[:, -1], d]
+                np.take(prefix, table.parents, axis=0, out=parent, mode="clip")
+                np.take(sums[:, d], table.cols[:, -1], axis=0, out=factor, mode="clip")
+                parent *= factor
+                halves[int(d >= plus)] += parent
             perms = (halves[0] - halves[1]) / signs
             if interfering:
                 input_factors = [math.prod(map(math.factorial, row)) for row in occ.tolist()]

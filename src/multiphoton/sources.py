@@ -17,7 +17,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractError, DataError
-from .linalg import svd_singular_values
 from .rng import derive_rng
 
 __all__ = [
@@ -109,7 +108,8 @@ class JointSpectrum:
 
     ``amplitudes[i, j]`` is the amplitude at signal detuning ``nu[i]`` and
     idler detuning ``nu[j]``; the grid is normalized so that
-    ``sum |f|^2 * nu_step^2 == 1``.
+    ``sum |f|^2 * nu_step^2 == 1``.  A real grid, such as the Gaussian
+    one, stays real (float64).
     """
 
     amplitudes: np.ndarray
@@ -127,8 +127,15 @@ class JointSpectrum:
 
 def normalized_joint_spectrum(amplitudes, nu_step: float, span: float | None = None,
                               truncation_warning: bool = False) -> JointSpectrum:
-    """Wrap a raw amplitude grid as a normalized :class:`JointSpectrum`."""
-    grid = np.asarray(amplitudes, dtype=complex)
+    """Wrap a raw amplitude grid as a normalized :class:`JointSpectrum`.
+
+    A real grid stays real (float64) and a complex one complex.  The grid is
+    scaled by the reciprocal of its root norm, which is what complex division
+    by a real scalar computes, so a real grid saved as complex holds the same
+    bits as if it had been made complex first.
+    """
+    grid = np.asarray(amplitudes)
+    grid = grid.astype(complex if np.iscomplexobj(grid) else float, copy=False)
     if grid.ndim != 2:
         raise ContractError("joint spectrum grid must be 2-D")
     total = np.sum(np.abs(grid) ** 2) * nu_step**2
@@ -136,7 +143,7 @@ def normalized_joint_spectrum(amplitudes, nu_step: float, span: float | None = N
         raise ContractError("joint spectrum grid is identically zero")
     if span is None:
         span = 0.5 * nu_step * (grid.shape[0] - 1)
-    return JointSpectrum(grid / math.sqrt(total), float(nu_step), float(span),
+    return JointSpectrum(grid * (1.0 / math.sqrt(total)), float(nu_step), float(span),
                          truncation_warning)
 
 
@@ -190,18 +197,21 @@ def schmidt_purity(jsa: JointSpectrum) -> float:
     """Spectral purity ``sum(lambda_k^2)`` of the Schmidt decomposition.
 
     The Schmidt coefficients ``lambda_k`` are the squared, normalized
-    singular values of the amplitude grid, so a separable (rank-1) spectrum
-    has purity exactly 1 and purity decreases with spectral correlation.
+    singular values of the amplitude grid ``A``, so a separable (rank-1)
+    spectrum has purity exactly 1 and purity decreases with spectral
+    correlation.  The squared singular values are the eigenvalues of the
+    Gram matrix ``G = A^H A``, so ``sum(lambda_k^2) = ||G||_F^2 / tr(G)^2``
+    and no decomposition is needed.
     """
     total = jsa.norm()
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-4):
         raise ContractError(f"joint spectrum must be normalized, got norm {total}")
-    sv = svd_singular_values(jsa.amplitudes)
-    weights = sv**2
-    s = weights.sum()
-    if s <= 0:
+    a = jsa.amplitudes
+    gram = a.conj().T @ a
+    trace = np.trace(gram).real
+    if trace <= 0:
         raise ContractError("joint spectrum grid is identically zero")
-    return float((weights**2).sum() / s**2)
+    return float(np.vdot(gram, gram).real / trace**2)
 
 
 def hom_dip(visibility: float, sigma: float, tau: float) -> float:

@@ -349,3 +349,17 @@ def test_malformed_json_file_exit_code(tmp_path, argv, name, content):
     path = tmp_path / name
     path.write_bytes(content)
     assert main([arg.format(path) for arg in argv]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"rows": 1.7, "cols": 1, "entries": [[1, 0]]}', "integer 'rows'"),
+    (b'{"rows": "1", "cols": 1, "entries": [[1, 0]]}', "integer 'rows'"),
+    (b'{"rows": true, "cols": 1, "entries": [[1, 0]]}', "integer 'rows'"),
+    (b'{"rows": 1, "cols": 1, "entries": [[true, false]]}', "array of numbers"),
+], ids=["rows-float", "rows-string", "rows-bool", "entries-bool"])
+def test_matrix_sizes_and_entries_must_have_json_number_types(tmp_path, capsys, content,
+                                                              message):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    assert main(["permanent", str(path)]) == EXIT_DATA
+    assert message in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from multiphoton import ghz
 from multiphoton.errors import ContractError
 from multiphoton.ghz import (
     BasisCounts,
@@ -16,6 +17,7 @@ from multiphoton.ghz import (
     simulate_ghz_experiment,
     theta_outcome_distribution,
 )
+from multiphoton.rng import derive_rng
 from properties import check_ghz_properties
 
 
@@ -23,6 +25,25 @@ def parity_expectation(model, theta):
     dist = theta_outcome_distribution(model, theta)
     parity = 1.0 - 2.0 * (np.bitwise_count(np.arange(dist.size)) & 1)
     return float(parity @ dist)
+
+
+def bitstring_counts(draws, n):
+    """Oracle: one ``format`` call per drawn outcome."""
+    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0}
+
+
+def parity_sum(counts):
+    """Oracle: signed parity sum of a count dict, key by key."""
+    return sum(-value if key.count("1") & 1 else value for key, value in counts.items())
+
+
+def check_counts(n, counts):
+    """Oracle: the per-key outcome and count checks."""
+    for key, value in counts.items():
+        if not isinstance(key, str) or len(key) != n or set(key) - {"0", "1"}:
+            raise ContractError(f"outcome {key!r} is not a {n}-bit string")
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise ContractError(f"count for {key!r} is not a non-negative integer")
 
 
 class TestGhzModel:
@@ -102,10 +123,88 @@ class TestSimulateCounts:
             simulate_counts(GhzModel(4, 1.0, 1.0), "theta", 10, seed=0)
 
 
+class TestSimulateCountsOracle:
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("basis", ["hv", "theta"])
+    def test_matches_per_outcome_builder(self, n, basis):
+        model = GhzModel(n, 0.8, 0.5)
+        if basis == "hv":
+            theta, probs, label = None, hv_outcome_distribution(model), "ghz-hv"
+        else:
+            theta = 0.3
+            probs, label = theta_outcome_distribution(model, theta), f"ghz-theta-{theta!r}"
+        draws = derive_rng(n, label).multinomial(5000, probs)
+        want = bitstring_counts(draws, n)
+        counts = simulate_counts(model, basis, 5000, seed=n, theta=theta)
+        assert list(counts.counts.items()) == list(want.items())
+        assert all(type(k) is str and type(v) is int for k, v in counts.counts.items())
+        check_counts(n, counts.counts)
+        if basis == "theta":
+            m_hat, _ = ghz._parity_expectation(counts)
+            assert m_hat == parity_sum(want) / 5000
+
+
 class TestBasisCounts:
     def test_outcome_length_checked(self):
         with pytest.raises(ContractError):
             BasisCounts("hv", 3, {"01": 5})
+
+    @pytest.mark.parametrize("counts", [
+        {"0": 1, "000": 1},  # total length 4 = 2 * 2 keys
+        {"00": 1, "0": 1},
+        {"0a": 3},
+        {"00": 1, "12": 1},
+        {"0 ": 1},
+        {"0\u0661": 1},
+        {b"01": 1},
+        {(0, 1): 1},
+    ], ids=["mixed-lengths", "short", "letter", "digit-2", "space", "arabic-one", "bytes",
+            "tuple"])
+    def test_bad_outcome_rejected(self, counts):
+        with pytest.raises(ContractError, match="outcome"):
+            check_counts(2, counts)
+        with pytest.raises(ContractError, match="outcome"):
+            BasisCounts("hv", 2, counts)
+
+    @pytest.mark.parametrize("value", [2.7, "5", True, np.bool_(True), 2.0, None, -1,
+                                       np.int64(-3)],
+                             ids=["float", "string", "bool", "numpy-bool", "integral-float",
+                                  "none", "negative", "numpy-negative"])
+    def test_bad_count_rejected_naming_the_key(self, value):
+        counts = {"11": 1, "00": value}
+        with pytest.raises(ContractError, match="'00'"):
+            check_counts(2, counts)
+        with pytest.raises(ContractError, match="count for '00'"):
+            BasisCounts("hv", 2, counts)
+
+    def test_float_count_no_longer_reaches_the_estimator(self):
+        # used to fail inside estimate_population with a math domain error
+        with pytest.raises(ContractError, match="'00'"):
+            estimate_population(BasisCounts("hv", 2, {"00": 2.7, "11": 1}))
+
+    def test_string_counts_no_longer_reach_the_total(self):
+        # used to fail in .total with a TypeError
+        with pytest.raises(ContractError, match="'00'"):
+            BasisCounts("hv", 2, {"00": "5", "11": "3"}).total
+
+    def test_bool_count_no_longer_counts_as_one(self):
+        with pytest.raises(ContractError, match="'11'"):
+            BasisCounts("hv", 2, {"00": 4, "11": True})
+
+    def test_numpy_integers_and_empty_counts_accepted(self):
+        counts = {"00": np.int64(3), "01": np.uint8(2), "11": 0}
+        check_counts(2, counts)
+        assert BasisCounts("hv", 2, counts).total == 5
+        assert BasisCounts("hv", 2, {}).total == 0
+
+    def test_parity_matches_per_key_loop(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 5, 12):
+            keys = sorted({format(int(i), f"0{n}b") for i in rng.integers(0, 1 << n, 40)})
+            counts = {k: int(rng.integers(0, 50)) for k in keys}
+            counts[keys[0]] += 1
+            got, _ = ghz._parity_expectation(BasisCounts("theta", n, counts, theta=0.0))
+            assert got == parity_sum(counts) / sum(counts.values())
 
     def test_theta_angle_required(self):
         with pytest.raises(ContractError):

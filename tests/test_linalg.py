@@ -177,6 +177,16 @@ class TestMatrixFile:
         with pytest.raises(DataError):
             load_matrix(path)
 
+    @pytest.mark.parametrize("entries", ["[[1]]", "[[1, 0, 0]]", "[[null, 0]]", '[["1", 0]]',
+                                         "[1]", "[[1" + "0" * 400 + ", 0]]"],
+                             ids=["one-part", "three-parts", "null", "string", "flat",
+                                  "huge-integer"])
+    def test_rejects_malformed_entries(self, tmp_path, entries):
+        path = tmp_path / "entries.json"
+        path.write_text('{"rows":1,"cols":1,"entries":%s}' % entries)
+        with pytest.raises(DataError):
+            load_matrix(path)
+
 
 def test_module_properties():
     check_linalg_properties(seed=1)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from multiphoton import sources
 from multiphoton.errors import ContractError, DataError
+from multiphoton.linalg import svd_singular_values
 from multiphoton.sources import (
     FireOutcome,
     JointSpectrum,
@@ -92,6 +94,60 @@ class TestGaussianJsa:
             gaussian_jsa(1.0, 1.0, 0.0, span=-1.0)
 
 
+def svd_purity(jsa):
+    """Oracle: purity from the singular values of the amplitude grid."""
+    weights = svd_singular_values(jsa.amplitudes) ** 2
+    return float((weights**2).sum() / weights.sum() ** 2)
+
+
+def _random_grid(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+class TestSchmidtPurityOracle:
+    @pytest.mark.parametrize("grid_size", [16, 64, 128, 256])
+    @pytest.mark.parametrize("angle", [-0.9, -0.6, -0.3, 0.0, 0.4, 1.2])
+    def test_gaussian_grids(self, grid_size, angle):
+        jsa = gaussian_jsa(1.0, 0.6, angle, grid_size=grid_size)
+        assert schmidt_purity(jsa) == pytest.approx(svd_purity(jsa), rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (40, 40), (96, 96), (24, 56)])
+    def test_random_complex_grids(self, shape):
+        jsa = normalized_joint_spectrum(_random_grid(np.random.default_rng(3), *shape), 0.1)
+        assert schmidt_purity(jsa) == pytest.approx(svd_purity(jsa), rel=0, abs=1e-13)
+
+    def test_rank_one_grid(self):
+        rng = np.random.default_rng(4)
+        a, b = _random_grid(rng, 1, 64)[0], _random_grid(rng, 1, 64)[0]
+        jsa = normalized_joint_spectrum(np.outer(a, b), 0.25)
+        assert schmidt_purity(jsa) == pytest.approx(svd_purity(jsa), rel=0, abs=1e-13)
+        assert schmidt_purity(jsa) == pytest.approx(1.0, rel=0, abs=1e-13)
+
+    def test_complex_grid_with_zero_imaginary_part(self):
+        real = gaussian_jsa(1.0, 0.6, 0.3, grid_size=128).amplitudes
+        jsa = normalized_joint_spectrum(real.astype(complex), 0.1)
+        assert jsa.amplitudes.dtype == complex
+        assert schmidt_purity(jsa) == pytest.approx(svd_purity(jsa), rel=0, abs=1e-13)
+        as_real = normalized_joint_spectrum(real, 0.1)
+        assert schmidt_purity(as_real) == pytest.approx(schmidt_purity(jsa), rel=0, abs=1e-13)
+
+
+class TestNormalizedJointSpectrum:
+    def test_real_grid_stays_real(self):
+        assert gaussian_jsa(1.0, 0.6, 0.3, grid_size=32).amplitudes.dtype == np.float64
+        assert normalized_joint_spectrum(np.ones((4, 4), dtype=int), 1.0).amplitudes.dtype \
+            == np.float64
+        grid = _random_grid(np.random.default_rng(5), 8, 8)
+        assert normalized_joint_spectrum(grid, 1.0).amplitudes.dtype == complex
+
+    def test_real_grid_has_the_bits_of_its_complex_copy(self):
+        grid = np.random.default_rng(6).standard_normal((64, 64))
+        real = normalized_joint_spectrum(grid, 0.3).amplitudes
+        as_complex = normalized_joint_spectrum(grid.astype(complex), 0.3).amplitudes
+        assert np.array_equal(real, as_complex.real)
+        assert not np.any(as_complex.imag)
+
+
 class TestSchmidtPurity:
     def test_rank_one_grid(self):
         rng = np.random.default_rng(0)
@@ -163,6 +219,23 @@ class TestTuneCorrelationAngle:
     def test_no_factorable_point(self):
         with pytest.raises(ContractError):
             tune_correlation_angle(1.0, 1.0, 0.99)
+
+    @pytest.mark.parametrize("target, grid_size, angle, evaluations", [
+        (0.99, 256, -0.267526159466515, 10),
+        (0.95, 128, -0.13901053446651498, 15),
+    ])
+    def test_pinned_angles_and_evaluations(self, monkeypatch, target, grid_size, angle,
+                                           evaluations):
+        # Pinned from the SVD purity the Gram form replaced: bisection visits the same angles.
+        calls = []
+
+        def counted(jsa):
+            calls.append(jsa.grid_size)
+            return schmidt_purity(jsa)
+
+        monkeypatch.setattr(sources, "schmidt_purity", counted)
+        assert tune_correlation_angle(1.0, 0.6, target, grid_size=grid_size) == angle
+        assert calls == [grid_size] * evaluations
 
 
 class TestFireSources:
