@@ -59,7 +59,7 @@ from .sources import (
 )
 from .validation import scattershot_aggregate_validation
 
-__all__ = ["ExperimentConfig", "run", "main"]
+__all__ = ["ExperimentConfig", "resolve_config", "run", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -279,8 +279,12 @@ def _cmd_hom(config: ExperimentConfig) -> int:
         )
         visibility = schmidt_purity(jsa)
     sigma = float(config.params.get("sigma", 1.0))
+    if sigma == 0:  # the default delay range divides by it; hom_dip checks every other value
+        raise ContractError("sigma must be finite and positive, got 0.0")
     tau_max = float(config.params.get("tau_max", 4.0 / sigma))
     steps = int(config.params.get("steps", 201))
+    if steps < 1:
+        raise ContractError(f"steps must be at least 1, got {steps}")
     taus = np.linspace(-tau_max, tau_max, steps)
     rows = [(float(t), hom_dip(float(visibility), sigma, float(t))) for t in taus]
     header = {"visibility": float(visibility), "sigma": sigma}
@@ -352,6 +356,7 @@ def _cmd_rates(config: ExperimentConfig) -> int:
     epsilon = float(config.params.get("epsilon", 0.01))
     eta = float(config.params.get("eta", 0.5))
     rep = float(config.params.get("rep_rate", 80e6))
+    rate = expected_rate(k, n, epsilon, eta, rep, scattershot)  # validates before math.comb
     fields = {
         "mode": "scattershot" if scattershot else "standard",
         "k": k,
@@ -361,7 +366,7 @@ def _cmd_rates(config: ExperimentConfig) -> int:
         "epsilon": epsilon,
         "eta": eta,
         "rep_rate_hz": rep,
-        "predicted_rate_hz": expected_rate(k, n, epsilon, eta, rep, scattershot),
+        "predicted_rate_hz": rate,
     }
     _emit_report(config, fields, path=config.out)
     return EXIT_OK

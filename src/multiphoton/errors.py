@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+__all__ = ["ContractError", "DataError", "DimensionError", "ResourceLimitError"]
+
 
 class ContractError(ValueError):
     """A documented precondition was violated by the caller."""

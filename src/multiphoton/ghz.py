@@ -26,6 +26,7 @@ __all__ = [
     "WitnessResult",
     "hv_outcome_distribution",
     "theta_outcome_distribution",
+    "coherence_settings",
     "simulate_counts",
     "simulate_ghz_experiment",
     "estimate_population",

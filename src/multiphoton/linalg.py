@@ -7,8 +7,7 @@ collisions) is enumerated once into a cached integer table whose rows are
 the patterns, so distributions and validation work on row indices.  This
 module also provides the unitarity check, Haar-random unitary generation,
 the sub-matrix construction whose permanent gives a multi-photon transition
-amplitude, singular values for Schmidt decompositions, and the on-disk
-matrix format used by the command-line tools.
+amplitude, and the on-disk matrix format used by the command-line tools.
 """
 
 from __future__ import annotations
@@ -28,12 +27,13 @@ __all__ = [
     "check_unitary",
     "haar_random_unitary",
     "transition_submatrix",
-    "svd_singular_values",
     "as_occupation",
     "occupation_to_string",
     "occupation_from_string",
     "load_matrix",
     "save_matrix",
+    "enumerate_patterns",
+    "count_patterns",
 ]
 
 UNITARY_TOL = 1e-10
@@ -152,12 +152,6 @@ def transition_submatrix(matrix, input_pattern, output_pattern) -> np.ndarray:
     row_idx = np.repeat(np.arange(rows), s)
     col_idx = np.repeat(np.arange(cols), t)
     return u[np.ix_(row_idx, col_idx)]
-
-
-def svd_singular_values(matrix) -> np.ndarray:
-    """Singular values of ``matrix`` in non-increasing order."""
-    a = as_complex_matrix(matrix)
-    return np.linalg.svd(a, compute_uv=False)
 
 
 # --------------------------------------------------------------------------

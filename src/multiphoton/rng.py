@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import ContractError
 
+__all__ = ["derive_rng"]
+
 
 def derive_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
     """Return an independent generator for the stream (seed, label, index).

@@ -87,11 +87,11 @@ class OutcomeDistribution:
             raise ContractError("outcomes and probabilities must align")
         if probs.size == 0:
             raise ContractError("distribution must have at least one outcome")
-        if probs.min() < -1e-12:
-            raise ContractError(f"negative probability {probs.min()}")
+        if not probs.min() >= -1e-12:  # negated comparisons: a NaN fails them
+            raise ContractError(f"probabilities must be non-negative numbers, got {probs.min()}")
         probs = np.clip(probs, 0.0, None)
         total = probs.sum()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ContractError(f"probabilities sum to {total}, expected 1")
         self._support = support
         self.probabilities = probs
@@ -323,8 +323,8 @@ def expected_rate(k: int, n: int, eps: float, eta: float, rep_rate: float = 80e6
         raise ContractError(f"n must not exceed k, got n={n}, k={k}")
     if not 0.0 <= eps <= 1.0 or not 0.0 <= eta <= 1.0:
         raise ContractError("eps and eta must lie in [0, 1]")
-    if rep_rate <= 0:
-        raise ContractError("rep_rate must be positive")
+    if not 0 < rep_rate < math.inf:
+        raise ContractError(f"rep_rate must be finite and positive, got {rep_rate}")
     p = eps * eta
     if not scattershot:
         return rep_rate * p**n
@@ -416,10 +416,9 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         # The batch's new inputs are built in one engine call, then one
         # searchsorted runs per distinct input.
         outputs = np.empty_like(triggers)
-        patterns, group, counts = np.unique(triggers, axis=0, return_inverse=True,
-                                            return_counts=True)
-        by_pattern = np.split(np.argsort(group.reshape(-1)),
-                              np.cumsum(counts)[:-1])
+        order = np.lexsort(triggers.T[::-1])
+        first = np.flatnonzero(np.r_[True, np.diff(triggers[order], axis=0).any(axis=1)])
+        patterns, by_pattern = triggers[order[first]], np.split(order, first[1:])
         keys = [pattern.tobytes() for pattern in patterns]
         new = [i for i, key in enumerate(keys) if key not in dist_cache]
         dist_cache.update(zip([keys[i] for i in new],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ __all__ = [
     "SourceParams",
     "JointSpectrum",
     "FireOutcome",
+    "normalized_joint_spectrum",
     "gaussian_jsa",
     "schmidt_purity",
     "hom_dip",
@@ -35,6 +36,10 @@ __all__ = [
 # Boundary amplitude above exp(-4) of the peak means the grid clips the
 # envelope inside its 4-sigma extent.
 _EDGE_FRACTION = math.exp(-4.0)
+
+# Angle tuning stops within this purity of the target, after at most this many bisections.
+_PURITY_TOL = 1e-4
+_MAX_BISECTIONS = 80
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -221,20 +226,20 @@ def hom_dip(visibility: float, sigma: float, tau: float) -> float:
     delay, minimal at zero delay, zero only for unit visibility.
     """
     visibility = _check_unit_interval("visibility", visibility)
-    if sigma <= 0:
-        raise ContractError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ContractError(f"sigma must be finite and positive, got {sigma}")
+    if not math.isfinite(tau):
+        raise ContractError(f"tau must be finite, got {tau}")
     return 0.5 * (1.0 - visibility * math.exp(-(sigma**2) * tau**2))
 
 
 def tune_correlation_angle(sigma_pump: float, sigma_pm: float, target_purity: float,
-                           grid_size: int = 256, span: float | None = None,
-                           tol: float = 1e-4, max_iter: int = 80) -> float:
+                           grid_size: int = 256, span: float | None = None) -> float:
     """Find a correlation angle whose discretized spectrum has the target purity.
 
     Starts from the factorable angle (where the pump and phase-matching
     envelopes separate and purity is maximal) and bisects toward larger
-    correlation until the grid purity matches ``target_purity`` within
-    ``tol``.
+    correlation until the grid purity is within 1e-4 of ``target_purity``.
     """
     target_purity = _check_unit_interval("target_purity", target_purity)
     ratio = 2.0 * sigma_pm**2 / sigma_pump**2
@@ -249,7 +254,7 @@ def tune_correlation_angle(sigma_pump: float, sigma_pm: float, target_purity: fl
     factorable = -0.5 * math.asin(ratio)
     lo = factorable
     p_lo = purity_at(lo)
-    if p_lo < target_purity - tol:
+    if p_lo < target_purity - _PURITY_TOL:
         raise ContractError(
             f"target purity {target_purity} exceeds the grid maximum {p_lo:.6f}"
         )
@@ -263,16 +268,17 @@ def tune_correlation_angle(sigma_pump: float, sigma_pm: float, target_purity: fl
         step *= 2.0
     else:
         raise ContractError(f"target purity {target_purity} not bracketed by the angle sweep")
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         p_mid = purity_at(mid)
-        if abs(p_mid - target_purity) <= tol:
+        if abs(p_mid - target_purity) <= _PURITY_TOL:
             return mid
         if p_mid > target_purity:
             lo = mid
         else:
             hi = mid
-    raise ContractError(f"bisection did not reach purity {target_purity} within {max_iter} steps")
+    raise ContractError(
+        f"bisection did not reach purity {target_purity} within {_MAX_BISECTIONS} steps")
 
 
 @dataclass(frozen=True)
@@ -344,7 +350,7 @@ def fire_sources(params: Sequence[SourceParams], seed: int, pulses: int = 1) -> 
     return FireOutcome(*dense)
 
 
-_SOURCE_FIELDS = ("epsilon", "eta_herald", "eta_detect", "rep_rate")
+_SOURCE_FIELDS = tuple(f.name for f in fields(SourceParams))
 
 
 def load_source_params(path) -> list[SourceParams]:

@@ -106,11 +106,11 @@ def _aligned(p, q) -> tuple:
         if row.keys() != set(p_keys):
             raise ContractError("distributions are over different outcome sets")
         qa = qa[[row[key] for key in p_keys]]
-    for name, values in (("first", pa), ("second", qa)):
+    for name, values in (("first", pa), ("second", qa)):  # a NaN fails both checks
         total = math.fsum(values.tolist())
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ContractError(f"{name} distribution sums to {total}, expected 1")
-        if values.min() < 0:
+        if not values.min() >= 0:
             raise ContractError(f"{name} distribution has a negative entry")
     return pa, qa
 
@@ -273,7 +273,9 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     (similarity and distance), and all samples feed one pooled
     likelihood-ratio test against the distinguishable hypothesis.  With
     ``collisions=False`` the analysis restricts to collision-free outputs.
-    The group statistics do not depend on record order.
+    The group statistics do not depend on record order; the pooled test and
+    its ``lr_trajectory`` take the records by sorted trigger pattern, and in
+    their given order within a trigger group.
     """
     if not records:
         raise ContractError("empty record set")

@@ -27,7 +27,6 @@ from multiphoton import (
     scattershot_run,
     schmidt_purity,
     simulate_ghz_experiment,
-    svd_singular_values,
     theta_outcome_distribution,
     transition_submatrix,
     tv_distance,
@@ -90,9 +89,8 @@ def check_linalg_properties(seed=0, cases=100):
         ones = (1,) * m
         assert np.array_equal(transition_submatrix(u, ones, ones), u)
         a = _random_complex(rng, int(rng.integers(1, 9)))
-        assert np.allclose(
-            svd_singular_values(a), svd_singular_values(a.conj().T), atol=1e-9
-        )
+        assert np.allclose(np.linalg.svd(a, compute_uv=False),
+                           np.linalg.svd(a.conj().T, compute_uv=False), atol=1e-9)
 
 
 def check_sources_properties(seed=0, cases=100):

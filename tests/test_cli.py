@@ -61,6 +61,21 @@ class TestRatesCommand:
     def test_n_larger_than_k_is_contract_error(self):
         assert main(["rates", "--k", "3", "--n", "4"]) == 4
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["--k", "-1", "--n", "3"], None),
+        (["--k", "3", "--n", "-1"], None),
+        (["--k", "3", "--n", "2", "--rep-rate", "nan"], None),
+        (["--k", "3", "--n", "2", "--rep-rate", "inf"], None),
+        (["--k", "3", "--n", "2"], '{"rep_rate": Infinity}'),
+    ], ids=["negative-k", "negative-n", "nan-rep-rate", "inf-rep-rate", "config-inf-rep-rate"])
+    def test_invalid_values_are_contract_errors(self, tmp_path, capsys, argv, doc):
+        if doc is not None:
+            config = tmp_path / "run.json"
+            config.write_text(doc)
+            argv = argv + ["--config", str(config)]
+        assert main(["rates", *argv]) == 4
+        assert capsys.readouterr().out == ""
+
     def test_missing_required_flag(self, capsys):
         assert main(["rates", "--k", "12"]) == 4
         assert "--n" in capsys.readouterr().err
@@ -209,6 +224,25 @@ class TestHomCommand:
         assert main(["hom", "--sigma-pump", "1.0"]) == 4
         err = capsys.readouterr().err
         assert "--sigma-pm" in err and "--angle" in err
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["--sigma", "inf"], None),
+        (["--sigma", "nan"], None),
+        (["--sigma", "0"], None),
+        ([], '{"sigma": NaN}'),
+        (["--tau-max", "nan"], None),
+        (["--steps", "-2"], None),
+        (["--steps", "0"], None),
+    ], ids=["inf-sigma", "nan-sigma", "zero-sigma", "config-nan-sigma", "nan-tau-max",
+            "negative-steps", "zero-steps"])
+    def test_invalid_values_are_contract_errors(self, tmp_path, argv, doc):
+        if doc is not None:
+            config = tmp_path / "run.json"
+            config.write_text(doc)
+            argv = argv + ["--config", str(config)]
+        out = tmp_path / "dip.csv"
+        assert main(["hom", "--visibility", "0.9", "--out", str(out), *argv]) == 4
+        assert not out.exists()
 
 
 class TestJsaCommand:

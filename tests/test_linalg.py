@@ -15,7 +15,6 @@ from multiphoton.linalg import (
     occupation_from_string,
     occupation_to_string,
     save_matrix,
-    svd_singular_values,
     transition_submatrix,
 )
 from properties import check_linalg_properties
@@ -77,22 +76,6 @@ class TestTransitionSubmatrix:
     def test_pattern_length_mismatch(self):
         with pytest.raises(DimensionError):
             transition_submatrix(np.eye(3), (1, 1), (1, 1, 0))
-
-
-class TestSingularValues:
-    def test_identity(self):
-        assert np.allclose(svd_singular_values(np.eye(3)), [1, 1, 1], atol=1e-12)
-
-    def test_diagonal(self):
-        assert np.allclose(svd_singular_values(np.diag([3.0, 1.0])), [3, 1], atol=1e-12)
-
-    def test_frobenius_closure(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        sig = svd_singular_values(a)
-        assert np.all(np.diff(sig) <= 0)
-        frob2 = np.sum(np.abs(a) ** 2)
-        assert abs(np.sum(sig**2) - frob2) <= 1e-9 * frob2
 
 
 class TestOccupations:

@@ -4,19 +4,22 @@ import inspect
 
 import pytest
 
-from multiphoton.sources import SourceParams
+import multiphoton
+from multiphoton.sources import SourceParams, tune_correlation_angle
 
 # Names deleted because nothing read them or they only repeated another name.
 DELETED = {
-    "multiphoton": ("predicted_visibility",),
+    "multiphoton": ("predicted_visibility", "svd_singular_values"),
     "multiphoton.cli": ("COMMANDS",),
-    "multiphoton.linalg": ("photon_count", "is_no_collision"),
+    "multiphoton.linalg": ("photon_count", "is_no_collision", "svd_singular_values"),
     "multiphoton.sources": ("predicted_visibility", "NORMALIZATION_TOL"),
 }
 
-MODULES = ("multiphoton", "multiphoton.cli", "multiphoton.ghz", "multiphoton.linalg",
-           "multiphoton.permanent", "multiphoton.sampling", "multiphoton.sources",
-           "multiphoton.validation")
+# The library modules in the order the package exports their names.
+LIBRARY = ("errors", "rng", "linalg", "permanent", "sources", "ghz", "sampling", "validation")
+
+MODULES = ("multiphoton", "multiphoton.cli",
+           *(f"multiphoton.{name}" for name in LIBRARY))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -25,6 +28,22 @@ def test_every_exported_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
     for attr in module.__all__:
         assert hasattr(module, attr), f"{name}.{attr}"
+
+
+def test_package_exports_each_library_module_all():
+    expected = ["__version__"]
+    for name in LIBRARY:
+        expected += importlib.import_module(f"multiphoton.{name}").__all__
+    assert multiphoton.__all__ == expected
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_every_public_function_and_class_is_exported(name):
+    module = importlib.import_module(name)
+    public = [attr for attr, value in vars(module).items()
+              if not attr.startswith("_") and getattr(value, "__module__", None) == name
+              and (inspect.isfunction(value) or inspect.isclass(value))]
+    assert sorted(set(public) - set(module.__all__)) == []
 
 
 @pytest.mark.parametrize("name", sorted(DELETED))
@@ -41,3 +60,7 @@ def test_source_params_has_no_indistinguishability():
     assert "indistinguishability" not in inspect.signature(
         SourceParams.from_lumped_efficiency).parameters
 
+
+def test_tune_correlation_angle_has_no_tolerance_parameters():
+    assert list(inspect.signature(tune_correlation_angle).parameters) == [
+        "sigma_pump", "sigma_pm", "target_purity", "grid_size", "span"]

@@ -55,6 +55,11 @@ class TestOutcomeDistribution:
         with pytest.raises(ContractError):
             OutcomeDistribution(((1, 0), (1, 0)), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0]])
+    def test_rejects_nan_probabilities(self, probs):
+        with pytest.raises(ContractError):
+            OutcomeDistribution(((1, 0), (0, 1)), probs)
+
 
 class TestExactDistribution:
     def test_identity_is_point_mass(self):
@@ -335,6 +340,9 @@ class TestExpectedRate:
             expected_rate(3, 2, 1.5, 0.5)
         with pytest.raises(ContractError):
             expected_rate(3, 2, 0.1, 0.5, rep_rate=0.0)
+        for rep_rate in (math.nan, math.inf):
+            with pytest.raises(ContractError):
+                expected_rate(3, 2, 0.1, 0.5, rep_rate=rep_rate)
 
 
 def dense_scattershot_reference(u, params, pulses, n_select, seed, build=exact_distribution):

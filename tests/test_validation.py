@@ -60,6 +60,16 @@ class TestSimilarityAndDistance:
         with pytest.raises(ContractError):
             similarity({(0,): 0.6, (1,): 0.6}, {(0,): 0.5, (1,): 0.5})
 
+    @pytest.mark.parametrize("p", [{(0,): math.nan, (1,): math.nan},
+                                   {(0,): math.nan, (1,): 1.0}])
+    def test_nan_probabilities_rejected(self, p):
+        q = {(0,): 0.5, (1,): 0.5}
+        for measure in (similarity, tv_distance):
+            with pytest.raises(ContractError):
+                measure(p, q)
+            with pytest.raises(ContractError):
+                measure(q, p)
+
     def test_accepts_outcome_distribution_operands(self):
         _, q_dist, _ = three_photon_models()
         assert similarity(q_dist, q_dist) == pytest.approx(1.0, abs=1e-12)
