@@ -11,6 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -41,10 +42,10 @@ from .linalg import (
 from .permanent import permanent_parallel
 from .sampling import (
     SampleRecord,
+    _read_events,
     distinguishable_distribution,
     exact_distribution,
     expected_rate,
-    read_sample_log,
     sample_outputs,
     scattershot_run,
     write_sample_log,
@@ -57,7 +58,7 @@ from .sources import (
     schmidt_purity,
     tune_correlation_angle,
 )
-from .validation import scattershot_aggregate_validation
+from .validation import _validate_events
 
 __all__ = ["ExperimentConfig", "resolve_config", "run", "main"]
 
@@ -127,9 +128,12 @@ def _emit_report(config: ExperimentConfig, fields: dict, path=None,
 
 def _write_csv(path, config: ExperimentConfig, columns: str, rows,
                extra_header: dict | None = None) -> None:
-    """Write a CSV whose cells are scalars, so str() gives each the text _fmt would."""
+    """Write a CSV whose cells are scalars, so %s (str()) gives each the text
+    _fmt would; the body is formatted in one pass."""
     header = "".join(f"# {line}\n" for line in _header_lines(config, extra_header))
-    body = "".join([",".join(map(str, row)) + "\n" for row in rows])
+    cells = tuple(itertools.chain.from_iterable(rows))
+    width = columns.count(",") + 1
+    body = ("%s," * (width - 1) + "%s\n") * (len(cells) // width) % cells
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{header}{columns}\n{body}")
 
@@ -282,6 +286,8 @@ def _cmd_hom(config: ExperimentConfig) -> int:
     if sigma == 0:  # the default delay range divides by it; hom_dip checks every other value
         raise ContractError("sigma must be finite and positive, got 0.0")
     tau_max = float(config.params.get("tau_max", 4.0 / sigma))
+    if not math.isfinite(2.0 * tau_max):  # linspace spans [-tau_max, tau_max]
+        raise ContractError(f"tau_max must be finite with a finite delay range, got {tau_max}")
     steps = int(config.params.get("steps", 201))
     if steps < 1:
         raise ContractError(f"steps must be at least 1, got {steps}")
@@ -325,11 +331,11 @@ def _cmd_jsa(config: ExperimentConfig) -> int:
 
 
 def _cmd_validate(config: ExperimentConfig) -> int:
-    records = read_sample_log(config.params["samples"])
+    events = _read_events(config.params["samples"])
     u = load_matrix(config.params["unitary"])
     threshold = float(config.params.get("threshold", 5.0))
     collisions = config.params.get("collisions", True)
-    report = scattershot_aggregate_validation(records, u, collisions, threshold)
+    report = _validate_events(events, u, collisions, threshold)
     fields = {
         "groups": report.group_count,
         "mean_similarity": report.mean_similarity,
@@ -345,7 +351,8 @@ def _cmd_validate(config: ExperimentConfig) -> int:
     trajectory_path = config.params.get("trajectory")
     if trajectory_path:
         _write_csv(trajectory_path, config, "sample,log_likelihood_ratio",
-                   enumerate(report.pooled.lr_trajectory.tolist(), 1))
+                   zip(range(1, report.pooled.samples_used + 1),
+                       report.pooled.lr_trajectory.tolist()))
     return EXIT_OK
 
 

@@ -10,12 +10,19 @@ select a random input pattern, and events are retained when exactly
 run draws only the pairs that were created, selects the candidate pulses
 from those pairs, builds each batch's new inputs in one engine call, and
 draws the outputs per distinct input pattern on arrays.
+
+Retained events live in one columnar table (pulse index and pattern ids,
+each distinct pattern held once) from the run, or from a read sample log,
+to validation; ``SampleRecord`` lists are built from it only where the
+public functions hand records in or out.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -268,6 +275,40 @@ class SampleRecord:
     pulse_index: int
 
 
+class _Events(NamedTuple):
+    """Events as columns: the int64 ``pulse`` index and the ``trigger``,
+    ``input`` and ``output`` pattern ids, rows of ``patterns``, which holds
+    each distinct pattern once as a tuple of ints (unused rows allowed).  A
+    scattershot run passes one array as both trigger and input ids.
+    """
+
+    pulse: np.ndarray
+    trigger: np.ndarray
+    input: np.ndarray
+    output: np.ndarray
+    patterns: tuple
+
+    def records(self) -> list:
+        """One SampleRecord per event, in table order; equal patterns share one tuple."""
+        take = self.patterns.__getitem__
+        return list(map(SampleRecord, map(take, self.trigger.tolist()),
+                        map(take, self.input.tolist()), map(take, self.output.tolist()),
+                        self.pulse.tolist()))
+
+
+def _events_from_records(records: Sequence[SampleRecord]) -> _Events:
+    """The event table of a record list, each distinct pattern held once."""
+    ids = _Memo(lambda pattern: len(ids))  # each new pattern takes the next id
+
+    def column(name):
+        patterns = map(tuple, map(attrgetter(name), records))
+        return np.fromiter(map(ids.__getitem__, patterns), dtype=np.intp, count=len(records))
+
+    pulse = np.fromiter(map(attrgetter("pulse_index"), records), dtype=np.int64,
+                        count=len(records))
+    return _Events(pulse, column("trigger"), column("input"), column("output"), tuple(ids))
+
+
 @dataclass(frozen=True)
 class RateReport:
     """Measured versus predicted retention rate of a scattershot run."""
@@ -279,12 +320,22 @@ class RateReport:
     predicted_rate_hz: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScattershotResult:
-    """Retained event records plus the summary rate report."""
+    """Retained events plus the summary rate report.
 
-    records: list
+    ``records`` lists one SampleRecord per retained event, in pulse order.
+    The run keeps its events as a columnar table and builds that list from
+    it on first access, so a caller that reads only ``report`` never pays
+    for it.
+    """
+
+    _events: _Events = field(repr=False)
     report: RateReport
+
+    @functools.cached_property
+    def records(self) -> list:
+        return self._events.records()
 
 
 def _exactly_n_probability(selected: np.ndarray, idle: np.ndarray, n: int) -> float:
@@ -377,9 +428,11 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     distribution of the realized input and thinned by the output detector
     efficiencies.  A pulse is retained when exactly ``n_select`` heralds
     fired and exactly ``n_select`` output photons were detected.  Firing is
-    drawn sparsely, pair by pair (see :func:`~multiphoton.sources.fire_sources`).
+    drawn sparsely, pair by pair (see :func:`~multiphoton.sources._draw_pairs`).
 
-    Deterministic given the seed, independently of batch processing order.
+    The events are kept as a columnar table; ``records`` on the result
+    builds their SampleRecords on first access.  Deterministic given the
+    seed, independently of batch processing order.
     """
     u = _require_unitary(unitary, "scattershot_run")
     modes = u.shape[0]
@@ -404,7 +457,15 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     perfect_detectors = bool(np.all(detect_prob == 1.0))
 
     dist_cache: dict = {}
-    records: list = []
+    # Every candidate's trigger and drawn output hold n_select photons, so
+    # events are stored as rows of that photon number's pattern table.  Its
+    # base-``modes`` codes of occupied modes are sorted, so a trigger's row
+    # is found by searchsorted.
+    table = codes = None
+    place = modes ** np.arange(n_select - 1, -1, -1)
+    pulse_parts = [np.empty(0, dtype=np.int64)]
+    trigger_parts = [np.empty(0, dtype=np.intp)]
+    output_parts = [np.empty(0, dtype=np.intp)]
     for batch_index, start in enumerate(range(0, pulses, _BATCH)):
         size = min(_BATCH, pulses - start)
         rng = derive_rng(seed, "scattershot", batch_index)
@@ -415,7 +476,6 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         draws = rng.random(candidates.size)
         # The batch's new inputs are built in one engine call, then one
         # searchsorted runs per distinct input.
-        outputs = np.empty_like(triggers)
         order = np.lexsort(triggers.T[::-1])
         first = np.flatnonzero(np.r_[True, np.diff(triggers[order], axis=0).any(axis=1)])
         patterns, by_pattern = triggers[order[first]], np.split(order, first[1:])
@@ -423,33 +483,45 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         new = [i for i, key in enumerate(keys) if key not in dist_cache]
         dist_cache.update(zip([keys[i] for i in new],
                               _distributions(u, patterns[new], True, True)))
-        for key, rows in zip(keys, by_pattern):
-            dist = dist_cache[key]
-            cum = dist.cumulative()
-            picks = np.searchsorted(cum, draws[rows], side="right")
-            outputs[rows] = dist._support.occupations[np.minimum(picks, len(cum) - 1)]
+        if table is None:  # built by the first engine call
+            table = _pattern_table(modes, n_select, True)
+            codes = table.cols @ place
+        occupied = np.repeat(np.tile(np.arange(modes), len(patterns)), patterns.ravel())
+        pattern_rows = np.searchsorted(codes, occupied.reshape(len(patterns), n_select) @ place)
+        trigger_rows = np.empty(candidates.size, dtype=np.intp)
+        picks = np.empty(candidates.size, dtype=np.intp)
+        for key, row, rows in zip(keys, pattern_rows.tolist(), by_pattern):
+            cum = dist_cache[key].cumulative()
+            picks[rows] = np.minimum(np.searchsorted(cum, draws[rows], side="right"), len(cum) - 1)
+            trigger_rows[rows] = row
         if not perfect_detectors:
-            outputs = rng.binomial(outputs, detect_prob)
-            detected = outputs.sum(axis=1) == n_select
-            candidates, triggers, outputs = (
-                candidates[detected], triggers[detected], outputs[detected])
-        for trigger, output, pulse in zip(triggers.tolist(), outputs.tolist(),
-                                          (start + candidates).tolist()):
-            trigger = tuple(trigger)
-            records.append(SampleRecord(trigger=trigger, input=trigger,
-                                        output=tuple(output), pulse_index=pulse))
-    rate = rep * len(records) / pulses
+            # Thinning keeps n_select photons only where it removes none, so
+            # a retained output is the pattern drawn for it.
+            detected = rng.binomial(table.occupations[picks], detect_prob).sum(axis=1) == n_select
+            candidates, trigger_rows, picks = (
+                candidates[detected], trigger_rows[detected], picks[detected])
+        pulse_parts.append(start + candidates)
+        trigger_parts.append(trigger_rows)
+        output_parts.append(picks)
+    # Only the patterns the events use are kept, renumbered in table order.
+    used, ids = np.unique(np.concatenate(trigger_parts + output_parts), return_inverse=True)
+    trigger, output = ids.reshape(2, -1)
+    patterns = tuple(map(tuple, table.occupations[used].tolist())) if used.size else ()
+    events = _Events(pulse=np.concatenate(pulse_parts), trigger=trigger, input=trigger,
+                     output=output, patterns=patterns)
+    retained = len(events.pulse)
     report = RateReport(
         n=n_select,
-        retained_events=len(records),
+        retained_events=retained,
         pulses=pulses,
-        rate_hz=rate,
+        rate_hz=rep * retained / pulses,
         predicted_rate_hz=_predicted_run_rate(params, n_select),
     )
-    return ScattershotResult(records=records, report=report)
+    return ScattershotResult(events, report)
 
 
 _LOG_COLUMNS = "pulse_index,trigger_pattern,input_pattern,output_pattern"
+_MAX_PULSE = str(np.iinfo(np.int64).max)  # the pulse column is int64
 
 
 class _Memo(dict):
@@ -488,23 +560,30 @@ def read_sample_log(path) -> list:
     """Read a sample log back into records, skipping '#' metadata lines.
 
     Rows hold the pulse index and the trigger, input and output patterns,
-    all as ASCII digits (one per mode).  Each distinct pattern string is
-    decoded once, and records with equal patterns share one tuple.  Raises
-    DataError, naming the line, for a missing or wrong column header, a row
-    without four fields or a field holding anything but ASCII digits, and
-    for text that is not UTF-8.
+    all as ASCII digits (one per mode).  The records are a view of the
+    columnar reader that ``multiphoton validate`` uses: each line is parsed
+    once, each distinct pattern string is decoded once, and records with
+    equal patterns share one tuple.  Raises DataError, naming the line, for
+    a missing or wrong column header, a row without four fields, a field
+    holding anything but ASCII digits or a pulse index beyond the int64
+    range, and for text that is not UTF-8.
     """
-    decoded = _Memo(occupation_from_string)
-    records = []
+    return _read_events(path).records()
+
+
+def _read_events(path) -> _Events:
+    """The event table of a sample log, with :func:`read_sample_log`'s checks."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"sample log is not UTF-8 text: {exc}") from exc
+    ids: dict = {}  # each distinct pattern string -> its row of patterns
+    patterns, pulses, fields = [], [], []
     header_seen = False
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if not header_seen:
             if line != _LOG_COLUMNS:
@@ -514,14 +593,26 @@ def read_sample_log(path) -> list:
         parts = line.split(",")
         if len(parts) != 4:
             raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
-        pulse = parts[0]
-        try:
-            if not (pulse.isascii() and pulse.isdigit()):
-                raise DataError(f"malformed pulse index: {pulse!r}")
-            records.append(SampleRecord(trigger=decoded[parts[1]], input=decoded[parts[2]],
-                                        output=decoded[parts[3]], pulse_index=int(pulse)))
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: {exc}") from exc
+        pulse = parts.pop(0)
+        if not (pulse.isascii() and pulse.isdigit()):
+            raise DataError(f"line {line_no}: malformed pulse index: {pulse!r}")
+        if len(pulse) >= len(_MAX_PULSE):  # may exceed int64, or int()'s digit limit
+            digits = pulse.lstrip("0") or "0"
+            if (len(digits), digits) > (len(_MAX_PULSE), _MAX_PULSE):
+                raise DataError(f"line {line_no}: pulse index out of range: {pulse!r}")
+            pulse = digits
+        for text in parts:
+            if text not in ids:
+                try:
+                    patterns.append(occupation_from_string(text))
+                except DataError as exc:
+                    raise DataError(f"line {line_no}: {exc}") from exc
+                ids[text] = len(ids)
+        pulses.append(pulse)
+        fields += parts
     if not header_seen:
         raise DataError("sample log has no column header")
-    return records
+    pulse = np.fromiter(map(int, pulses), dtype=np.int64, count=len(pulses))
+    columns = np.fromiter(map(ids.__getitem__, fields), dtype=np.intp, count=len(fields))
+    return _Events(pulse, *columns.reshape(-1, 3).T, tuple(patterns))
+

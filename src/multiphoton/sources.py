@@ -230,7 +230,11 @@ def hom_dip(visibility: float, sigma: float, tau: float) -> float:
         raise ContractError(f"sigma must be finite and positive, got {sigma}")
     if not math.isfinite(tau):
         raise ContractError(f"tau must be finite, got {tau}")
-    return 0.5 * (1.0 - visibility * math.exp(-(sigma**2) * tau**2))
+    try:
+        exponent = sigma**2 * tau**2
+    except OverflowError:  # a square beyond the float range: square the product instead
+        exponent = (sigma * tau) * (sigma * tau)  # inf, not an error, when it overflows too
+    return 0.5 * (1.0 - visibility * math.exp(-exponent))
 
 
 def tune_correlation_angle(sigma_pump: float, sigma_pm: float, target_purity: float,

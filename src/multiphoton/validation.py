@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .linalg import _require_unitary, as_occupation
-from .sampling import OutcomeDistribution, SampleRecord, _distributions
+from .sampling import OutcomeDistribution, SampleRecord, _distributions, _events_from_records
 
 __all__ = [
     "ValidationReport",
@@ -106,7 +106,9 @@ def _aligned(p, q) -> tuple:
         if row.keys() != set(p_keys):
             raise ContractError("distributions are over different outcome sets")
         qa = qa[[row[key] for key in p_keys]]
-    for name, values in (("first", pa), ("second", qa)):  # a NaN fails both checks
+    for name, values in (("first", pa), ("second", qa)):
+        if not np.isfinite(values).all():  # fsum raises a plain ValueError on inf + -inf
+            raise ContractError(f"{name} distribution has a non-finite entry")
         total = math.fsum(values.tolist())
         if not abs(total - 1.0) <= _NORM_TOL:
             raise ContractError(f"{name} distribution sums to {total}, expected 1")
@@ -178,24 +180,32 @@ def _model(model, input_pattern) -> OutcomeDistribution:
     return dist
 
 
-def _evaluate(block, outputs, q_dists, p_dists) -> tuple:
+def _evaluate(block, oid, outputs, q_dists, p_dists) -> tuple:
     """Evaluate both hypotheses on every sample of a stream split into input blocks.
 
-    Sample t has output ``outputs[t]`` and the models ``q_dists[block[t]]``
+    Sample t has output ``outputs[oid[t]]`` and the models ``q_dists[block[t]]``
     and ``p_dists[block[t]]``.  Returns each sample's row in its q
     distribution (-1 outside its support) and its probability under q and p.
+    Each distinct output is looked up once in each outcome table that
+    evaluates it, however many samples hold it.
     """
-    order = np.argsort(block, kind="stable")
-    bounds = np.searchsorted(block[order], np.arange(len(q_dists) + 1))
-    rows = np.empty(len(block), dtype=np.intp)
-    q_val, p_val = np.empty(len(block)), np.empty(len(block))
-    for b, (q, p) in enumerate(zip(q_dists, p_dists)):
-        at = order[bounds[b] : bounds[b + 1]]
-        outs = list(map(outputs.__getitem__, at.tolist()))
-        rows[at] = q_rows = _rows(q._support.index, outs)
-        p_rows = q_rows if p._support is q._support else _rows(p._support.index, outs)
-        q_val[at] = np.where(q_rows >= 0, q.probabilities[q_rows], 0.0)
-        p_val[at] = np.where(p_rows >= 0, p.probabilities[p_rows], 0.0)
+    number: dict = {}  # each distinct outcome table -> its position in indexes
+    indexes = []
+    for d in (*q_dists, *p_dists):
+        if id(d._support) not in number:
+            number[id(d._support)] = len(indexes)
+            indexes.append(d._support.index)
+
+    def evaluate(dists):
+        table = np.array([number[id(d._support)] for d in dists], dtype=np.intp)[block]
+        pairs, at = np.unique(table * len(outputs) + oid, return_inverse=True)
+        rows = np.array([indexes[k // len(outputs)].get(outputs[k % len(outputs)], -1)
+                         for k in pairs.tolist()], dtype=np.intp)[at]
+        flat = np.concatenate([d.probabilities for d in dists])
+        starts = np.cumsum([0] + [d.probabilities.size for d in dists[:-1]])
+        return rows, np.where(rows >= 0, flat[starts[block] + rows], 0.0)
+
+    (rows, q_val), (_, p_val) = evaluate(q_dists), evaluate(p_dists)
     return rows, q_val, p_val
 
 
@@ -255,11 +265,13 @@ def likelihood_ratio_test(samples, q_model, p_model, threshold: float = 5.0) -> 
     pairs = [(tuple(int(x) for x in inp), tuple(int(x) for x in out)) for inp, out in samples]
     if not pairs:
         raise ContractError("no samples supplied")
-    inputs, outputs = map(list, zip(*pairs))
+    inputs, outputs = zip(*pairs)
     ids: dict = {}
     block = np.array([ids.setdefault(inp, len(ids)) for inp in inputs], dtype=np.intp)
+    out_ids: dict = {}
+    oid = np.array([out_ids.setdefault(out, len(out_ids)) for out in outputs], dtype=np.intp)
     q_dists, p_dists = zip(*[(_model(q_model, inp), _model(p_model, inp)) for inp in ids])
-    return _pooled_report(block, q_dists, *_evaluate(block, outputs, q_dists, p_dists),
+    return _pooled_report(block, q_dists, *_evaluate(block, oid, list(out_ids), q_dists, p_dists),
                           threshold, pairs.__getitem__)
 
 
@@ -276,45 +288,75 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     The group statistics do not depend on record order; the pooled test and
     its ``lr_trajectory`` take the records by sorted trigger pattern, and in
     their given order within a trigger group.
+
+    The records are a view of the columnar event path: they are converted to
+    an event table, each distinct pattern held once, and validated by the
+    same array validator that ``multiphoton validate`` runs on a sample log.
     """
-    if not records:
-        raise ContractError("empty record set")
-    u = _require_unitary(unitary, "scattershot_aggregate_validation")
+    return _validate_events(_events_from_records(records), unitary, collisions, threshold)
+
+
+def _pattern_rows(patterns: tuple, ids: np.ndarray) -> np.ndarray:
+    """``(len(patterns), modes)`` int64 array holding the patterns named in ``ids``
+    as rows; the rows of other patterns are zero."""
+    used = np.unique(ids)
     try:
-        triggers = np.array([rec.trigger for rec in records], dtype=np.int64)
-        outputs = np.array([rec.output for rec in records], dtype=np.int64)
+        rows = np.array([patterns[i] for i in used.tolist()], dtype=np.int64)
     except ValueError as exc:
         raise DataError(f"records mix pattern lengths: {exc}") from exc
-    unmatched = np.flatnonzero(triggers.sum(axis=1) != outputs.sum(axis=1))
+    table = np.zeros((len(patterns), rows.shape[1]), dtype=np.int64)
+    table[used] = rows
+    return table
+
+
+def _validate_events(events, unitary, collisions: bool, threshold: float
+                     ) -> AggregateValidationReport:
+    """:func:`scattershot_aggregate_validation` of an event table.
+
+    Every step works on the table's columns; per-pattern work (photon
+    counts, group order, each output's row in its model's outcome table)
+    runs once per distinct pattern, not once per event.
+    """
+    if not len(events.pulse):
+        raise ContractError("empty record set")
+    u = _require_unitary(unitary, "scattershot_aggregate_validation")
+    tid, oid = events.trigger, events.output
+    triggers, outputs = _pattern_rows(events.patterns, tid), _pattern_rows(events.patterns, oid)
+    trigger_photons, output_photons = triggers.sum(axis=1), outputs.sum(axis=1)
+    unmatched = np.flatnonzero(trigger_photons[tid] != output_photons[oid])
     if unmatched.size:
-        rec = records[unmatched[0]]
+        e = unmatched[0]
         raise ContractError(
-            f"record at pulse {rec.pulse_index} is not post-selected: "
-            f"{sum(rec.trigger)} triggers vs {sum(rec.output)} detected photons"
+            f"record at pulse {events.pulse[e]} is not post-selected: "
+            f"{trigger_photons[tid[e]]} triggers vs {output_photons[oid[e]]} detected photons"
         )
     if not collisions:
-        kept = outputs.max(axis=1) <= 1
-        triggers, outputs = triggers[kept], outputs[kept]
-        if not len(triggers):
+        kept = outputs.max(axis=1)[oid] <= 1
+        tid, oid = tid[kept], oid[kept]
+        if not len(tid):
             raise ContractError("no records left after removing collision outputs")
-    # Groups in sorted trigger order, records within a group in log order.
-    order = np.lexsort(triggers.T[::-1])
-    triggers, outputs = triggers[order], list(map(tuple, outputs[order].tolist()))
-    first = np.r_[True, (triggers[1:] != triggers[:-1]).any(axis=1)]
-    block = np.cumsum(first) - 1
+    # Groups in sorted trigger order, events within a group in table order.
+    present = np.unique(tid)
+    present = present[np.lexsort(triggers[present].T[::-1])]
+    group_of = np.empty(len(events.patterns), dtype=np.intp)
+    group_of[present] = np.arange(len(present))
+    order = np.argsort(group_of[tid], kind="stable")
+    block, oid = group_of[tid[order]], oid[order]
     # the checks exact_distribution makes on its input: length and occupations
-    inputs = [as_occupation(inp, u.shape[0]) for inp in triggers[first].tolist()]
-    q_dists = _distributions(u, triggers[first], collisions, True)
-    rows, q_val, p_val = _evaluate(block, outputs, q_dists,
-                                   _distributions(u, triggers[first], collisions, False))
+    inputs = [as_occupation(inp, u.shape[0]) for inp in triggers[present].tolist()]
+    q_dists = _distributions(u, triggers[present], collisions, True)
+    p_dists = _distributions(u, triggers[present], collisions, False)
+    out_keys = list(map(tuple, outputs.tolist()))
+    rows, q_val, p_val = _evaluate(block, oid, out_keys, q_dists, p_dists)
     if (rows < 0).any():
-        raise DataError(f"sample {outputs[np.argmin(rows)]} lies outside the outcome support")
-    bounds = np.searchsorted(block, np.arange(len(inputs) + 1))
+        raise DataError(f"sample {out_keys[oid[np.argmin(rows)]]} lies outside the outcome support")
+    # Each group's output counts, laid end to end like its model.
+    starts = np.cumsum([0] + [q.probabilities.size for q in q_dists])
+    hits = np.bincount(starts[block] + rows, minlength=starts[-1])
     groups = []
-    for g, q in enumerate(q_dists):
-        group_rows = rows[bounds[g] : bounds[g + 1]]
-        freq = np.bincount(group_rows, minlength=q.probabilities.size) / len(group_rows)
-        groups.append(GroupValidation(trigger=inputs[g], samples=len(group_rows),
+    for g, (q, count) in enumerate(zip(q_dists, np.bincount(block).tolist())):
+        freq = hits[starts[g] : starts[g + 1]] / count
+        groups.append(GroupValidation(trigger=inputs[g], samples=count,
                                       similarity=_similarity(freq, q.probabilities),
                                       distance=_distance(freq, q.probabilities)))
     sims = np.array([g.similarity for g in groups])
@@ -323,7 +365,7 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
         (float(sims.std(ddof=1)), float(dists.std(ddof=1))) if len(groups) > 1 else (0.0, 0.0)
     )
     pooled = _pooled_report(block, q_dists, rows, q_val, p_val, threshold,
-                            lambda t: (inputs[block[t]], outputs[t]))
+                            lambda t: (inputs[block[t]], out_keys[oid[t]]))
     return AggregateValidationReport(
         groups=tuple(groups),
         mean_similarity=float(sims.mean()),

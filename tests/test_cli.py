@@ -1,11 +1,14 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from multiphoton.cli import EXIT_DATA, _build_parser, main, resolve_config
-from multiphoton.linalg import haar_random_unitary, save_matrix
+from multiphoton.linalg import haar_random_unitary, load_matrix, save_matrix
+from multiphoton.sampling import read_sample_log
+from multiphoton.validation import scattershot_aggregate_validation
 
 
 def write_ones_matrix(path):
@@ -245,6 +248,26 @@ class TestHomCommand:
         assert not out.exists()
 
 
+    def test_sigma_whose_square_overflows(self, tmp_path):
+        out = tmp_path / "dip.csv"
+        assert main(["hom", "--visibility", "0.9", "--sigma", "1e200", "--out", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows = [l.split(",") for l in lines[1:]]
+        assert len(rows) == 201
+        assert min(float(c) for _, c in rows) == pytest.approx(0.05, abs=1e-12)
+
+    @pytest.mark.parametrize("tau_max", ["inf", "-inf", "1e308"])
+    def test_unbounded_delay_range_is_refused_before_the_grid(self, tmp_path, capsys, tau_max):
+        out = tmp_path / "dip.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            code = main(["hom", "--visibility", "0.9", f"--tau-max={tau_max}", "--out", str(out)])
+        assert code == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau_max must be finite") and err.count("\n") == 1
+
+
 class TestJsaCommand:
     def test_tune_to_target_purity(self, tmp_path):
         grid = tmp_path / "jsa.json"
@@ -284,6 +307,10 @@ class TestValidateCommand:
         lines = [l for l in trajectory.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "sample,log_likelihood_ratio"
         assert len(lines) == 2001
+        # one row per sample, each value in its shortest round-trip form
+        report = scattershot_aggregate_validation(read_sample_log(log), load_matrix(unitary))
+        assert lines[1:] == [f"{t},{v!r}"
+                             for t, v in enumerate(report.pooled.lr_trajectory.tolist(), 1)]
 
     def test_missing_sample_file(self, tmp_path):
         unitary = tmp_path / "u.json"

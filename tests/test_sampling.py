@@ -516,6 +516,18 @@ class TestScattershotRun:
         # events land on both sides of an internal batch boundary
         assert idx[-1] >= 65_536
 
+    def test_records_are_built_once_on_first_access(self):
+        u = haar_random_unitary(4, 35)
+        result = scattershot_run(u, [SourceParams(epsilon=0.5)] * 4, 2_000, 2, seed=1)
+        assert "records" not in vars(result)
+        records = result.records
+        assert result.records is records
+        assert len(records) == result.report.retained_events > 0
+        # a trigger is its input, and equal patterns share one tuple
+        assert all(r.trigger is r.input for r in records)
+        patterns = [p for r in records for p in (r.trigger, r.output)]
+        assert len({id(p) for p in patterns}) == len(set(patterns))
+
 
 LOG_COLUMNS = "pulse_index,trigger_pattern,input_pattern,output_pattern"
 
@@ -533,32 +545,46 @@ def per_record_write_reference(path, records, header_lines=()):
             )
 
 
-def per_record_read_reference(path):
-    """Sample-log reader with one ``occupation_from_string`` call per field."""
+def per_line_read_reference(path):
+    """Sample-log reader that checks and builds one SampleRecord per line.
+
+    Each distinct pattern string is decoded once through a memo, so records
+    with equal patterns share one tuple; every error names its line.
+    """
+    decoded = {}
+
+    def decode(text):
+        if text not in decoded:
+            decoded[text] = occupation_from_string(text)
+        return decoded[text]
+
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != LOG_COLUMNS:
-                    raise DataError(f"line {line_no}: expected column header")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
-            try:
-                records.append(SampleRecord(
-                    trigger=occupation_from_string(parts[1]),
-                    input=occupation_from_string(parts[2]),
-                    output=occupation_from_string(parts[3]),
-                    pulse_index=int(parts[0]),
-                ))
-            except ValueError as exc:
-                raise DataError(f"line {line_no}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"sample log is not UTF-8 text: {exc}") from exc
+    header_seen = False
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != LOG_COLUMNS:
+                raise DataError(f"line {line_no}: expected column header {LOG_COLUMNS!r}")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
+        pulse = parts[0]
+        try:
+            if not (pulse.isascii() and pulse.isdigit()):
+                raise DataError(f"malformed pulse index: {pulse!r}")
+            records.append(SampleRecord(trigger=decode(parts[1]), input=decode(parts[2]),
+                                        output=decode(parts[3]), pulse_index=int(pulse)))
+        except ValueError as exc:
+            raise DataError(f"line {line_no}: {exc}") from exc
     if not header_seen:
         raise DataError("sample log has no column header")
     return records
@@ -589,6 +615,36 @@ LOG_CASES = {"scattershot": _scattershot_log, "bunched": _bunched_log,
              "mixed_lengths": _mixed_length_log}
 
 
+BAD_ROWS = [
+    "200,110,110,0x0", "200,110,110,", "200,110, 110,020", "200,110,110,١٢٠",
+    "200,²10,110,020", "-5,110,110,020", "+5,110,110,020", "1_0,110,110,020",
+    "٣,110,110,020", ",110,110,020", "200,110,110",
+]
+
+
+def _after_cached_repeats(row):
+    """A log whose line 203 is ``row``, after 200 rows repeating one set of patterns."""
+    good = [f"{i},110,110,020" for i in range(200)]
+    return ("\n".join(["# seed: 1", LOG_COLUMNS, *good, row, "201,110,110,020"])
+            + "\n").encode()
+
+
+# Every malformed log the tests use, as file bytes.
+MALFORMED_LOGS = {
+    **{f"bad-row-{i}": _after_cached_repeats(row) for i, row in enumerate(BAD_ROWS)},
+    "missing-header": b"1,110,110,020\n",
+    "wrong-header": b"# seed: 1\npulse,trigger,input,output\n1,110,110,020\n",
+    "empty-file": b"",
+    "malformed-row": f"{LOG_COLUMNS}\n1,110,110\n".encode(),
+    "non-numeric-pattern": f"{LOG_COLUMNS}\n1,1x0,110,020\n".encode(),
+    "not-utf8": LOG_COLUMNS.encode() + b"\n1,110,110,\xff20\n",
+    # the first bad line decides, whichever check catches the later one
+    "bad-pattern-before-short-row": f"{LOG_COLUMNS}\n1,110,110,020\n2,1x0,110,020\n3,110\n".encode(),
+    "short-row-before-bad-pulse": f"{LOG_COLUMNS}\n1,110,110\n-2,110,110,020\n".encode(),
+    "bad-pulse-before-bad-pattern": f"{LOG_COLUMNS}\n+1,110,110,020\n2,110,110,0x0\n".encode(),
+}
+
+
 class TestSampleLog:
     def test_round_trip(self, tmp_path):
         records = [
@@ -616,7 +672,7 @@ class TestSampleLog:
         path = tmp_path / "samples.csv"
         per_record_write_reference(path, records, header)
         back = read_sample_log(path)
-        assert back == per_record_read_reference(path) == records
+        assert back == per_line_read_reference(path) == records
         # Equal patterns are decoded once and shared.
         patterns = [p for r in back for p in (r.trigger, r.input, r.output)]
         assert len({id(p) for p in patterns}) == len(set(patterns))
@@ -635,16 +691,10 @@ class TestSampleLog:
             write_sample_log(path, records)
         assert not path.exists()
 
-    @pytest.mark.parametrize("row", [
-        "200,110,110,0x0", "200,110,110,", "200,110, 110,020", "200,110,110,١٢٠",
-        "200,²10,110,020", "-5,110,110,020", "+5,110,110,020", "1_0,110,110,020",
-        "٣,110,110,020", ",110,110,020", "200,110,110",
-    ])
+    @pytest.mark.parametrize("row", BAD_ROWS)
     def test_bad_row_after_cached_repeats_names_its_line(self, tmp_path, row):
-        good = [f"{i},110,110,020" for i in range(200)]
         path = tmp_path / "samples.csv"
-        path.write_text("\n".join(["# seed: 1", LOG_COLUMNS, *good, row, "201,110,110,020"])
-                        + "\n", encoding="utf-8")
+        path.write_bytes(_after_cached_repeats(row))
         with pytest.raises(DataError, match=r"^line 203: "):
             read_sample_log(path)
 
@@ -676,6 +726,51 @@ class TestSampleLog:
         with pytest.raises(DataError):
             read_sample_log(path)
 
+    @pytest.mark.parametrize("name", MALFORMED_LOGS)
+    def test_malformed_log_raises_the_per_line_error(self, tmp_path, name):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(MALFORMED_LOGS[name])
+        with pytest.raises(DataError) as ours:
+            read_sample_log(path)
+        with pytest.raises(DataError) as reference:
+            per_line_read_reference(path)
+        assert str(ours.value) == str(reference.value)
+        unitary = tmp_path / "u.json"
+        save_matrix(unitary, haar_random_unitary(3, 1))
+        code = cli.main(["validate", "--samples", str(path), "--unitary", str(unitary)])
+        assert code == cli.EXIT_DATA
+
+    def test_pulse_index_beyond_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"{LOG_COLUMNS}\n0009223372036854775807,110,110,020\n"
+                        "9223372036854775808,110,110,020\n", encoding="utf-8")
+        with pytest.raises(DataError,
+                           match=r"^line 3: pulse index out of range: '9223372036854775808'$"):
+            read_sample_log(path)
+        path.write_text(f"{LOG_COLUMNS}\n0009223372036854775807,110,110,020\n",
+                        encoding="utf-8")
+        assert read_sample_log(path)[0].pulse_index == 2**63 - 1
+        # longer than int() parses by default
+        path.write_text(f"{LOG_COLUMNS}\n1,110,110,020\n{'7' * 5000},110,110,020\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"^line 3: pulse index out of range: '777"):
+            read_sample_log(path)
+        # leading zeros beyond int()'s digit limit
+        path.write_text(f"{LOG_COLUMNS}\n{'0' * 5000}1,110,110,020\n", encoding="utf-8")
+        assert read_sample_log(path)[0].pulse_index == 1
+
+    @pytest.mark.parametrize("params", [
+        [SourceParams(0.3)] * 6,
+        [SourceParams(0.4, eta_herald=0.9, eta_detect=0.7)] * 6,
+    ], ids=["ideal", "lossy"])
+    def test_event_table_holds_each_used_pattern_once(self, params):
+        run = scattershot_run(haar_random_unitary(6, 11), params, 20_000, 3, 8)
+        events = run._events
+        assert len(set(events.patterns)) == len(events.patterns)
+        used = np.unique(np.concatenate([events.trigger, events.input, events.output]))
+        assert used.tolist() == list(range(len(events.patterns)))
+        assert sampling._events_from_records(run.records).records() == run.records
+
 
 # Fuzzed sample-log bodies: valid rows and skipped lines, with at most one
 # malformed row or line of arbitrary text inserted among them.
@@ -692,6 +787,8 @@ _BODY = st.tuples(st.lists(_GOOD_ROW | _SKIPPED, max_size=6),
     lambda t: "\n".join(t[0] if t[1] is None else t[0][: t[2]] + [t[1]] + t[0][t[2]:]))
 _FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+# Fuzzed logs line by line: any mix of headers, rows, skipped lines and noise.
+_LINES = st.lists(_GOOD_ROW | _BAD_ROW | _SKIPPED | _NOISE | st.just(LOG_COLUMNS), max_size=8)
 
 
 def _data_rows(path):
@@ -709,7 +806,7 @@ class TestSampleLogFuzz:
             records = read_sample_log(path)
         except DataError:
             return
-        assert records == per_record_read_reference(path)
+        assert records == per_line_read_reference(path)
         again = tmp_path / "again.csv"
         write_sample_log(again, records)
         assert read_sample_log(again) == records
@@ -718,6 +815,19 @@ class TestSampleLogFuzz:
         given, written = _data_rows(path), _data_rows(again)
         assert [r[1:] for r in written] == [r[1:] for r in given]
         assert [r[0] for r in written] == [r[0].lstrip("0") or "0" for r in given]
+
+    @settings(_FUZZ, max_examples=60)
+    @given(lines=_LINES)
+    def test_columnar_reader_matches_per_line_oracle(self, tmp_path, lines):
+        path = tmp_path / "fuzz.csv"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        results = []
+        for reader in (read_sample_log, per_line_read_reference):
+            try:
+                results.append(reader(path))
+            except DataError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
 
     @_FUZZ
     @given(body=_BODY)

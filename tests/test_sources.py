@@ -190,6 +190,16 @@ class TestHomDip:
     def test_partial_visibility_floor(self):
         assert hom_dip(0.962, 1.0, 0.0) == pytest.approx(0.019, abs=1e-12)
 
+    def test_squares_beyond_the_float_range(self):
+        # sigma**2 or tau**2 alone overflows; the product sigma * tau does not
+        assert hom_dip(0.9, 1e200, 0.0) == 0.5 * (1.0 - 0.9)
+        assert hom_dip(0.9, 1e200, 2e-200) == 0.5 * (1.0 - 0.9 * math.exp(-4.0))
+        assert hom_dip(0.9, 1e-200, 2e200) == 0.5 * (1.0 - 0.9 * math.exp(-4.0))
+        assert hom_dip(0.5, 1.0, 1e200) == 0.5
+        assert hom_dip(0.5, 1e200, 1e200) == 0.5
+        # inside the float range the value is sigma**2 * tau**2, as before
+        assert hom_dip(0.9, 1.3, 0.7) == 0.5 * (1.0 - 0.9 * math.exp(-(1.3**2) * 0.7**2))
+
     def test_guards(self):
         with pytest.raises(ContractError):
             hom_dip(1.5, 1.0, 0.0)

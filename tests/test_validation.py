@@ -1,20 +1,31 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from multiphoton.errors import ContractError, DataError
-from multiphoton.linalg import haar_random_unitary
+from multiphoton.linalg import _require_unitary, as_occupation, haar_random_unitary
 from multiphoton.sampling import (
     SampleRecord,
+    _distributions,
+    _read_events,
     distinguishable_distribution,
     exact_distribution,
     sample_outputs,
     scattershot_run,
+    write_sample_log,
 )
 from multiphoton.sources import SourceParams
 from multiphoton.validation import (
+    AggregateValidationReport,
+    GroupValidation,
+    _distance,
+    _pooled_report,
+    _rows,
+    _similarity,
+    _validate_events,
     empirical_distribution,
     likelihood_ratio_test,
     scattershot_aggregate_validation,
@@ -68,6 +79,15 @@ class TestSimilarityAndDistance:
             with pytest.raises(ContractError):
                 measure(p, q)
             with pytest.raises(ContractError):
+                measure(q, p)
+
+    def test_opposite_infinities_rejected(self):
+        p = {(0,): math.inf, (1,): -math.inf}
+        q = {(0,): 0.5, (1,): 0.5}
+        for measure in (similarity, tv_distance):
+            with pytest.raises(ContractError, match="non-finite"):
+                measure(p, q)
+            with pytest.raises(ContractError, match="non-finite"):
                 measure(q, p)
 
     def test_accepts_outcome_distribution_operands(self):
@@ -166,6 +186,32 @@ class TestLikelihoodRatioTest:
         # the deciding sample's joint frequency counts towards the distance
         assert report.distance >= 0.5 / report.samples_used
 
+    @pytest.mark.parametrize("collisions", [True, False])
+    def test_matches_per_event_evaluation(self, collisions):
+        # interleaved inputs, models given per input; with collisions=False
+        # the q supports differ from the p ones and collision samples fall
+        # outside them
+        u = haar_random_unitary(5, 6)
+        inputs = [(1, 1, 0, 0, 0), (0, 1, 0, 1, 1), (2, 0, 0, 0, 0)]
+        rng = np.random.default_rng(6)
+        samples = [(inputs[k], sample_outputs(distinguishable_distribution(u, inputs[k]), 1,
+                                              int(seed))[0])
+                   for k, seed in zip(rng.integers(0, 3, 300), rng.integers(0, 2**31, 300))]
+        if not collisions:
+            samples = [s for s in samples if max(s[1]) <= 1] + samples
+        q_model = lambda inp: exact_distribution(u, inp, collisions=collisions)  # noqa: E731
+        p_model = lambda inp: distinguishable_distribution(u, inp)  # noqa: E731
+        report = likelihood_ratio_test(samples, q_model, p_model, 5.0)
+        ids: dict = {}
+        block = np.array([ids.setdefault(inp, len(ids)) for inp, _ in samples], dtype=np.intp)
+        q_dists = [q_model(inp) for inp in ids]
+        evaluated = per_event_evaluate_reference(block, [out for _, out in samples], q_dists,
+                                                 [p_model(inp) for inp in ids])
+        reference = _pooled_report(block, q_dists, *evaluated, 5.0, samples.__getitem__)
+        assert np.array_equal(report.lr_trajectory, reference.lr_trajectory)
+        assert (report.similarity, report.distance, report.verdict, report.samples_used) == (
+            reference.similarity, reference.distance, reference.verdict, reference.samples_used)
+
     def test_impossible_under_both_rejected(self):
         from multiphoton.sampling import OutcomeDistribution
 
@@ -179,6 +225,149 @@ class TestLikelihoodRatioTest:
             likelihood_ratio_test([(occ, q_dist.outcomes[0])], q_dist, p_dist, 0.0)
         with pytest.raises(ContractError):
             likelihood_ratio_test([], q_dist, p_dist, 5.0)
+
+
+def per_event_evaluate_reference(block, outputs, q_dists, p_dists):
+    """Each sample's row in its q model and its probabilities under q and p,
+    with one dict lookup per sample for its output's row."""
+    order = np.argsort(block, kind="stable")
+    bounds = np.searchsorted(block[order], np.arange(len(q_dists) + 1))
+    rows = np.empty(len(block), dtype=np.intp)
+    q_val, p_val = np.empty(len(block)), np.empty(len(block))
+    for b, (q, p) in enumerate(zip(q_dists, p_dists)):
+        at = order[bounds[b] : bounds[b + 1]]
+        outs = list(map(outputs.__getitem__, at.tolist()))
+        rows[at] = q_rows = _rows(q._support.index, outs)
+        p_rows = q_rows if p._support is q._support else _rows(p._support.index, outs)
+        q_val[at] = np.where(q_rows >= 0, q.probabilities[q_rows], 0.0)
+        p_val[at] = np.where(p_rows >= 0, p.probabilities[p_rows], 0.0)
+    return rows, q_val, p_val
+
+
+def record_aggregate_reference(records, unitary, collisions=True, threshold=5.0):
+    """The record-based aggregate validation: one SampleRecord per event, one
+    dict lookup per event for its output's row in its model."""
+    if not records:
+        raise ContractError("empty record set")
+    u = _require_unitary(unitary, "scattershot_aggregate_validation")
+    try:
+        triggers = np.array([rec.trigger for rec in records], dtype=np.int64)
+        outputs = np.array([rec.output for rec in records], dtype=np.int64)
+    except ValueError as exc:
+        raise DataError(f"records mix pattern lengths: {exc}") from exc
+    unmatched = np.flatnonzero(triggers.sum(axis=1) != outputs.sum(axis=1))
+    if unmatched.size:
+        rec = records[unmatched[0]]
+        raise ContractError(
+            f"record at pulse {rec.pulse_index} is not post-selected: "
+            f"{sum(rec.trigger)} triggers vs {sum(rec.output)} detected photons"
+        )
+    if not collisions:
+        kept = outputs.max(axis=1) <= 1
+        triggers, outputs = triggers[kept], outputs[kept]
+        if not len(triggers):
+            raise ContractError("no records left after removing collision outputs")
+    order = np.lexsort(triggers.T[::-1])
+    triggers, outputs = triggers[order], list(map(tuple, outputs[order].tolist()))
+    first = np.r_[True, (triggers[1:] != triggers[:-1]).any(axis=1)]
+    block = np.cumsum(first) - 1
+    inputs = [as_occupation(inp, u.shape[0]) for inp in triggers[first].tolist()]
+    q_dists = _distributions(u, triggers[first], collisions, True)
+    rows, q_val, p_val = per_event_evaluate_reference(
+        block, outputs, q_dists, _distributions(u, triggers[first], collisions, False))
+    if (rows < 0).any():
+        raise DataError(f"sample {outputs[np.argmin(rows)]} lies outside the outcome support")
+    bounds = np.searchsorted(block, np.arange(len(inputs) + 1))
+    groups = []
+    for g, q in enumerate(q_dists):
+        group_rows = rows[bounds[g] : bounds[g + 1]]
+        freq = np.bincount(group_rows, minlength=q.probabilities.size) / len(group_rows)
+        groups.append(GroupValidation(trigger=inputs[g], samples=len(group_rows),
+                                      similarity=_similarity(freq, q.probabilities),
+                                      distance=_distance(freq, q.probabilities)))
+    sims = np.array([g.similarity for g in groups])
+    dists = np.array([g.distance for g in groups])
+    spread = (
+        (float(sims.std(ddof=1)), float(dists.std(ddof=1))) if len(groups) > 1 else (0.0, 0.0)
+    )
+    pooled = _pooled_report(block, q_dists, rows, q_val, p_val, threshold,
+                            lambda t: (inputs[block[t]], outputs[t]))
+    return AggregateValidationReport(
+        groups=tuple(groups),
+        mean_similarity=float(sims.mean()),
+        similarity_std=spread[0],
+        mean_distance=float(dists.mean()),
+        distance_std=spread[1],
+        pooled=pooled,
+    )
+
+
+def assert_same_report(ours, reference):
+    assert ours.groups == reference.groups
+    assert (ours.mean_similarity, ours.similarity_std, ours.mean_distance, ours.distance_std) == (
+        reference.mean_similarity, reference.similarity_std, reference.mean_distance,
+        reference.distance_std)
+    assert ours.pooled.similarity == reference.pooled.similarity
+    assert ours.pooled.distance == reference.pooled.distance
+    assert ours.pooled.verdict == reference.pooled.verdict
+    assert np.array_equal(ours.pooled.lr_trajectory, reference.pooled.lr_trajectory)
+
+
+class TestAgainstRecordReference:
+    def test_criterion_5_data(self, tmp_path):
+        unitary = haar_random_unitary(12, 2)
+        run = scattershot_run(unitary, [SourceParams(epsilon=0.25)] * 12, 450_000, 3, seed=5)
+        records = run.records[:100_000]
+        reference = record_aggregate_reference(records, unitary)
+        assert_same_report(scattershot_aggregate_validation(records, unitary), reference)
+        # the command-line path: the log read as an event table, no records
+        log = tmp_path / "samples.csv"
+        write_sample_log(log, records)
+        assert_same_report(_validate_events(_read_events(log), unitary, True, 5.0), reference)
+
+    @pytest.mark.parametrize("collisions", [True, False])
+    def test_shuffled_records(self, collisions):
+        u, records = TestScattershotAggregateValidation.run_records()
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            shuffled = list(records)
+            rng.shuffle(shuffled)
+            assert_same_report(scattershot_aggregate_validation(shuffled, u, collisions),
+                               record_aggregate_reference(shuffled, u, collisions))
+
+    def test_collision_free_restriction_on_bunched_outputs(self):
+        u = haar_random_unitary(5, 4)
+        records = []
+        for k, occ in enumerate([(1, 1, 1, 0, 0), (0, 1, 1, 1, 0), (2, 0, 1, 0, 0)]):
+            outputs = sample_outputs(exact_distribution(u, occ), 400, seed=k)
+            records += [SampleRecord(occ, occ, o, 1000 * k + i) for i, o in enumerate(outputs)]
+        assert any(max(r.output) > 1 for r in records)
+        for collisions in (True, False):
+            assert_same_report(scattershot_aggregate_validation(records, u, collisions),
+                               record_aggregate_reference(records, u, collisions))
+
+    @pytest.mark.parametrize("records, collisions", [
+        ([], True),
+        ([SampleRecord((1, 1, 0), (1, 1, 0), (1, 0, 0), 7)], True),
+        ([SampleRecord((1, 1, 0), (1, 1, 0), (0, 2, 0), 1),
+          SampleRecord((1, 0, 1), (1, 0, 1), (2, 0, 0), 4)], False),
+        ([SampleRecord((1, 1), (1, 1), (0, 2), 0)], True),
+        ([SampleRecord((1, 1, 0), (1, 1, 0), (1, 1, 0, 0), 0)], True),
+    ], ids=["empty", "not-post-selected", "only-collisions", "wrong-modes", "long-output"])
+    def test_errors_match(self, records, collisions):
+        u = haar_random_unitary(3, 2)
+        with pytest.raises((ContractError, DataError)) as reference:
+            record_aggregate_reference(records, u, collisions)
+        with pytest.raises(type(reference.value), match=f"^{re.escape(str(reference.value))}$"):
+            scattershot_aggregate_validation(records, u, collisions)
+
+    def test_mixed_pattern_lengths_are_data_errors(self):
+        records = [SampleRecord((1, 1, 0), (1, 1, 0), (0, 1, 1), 0),
+                   SampleRecord((1, 1), (1, 1), (0, 2), 1)]
+        u = haar_random_unitary(3, 2)
+        for validate in (record_aggregate_reference, scattershot_aggregate_validation):
+            with pytest.raises(DataError, match="^records mix pattern lengths"):
+                validate(records, u)
 
 
 class TestScattershotAggregateValidation:
