@@ -1,7 +1,10 @@
 """Command-line entry point for reproducible experiment runs.
 
 One binary with subcommands (permanent, sample, scattershot, ghz, hom,
-jsa, validate, rates).  Values may come from a JSON config file via
+jsa, validate, rates).  ``_FLAGS`` declares each flag once and
+``_COMMANDS`` each subcommand once; the parser (built once per process),
+the config-file checks and the dispatch all read them, and ``_EXIT_CODES``
+maps errors to exit codes.  Values may come from a JSON config file via
 ``--config``; explicit flags win over config entries.  Every output file
 starts with '#' header lines recording the package version, the seed and
 the resolved parameters, and reruns with the same config and seed produce
@@ -11,6 +14,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -18,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,7 +85,7 @@ class ExperimentConfig:
     params: dict
 
     def __post_init__(self):
-        if self.command not in _HANDLERS:
+        if self.command not in _COMMANDS:
             raise ContractError(f"unknown command {self.command!r}")
         if self.seed < 0:
             raise ContractError("seed must be non-negative")
@@ -97,28 +102,16 @@ def _fmt(value) -> str:
 
 
 def _header_lines(config: ExperimentConfig, extra: dict | None = None) -> list:
-    lines = [
-        f"multiphoton {__version__}",
-        f"command: {config.command}",
-        f"seed: {config.seed}",
-    ]
-    items = dict(config.params)
-    if extra:
-        items.update(extra)
-    for key in sorted(items):
-        lines.append(f"{key}: {_fmt(items[key])}")
-    return lines
+    items = {**config.params, **(extra or {})}
+    return [f"multiphoton {__version__}", f"command: {config.command}",
+            f"seed: {config.seed}", *(f"{key}: {_fmt(items[key])}" for key in sorted(items))]
 
 
 def _emit_report(config: ExperimentConfig, fields: dict, path=None,
                  extra_header: dict | None = None) -> None:
     """Write a structured key-value report, to a file or stdout."""
-    out = []
-    for line in _header_lines(config, extra_header):
-        out.append(f"# {line}")
-    for key, value in fields.items():
-        out.append(f"{key}: {_fmt(value)}")
-    text = "\n".join(out) + "\n"
+    text = "".join([f"# {line}\n" for line in _header_lines(config, extra_header)]
+                   + [f"{key}: {_fmt(value)}\n" for key, value in fields.items()])
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -193,17 +186,12 @@ def _cmd_sample(config: ExperimentConfig) -> int:
     else:
         dist = exact_distribution(u, pattern, collisions)
     outputs = sample_outputs(dist, shots, config.seed)
-    records = [
-        SampleRecord(trigger=pattern, input=pattern, output=out, pulse_index=i)
-        for i, out in enumerate(outputs)
-    ]
     if config.out:
+        records = [SampleRecord(pattern, pattern, out, i) for i, out in enumerate(outputs)]
         write_sample_log(config.out, records, _header_lines(config))
     else:
-        for rec in records:
-            sys.stdout.write(
-                f"{rec.pulse_index},{''.join(map(str, rec.output))}\n"
-            )
+        sys.stdout.write("".join(f"{i},{''.join(map(str, out))}\n"
+                                 for i, out in enumerate(outputs)))
     return EXIT_OK
 
 
@@ -242,12 +230,9 @@ def _cmd_ghz(config: ExperimentConfig) -> int:
         f"theta{k}": float(t) for k, t in enumerate(coherence_settings(model.n_photons))
     }
     if config.out:
-        rows = []
-        for outcome in sorted(hv.counts):
-            rows.append(("hv", outcome, hv.counts[outcome]))
-        for k, setting in enumerate(thetas):
-            for outcome in sorted(setting.counts):
-                rows.append((f"theta{k}", outcome, setting.counts[outcome]))
+        bases = [("hv", hv.counts), *((f"theta{k}", s.counts) for k, s in enumerate(thetas))]
+        rows = [(name, outcome, counts[outcome])
+                for name, counts in bases for outcome in sorted(counts)]
         _write_csv(config.out, config, "basis,outcome,count", rows, extra_header=angles)
     _emit_report(
         config,
@@ -297,8 +282,7 @@ def _cmd_hom(config: ExperimentConfig) -> int:
     if config.out:
         _write_csv(config.out, config, "tau,coincidence", rows, extra_header=header)
     else:
-        for tau, c in rows:
-            sys.stdout.write(f"{tau!r},{c!r}\n")
+        sys.stdout.write("".join(f"{tau!r},{c!r}\n" for tau, c in rows))
     return EXIT_OK
 
 
@@ -363,13 +347,17 @@ def _cmd_rates(config: ExperimentConfig) -> int:
     epsilon = float(config.params.get("epsilon", 0.01))
     eta = float(config.params.get("eta", 0.5))
     rep = float(config.params.get("rep_rate", 80e6))
-    rate = expected_rate(k, n, epsilon, eta, rep, scattershot)  # validates before math.comb
+    rate = expected_rate(k, n, epsilon, eta, rep, scattershot)  # checks k and n first
+    try:
+        patterns = str(count_patterns(k, n, collisions=False))  # C(k, n), as n <= k
+    except ValueError as exc:  # more digits than str() converts
+        raise ContractError(f"C({k}, {n}) has too many digits to report") from exc
     fields = {
         "mode": "scattershot" if scattershot else "standard",
         "k": k,
         "n": n,
-        "combinations": math.comb(k, n) if scattershot else 1,
-        "no_collision_patterns": count_patterns(k, n, collisions=False),
+        "combinations": patterns if scattershot else 1,
+        "no_collision_patterns": patterns,
         "epsilon": epsilon,
         "eta": eta,
         "rep_rate_hz": rep,
@@ -379,132 +367,123 @@ def _cmd_rates(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "permanent": _cmd_permanent,
-    "sample": _cmd_sample,
-    "scattershot": _cmd_scattershot,
-    "ghz": _cmd_ghz,
-    "hom": _cmd_hom,
-    "jsa": _cmd_jsa,
-    "validate": _cmd_validate,
-    "rates": _cmd_rates,
+# Every flag once: the type of its value (bool for an on/off flag) and its help.
+_FLAGS = {
+    "seed": (int, "root RNG seed (default 0)"),
+    "out": (str, "primary output file"),
+    "config": (str, "JSON config file; explicit flags override its entries"),
+    "matrix": (str, "matrix file (rows/cols/entries format)"),
+    "threads": (int, "worker thread cap (default: CPUs this process may use)"),
+    "unitary": (str, "interferometer matrix file"),
+    "modes": (int, "draw a seeded Haar-random interferometer of this size instead"),
+    "input": (str, "input occupation string, e.g. 110000"),
+    "shots": (int, "shots to draw (ghz: per basis setting)"),
+    "distinguishable": (bool, "sample the distinguishable-photon model instead"),
+    "collisions": (bool, "allow multi-photon outputs (default: yes)"),
+    "sources": (str, "per-source JSON config file"),
+    "epsilon": (float, "pair probability per pulse (identical sources)"),
+    "eta": (float, "lumped two-arm efficiency (identical sources)"),
+    "rep_rate": (float, "pulse repetition rate in Hz (default 8e7)"),
+    "n": (int, "photons to post-select"),
+    "pulses": (int, "number of pump pulses"),
+    "report": (str, "report file (default: stdout)"),
+    "photons": (int, "number of photons in the GHZ state"),
+    "population": (float, "population term P of the GHZ model"),
+    "coherence": (float, "coherence term C of the GHZ model"),
+    "visibility": (float, "dip visibility (default: the purity of the spectrum flags)"),
+    "sigma_pump": (float, "pump envelope width"),
+    "sigma_pm": (float, "phase-matching envelope width"),
+    "angle": (float, "correlation angle of the phase-matching envelope, in radians"),
+    "target_purity": (float, "tune the correlation angle to this purity instead of --angle"),
+    "grid_size": (int, "points per axis of the detuning grid (default 256)"),
+    "span": (float, "half-width of the detuning grid (default: 4x the wider envelope)"),
+    "sigma": (float, "dip width parameter"),
+    "tau_max": (float, "largest delay of the curve (default 4/sigma)"),
+    "steps": (int, "number of delays on the curve (default 201)"),
+    "samples": (str, "sample log CSV"),
+    "threshold": (float, "log likelihood ratio that decides the verdict (default 5.0)"),
+    "trajectory": (str, "write the LR trajectory CSV here"),
+    "k": (int, "number of sources"),
+    "scattershot": (bool, "rate mode: scattershot, any n of the k sources (default), "
+                          "or standard, n dedicated sources"),
+}
+_COMMON = ("seed", "out", "config")
+
+
+class _Command(NamedTuple):
+    """One subcommand: handler, help, flags besides ``_COMMON``, required flags."""
+
+    handler: Callable[[ExperimentConfig], int]
+    help: str
+    flags: tuple
+    required: tuple = ()
+
+
+_COMMANDS = {
+    "permanent": _Command(_cmd_permanent, "permanent of a matrix file",
+                          ("matrix", "threads"), ("matrix",)),
+    "sample": _Command(_cmd_sample, "sample outputs of a fixed-input interferometer",
+                       ("unitary", "modes", "input", "shots", "distinguishable", "collisions"),
+                       ("input", "shots")),
+    "scattershot": _Command(_cmd_scattershot, "full scattershot acquisition run",
+                            ("unitary", "modes", "sources", "epsilon", "eta", "rep_rate", "n",
+                             "pulses", "report"), ("n", "pulses")),
+    "ghz": _Command(_cmd_ghz, "GHZ measurement simulation and estimation",
+                    ("photons", "population", "coherence", "shots", "report"),
+                    ("photons", "population", "coherence", "shots")),
+    "hom": _Command(_cmd_hom, "two-photon interference dip curve",
+                    ("visibility", "sigma_pump", "sigma_pm", "angle", "grid_size", "span",
+                     "sigma", "tau_max", "steps")),
+    "jsa": _Command(_cmd_jsa, "joint spectral amplitude grid and purity",
+                    ("sigma_pump", "sigma_pm", "angle", "target_purity", "grid_size", "span",
+                     "report"), ("sigma_pump", "sigma_pm")),
+    "validate": _Command(_cmd_validate, "validate a sample log against theory",
+                         ("samples", "unitary", "threshold", "collisions", "trajectory"),
+                         ("samples", "unitary")),
+    "rates": _Command(_cmd_rates, "predicted event rates and combinatorics",
+                      ("k", "n", "epsilon", "eta", "rep_rate", "scattershot"), ("k", "n")),
 }
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute one resolved configuration; returns the process exit code."""
-    return _HANDLERS[config.command](config)
+    return _COMMANDS[config.command].handler(config)
 
 
+def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add one flag of ``_FLAGS``, unset (None) unless given.  ``matrix`` is
+    positional; ``scattershot`` is set by the exclusive pair --scattershot
+    and --standard; an on/off flag has a --no- form, but --distinguishable."""
+    kind, help_text = _FLAGS[name]
+    option = "--" + name.replace("_", "-")
+    if name == "matrix":
+        parser.add_argument(name, help=help_text)
+    elif name == "scattershot":
+        pair = parser.add_mutually_exclusive_group()
+        pair.add_argument(option, dest=name, action="store_true", default=None, help=help_text)
+        pair.add_argument("--standard", dest=name, action="store_false", default=None,
+                          help=help_text)
+    elif kind is bool:
+        action = "store_true" if name == "distinguishable" else argparse.BooleanOptionalAction
+        parser.add_argument(option, dest=name, action=action, default=None, help=help_text)
+    else:
+        parser.add_argument(option, dest=name, type=kind, default=None, help=help_text)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of ``_COMMANDS``, built on first use and shared after."""
     parser = argparse.ArgumentParser(
         prog="multiphoton",
         description="Simulation and validation toolkit for multiphoton interference experiments.",
     )
     parser.add_argument("--version", action="version", version=f"multiphoton {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="root RNG seed (default 0)")
-        p.add_argument("--out", default=None, help="primary output file")
-        p.add_argument("--config", default=None,
-                       help="JSON config file; explicit flags override its entries")
-
-    p = sub.add_parser("permanent", help="permanent of a matrix file")
-    p.add_argument("matrix", help="matrix file (rows/cols/entries format)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker thread cap (default: CPUs this process may use)")
-    common(p)
-
-    p = sub.add_parser("sample", help="sample outputs of a fixed-input interferometer")
-    p.add_argument("--unitary", default=None, help="interferometer matrix file")
-    p.add_argument("--modes", type=int, default=None,
-                   help="draw a seeded Haar-random interferometer of this size instead")
-    p.add_argument("--input", default=None, help="input occupation string, e.g. 110000")
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--distinguishable", action="store_true", default=None,
-                   help="sample the distinguishable-photon model instead")
-    p.add_argument("--collisions", action=argparse.BooleanOptionalAction, default=None,
-                   help="allow multi-photon outputs (default: yes)")
-    common(p)
-
-    p = sub.add_parser("scattershot", help="full scattershot acquisition run")
-    p.add_argument("--unitary", default=None)
-    p.add_argument("--modes", type=int, default=None)
-    p.add_argument("--sources", default=None, help="per-source JSON config file")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="pair probability per pulse (identical sources)")
-    p.add_argument("--eta", type=float, default=None,
-                   help="lumped two-arm efficiency (identical sources)")
-    p.add_argument("--rep-rate", dest="rep_rate", type=float, default=None)
-    p.add_argument("--n", type=int, default=None, help="photons to post-select")
-    p.add_argument("--pulses", type=int, default=None)
-    p.add_argument("--report", default=None, help="rate report file (default: stdout)")
-    common(p)
-
-    p = sub.add_parser("ghz", help="GHZ measurement simulation and estimation")
-    p.add_argument("--photons", type=int, default=None)
-    p.add_argument("--population", type=float, default=None)
-    p.add_argument("--coherence", type=float, default=None)
-    p.add_argument("--shots", type=int, default=None, help="shots per basis setting")
-    p.add_argument("--report", default=None, help="summary report file (default: stdout)")
-    common(p)
-
-    p = sub.add_parser("hom", help="two-photon interference dip curve")
-    p.add_argument("--visibility", type=float, default=None)
-    p.add_argument("--sigma-pump", dest="sigma_pump", type=float, default=None)
-    p.add_argument("--sigma-pm", dest="sigma_pm", type=float, default=None)
-    p.add_argument("--angle", type=float, default=None)
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=None)
-    p.add_argument("--span", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None, help="dip width parameter")
-    p.add_argument("--tau-max", dest="tau_max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("jsa", help="joint spectral amplitude grid and purity")
-    p.add_argument("--sigma-pump", dest="sigma_pump", type=float, default=None)
-    p.add_argument("--sigma-pm", dest="sigma_pm", type=float, default=None)
-    p.add_argument("--angle", type=float, default=None)
-    p.add_argument("--target-purity", dest="target_purity", type=float, default=None,
-                   help="tune the correlation angle to this purity instead of --angle")
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=None)
-    p.add_argument("--span", type=float, default=None)
-    p.add_argument("--report", default=None)
-    common(p)
-
-    p = sub.add_parser("validate", help="validate a sample log against theory")
-    p.add_argument("--samples", default=None, help="sample log CSV")
-    p.add_argument("--unitary", default=None, help="interferometer matrix file")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--collisions", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--trajectory", default=None, help="write the LR trajectory CSV here")
-    common(p)
-
-    p = sub.add_parser("rates", help="predicted event rates and combinatorics")
-    p.add_argument("--k", type=int, default=None, help="number of sources")
-    p.add_argument("--n", type=int, default=None, help="photons to post-select")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--rep-rate", dest="rep_rate", type=float, default=None)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--scattershot", dest="scattershot", action="store_true", default=None)
-    mode.add_argument("--standard", dest="scattershot", action="store_false", default=None)
-    common(p)
-
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for name in spec.flags + _COMMON:
+            _add_flag(p, name)
     return parser
-
-
-_REQUIRED = {
-    "permanent": ("matrix",),
-    "sample": ("input", "shots"),
-    "scattershot": ("n", "pulses"),
-    "ghz": ("photons", "population", "coherence", "shots"),
-    "hom": (),
-    "jsa": ("sigma_pump", "sigma_pm"),
-    "validate": ("samples", "unitary"),
-    "rates": ("k", "n"),
-}
 
 
 def _load_config_file(path) -> dict:
@@ -518,8 +497,7 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-# The JSON type a config value needs, by its flag's declared type; on/off flags
-# (nargs 0) take a boolean, and a boolean is never a number.
+# The JSON type a config value needs, by its flag's type; a boolean is never a number.
 _JSON_TYPES = {bool: ("boolean", bool), int: ("integer", int),
                float: ("number", (int, float)), str: ("string", str)}
 
@@ -532,12 +510,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(file_values) - set(values)
         if unknown:
             raise DataError(f"config file has unknown keys: {sorted(unknown)}")
-        sub = next(a for a in _build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        kinds = {a.dest: bool if a.nargs == 0 else a.type or str
-                 for a in sub.choices[args.command]._actions}
         for key, value in file_values.items():
-            name, allowed = _JSON_TYPES[kinds[key]]
+            name, allowed = _JSON_TYPES[_FLAGS[key][0]]
             if isinstance(value, bool) != (name == "boolean") or not isinstance(value, allowed):
                 raise DataError(f"config key {key!r} must be a JSON {name}, got {value!r}")
             if values.get(key) is None:
@@ -549,7 +523,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                    else os.cpu_count() or 1)
     out = values.pop("out", None)
     params = {k: v for k, v in values.items() if v is not None}
-    missing = [name for name in _REQUIRED[args.command] if name not in params]
+    missing = [name for name in _COMMANDS[args.command].required if name not in params]
     if missing:
         flags = ", ".join("--" + name.replace("_", "-") for name in missing)
         raise ContractError(f"missing required parameters: {flags}")
@@ -562,23 +536,19 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+# The exit code of each error class; an error takes the code of the first
+# class in its method resolution order that is listed here.
+_EXIT_CODES = {ResourceLimitError: EXIT_RESOURCE, MemoryError: EXIT_RESOURCE,
+               DataError: EXIT_DATA, OSError: EXIT_DATA, ContractError: EXIT_CONTRACT}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
-        return run(config)
-    except ResourceLimitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RESOURCE
-    except DataError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
-    except ContractError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONTRACT
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
+        return run(resolve_config(args))
+    except tuple(_EXIT_CODES) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -304,9 +304,24 @@ def _events_from_records(records: Sequence[SampleRecord]) -> _Events:
         patterns = map(tuple, map(attrgetter(name), records))
         return np.fromiter(map(ids.__getitem__, patterns), dtype=np.intp, count=len(records))
 
+    _check_pulse_indices(records)
     pulse = np.fromiter(map(attrgetter("pulse_index"), records), dtype=np.int64,
                         count=len(records))
     return _Events(pulse, column("trigger"), column("input"), column("output"), tuple(ids))
+
+
+def _check_pulse_indices(records: Sequence[SampleRecord]) -> None:
+    """Raise ContractError unless every pulse index is an integer, not a
+    bool, in [0, 2**63), the range of the int64 pulse column."""
+    pulses = list(map(attrgetter("pulse_index"), records))
+    if not set(map(type, pulses)) <= {int}:
+        for value in pulses:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractError(f"pulse index must be an integer, got {value!r}")
+        pulses = list(map(int, pulses))  # numpy integers compare exactly as ints
+    if pulses and not 0 <= min(pulses) <= max(pulses) < 2**63:
+        value = min(pulses) if min(pulses) < 0 else max(pulses)
+        raise ContractError(f"pulse index out of range [0, 2**63): {value}")
 
 
 @dataclass(frozen=True)
@@ -379,7 +394,13 @@ def expected_rate(k: int, n: int, eps: float, eta: float, rep_rate: float = 80e6
     p = eps * eta
     if not scattershot:
         return rep_rate * p**n
-    return rep_rate * math.comb(k, n) * p**n * (1.0 - p) ** (k - n)
+    try:
+        return rep_rate * math.comb(k, n) * p**n * (1.0 - p) ** (k - n)
+    except OverflowError:  # C(k, n) beyond the float range: add the logarithms instead
+        if p in (0.0, 1.0):  # a zero factor, as 0 < n < k here
+            return 0.0
+        return math.exp(math.log(rep_rate) + math.log(math.comb(k, n)) + n * math.log(p)
+                        + (k - n) * math.log1p(-p))
 
 
 def _predicted_run_rate(params: Sequence[SourceParams], n_select: int) -> float:
@@ -543,8 +564,10 @@ def write_sample_log(path, records: Sequence[SampleRecord], header_lines=()) -> 
     A pattern is written as one ASCII digit per mode, so a mode holds at
     most 9 photons.  Each distinct pattern is validated and encoded once,
     and the file is written in one piece: a pattern that is not a sequence
-    of integers from 0 to 9 raises ContractError and nothing is written.
+    of integers from 0 to 9, or a pulse index that is not an integer in
+    [0, 2**63), raises ContractError and nothing is written.
     """
+    _check_pulse_indices(records)
     encoded = _Memo(occupation_to_string)
     body = "".join([
         f"{rec.pulse_index},{encoded[tuple(rec.trigger)]},"

@@ -280,7 +280,8 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
                                      threshold: float = 5.0) -> AggregateValidationReport:
     """Validate a scattershot record set against the exact theory per input.
 
-    Records are grouped by trigger pattern; each group's empirical output
+    Records are grouped by trigger pattern, which must equal their input
+    pattern (ContractError otherwise); each group's empirical output
     distribution is compared with ``exact_distribution`` for that input
     (similarity and distance), and all samples feed one pooled
     likelihood-ratio test against the distinguishable hypothesis.  With
@@ -321,6 +322,14 @@ def _validate_events(events, unitary, collisions: bool, threshold: float
         raise ContractError("empty record set")
     u = _require_unitary(unitary, "scattershot_aggregate_validation")
     tid, oid = events.trigger, events.output
+    # Equal patterns share one id, so an input differs from its trigger iff its id does.
+    differ = events.input != tid
+    if differ.any():
+        e = differ.argmax()
+        raise ContractError(
+            f"record at pulse {events.pulse[e]} has input {events.patterns[events.input[e]]} "
+            f"but trigger {events.patterns[tid[e]]}; validation needs them equal"
+        )
     triggers, outputs = _pattern_rows(events.patterns, tid), _pattern_rows(events.patterns, oid)
     trigger_photons, output_photons = triggers.sum(axis=1), outputs.sum(axis=1)
     unmatched = np.flatnonzero(trigger_photons[tid] != output_photons[oid])

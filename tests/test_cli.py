@@ -1,13 +1,16 @@
+import argparse
 import json
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
 
-from multiphoton.cli import EXIT_DATA, _build_parser, main, resolve_config
+from multiphoton import cli
+from multiphoton.cli import EXIT_DATA, EXIT_RESOURCE, _build_parser, main, resolve_config
 from multiphoton.linalg import haar_random_unitary, load_matrix, save_matrix
-from multiphoton.sampling import read_sample_log
+from multiphoton.sampling import SampleRecord, read_sample_log, write_sample_log
 from multiphoton.validation import scattershot_aggregate_validation
 
 
@@ -78,6 +81,18 @@ class TestRatesCommand:
             argv = argv + ["--config", str(config)]
         assert main(["rates", *argv]) == 4
         assert capsys.readouterr().out == ""
+
+    def test_binomial_beyond_the_float_range(self, capsys):
+        assert main(["rates", "--k", "2000", "--n", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert f"\ncombinations: {math.comb(2000, 1000)}\n" in out
+        assert out.endswith("\npredicted_rate_hz: 0.0\n")
+
+    def test_binomial_beyond_the_digits_str_converts(self, capsys):
+        assert main(["rates", "--k", "20000", "--n", "10000"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: C(20000, 10000) has too many digits to report\n"
 
     def test_missing_required_flag(self, capsys):
         assert main(["rates", "--k", "12"]) == 4
@@ -312,6 +327,14 @@ class TestValidateCommand:
         assert lines[1:] == [f"{t},{v!r}"
                              for t, v in enumerate(report.pooled.lr_trajectory.tolist(), 1)]
 
+    def test_input_that_differs_from_its_trigger_exit_code(self, tmp_path, capsys):
+        unitary, log = tmp_path / "u.json", tmp_path / "samples.csv"
+        save_matrix(unitary, haar_random_unitary(4, 3))
+        write_sample_log(log, [SampleRecord((1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), 7)])
+        assert main(["validate", "--samples", str(log), "--unitary", str(unitary)]) == 4
+        assert capsys.readouterr().err == ("error: record at pulse 7 has input (0, 0, 1, 1) but "
+                                           "trigger (1, 1, 0, 0); validation needs them equal\n")
+
     def test_missing_sample_file(self, tmp_path):
         unitary = tmp_path / "u.json"
         save_matrix(unitary, haar_random_unitary(3, 5))
@@ -424,3 +447,61 @@ def test_matrix_sizes_and_entries_must_have_json_number_types(tmp_path, capsys, 
     path.write_bytes(content)
     assert main(["permanent", str(path)]) == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+# The option strings of each subcommand (and the positional of permanent).
+_COMMON = {"-h", "--help", "--seed", "--out", "--config"}
+_OPTIONS = {
+    "permanent": {"matrix", "--threads"},
+    "sample": {"--unitary", "--modes", "--input", "--shots", "--distinguishable",
+               "--collisions", "--no-collisions"},
+    "scattershot": {"--unitary", "--modes", "--sources", "--epsilon", "--eta", "--rep-rate",
+                    "--n", "--pulses", "--report"},
+    "ghz": {"--photons", "--population", "--coherence", "--shots", "--report"},
+    "hom": {"--visibility", "--sigma-pump", "--sigma-pm", "--angle", "--grid-size", "--span",
+            "--sigma", "--tau-max", "--steps"},
+    "jsa": {"--sigma-pump", "--sigma-pm", "--angle", "--target-purity", "--grid-size", "--span",
+            "--report"},
+    "validate": {"--samples", "--unitary", "--threshold", "--collisions", "--no-collisions",
+                 "--trajectory"},
+    "rates": {"--k", "--n", "--epsilon", "--eta", "--rep-rate", "--scattershot", "--standard"},
+}
+
+
+def test_each_subcommand_accepts_exactly_its_options():
+    commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    assert set(commands) == set(_OPTIONS)
+    for name, sub in commands.items():
+        accepted = {s for a in sub._actions for s in a.option_strings or [a.dest]}
+        assert accepted == _OPTIONS[name] | _COMMON, name
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"k": 12, "n": 3}))
+    assert main(["rates", "--k", "4", "--n", "2"]) == 0  # builds the parser if not yet built
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(["rates", "--k", "4", "--n", "2"]) == 0
+    assert main(["rates", "--config", str(config)]) == 0
+    assert added == []
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 1.00 PiB for an array"),
+     "Unable to allocate 1.00 PiB for an array"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy-message", "bare"])
+def test_out_of_memory_is_a_resource_exit(monkeypatch, capsys, error, message):
+    def exhausted(config):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "rates", cli._COMMANDS["rates"]._replace(handler=exhausted))
+    assert main(["rates", "--k", "4", "--n", "2"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == f"error: {message}\n"

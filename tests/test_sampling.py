@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from multiphoton.sampling import (
     write_sample_log,
 )
 from multiphoton.sources import SourceParams, _draw_pairs
+from multiphoton.validation import scattershot_aggregate_validation
 from properties import check_sampling_properties
 
 BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -332,6 +334,19 @@ class TestExpectedRate:
     def test_vacuum_term(self):
         got = expected_rate(12, 0, 0.01, 0.5, 80e6, scattershot=True)
         assert got == pytest.approx(80e6 * (1 - 0.005) ** 12, rel=1e-12)
+
+    def test_rate_below_the_float_range_is_the_direct_product(self):
+        assert expected_rate(12, 3, 0.01, 0.5) == 80e6 * 220 * 0.005**3 * 0.995**9
+
+    def test_binomial_beyond_the_float_range(self):
+        # C(2000, 1000) ~ 2e600 overflows a float; the rate is then summed in logs
+        for k, n, eps, eta in ((2000, 1000, 1.0, 0.5), (2000, 700, 0.7, 0.5)):
+            p = Fraction(eps) * Fraction(eta)
+            exact = 80_000_000 * math.comb(k, n) * p**n * (1 - p) ** (k - n)
+            assert expected_rate(k, n, eps, eta) == pytest.approx(float(exact), rel=1e-12)
+        assert expected_rate(2000, 1000, 0.01, 0.5) == 0.0
+        assert expected_rate(2000, 1000, 0.0, 0.5) == 0.0
+        assert expected_rate(2000, 1000, 1.0, 1.0) == 0.0
 
     def test_guards(self):
         with pytest.raises(ContractError):
@@ -690,6 +705,28 @@ class TestSampleLog:
         with pytest.raises(ContractError):
             write_sample_log(path, records)
         assert not path.exists()
+
+    @pytest.mark.parametrize("pulse", [-5, 1.5, True, 2**63, np.bool_(True), np.uint64(2**63),
+                                       "3", None])
+    def test_invalid_pulse_index_rejected(self, tmp_path, pulse):
+        records = [SampleRecord((1, 0), (1, 0), (0, 1), 0),
+                   SampleRecord((1, 0), (1, 0), (1, 0), pulse)]
+        path = tmp_path / "samples.csv"
+        with pytest.raises(ContractError, match="^pulse index"):
+            write_sample_log(path, records)
+        assert not path.exists()
+        for take in (sampling._events_from_records,
+                     lambda records: scattershot_aggregate_validation(records, np.eye(2))):
+            with pytest.raises(ContractError, match="^pulse index"):
+                take(records)
+
+    def test_integer_pulse_indices_of_any_integer_type(self, tmp_path):
+        pulses = [np.int64(7), np.uint8(3), 2**63 - 1, 0]
+        records = [SampleRecord((1, 0), (1, 0), (0, 1), p) for p in pulses]
+        path = tmp_path / "samples.csv"
+        write_sample_log(path, records)
+        assert [r.pulse_index for r in read_sample_log(path)] == pulses
+        assert sampling._events_from_records(records).pulse.tolist() == pulses
 
     @pytest.mark.parametrize("row", BAD_ROWS)
     def test_bad_row_after_cached_repeats_names_its_line(self, tmp_path, row):

@@ -410,6 +410,23 @@ class TestScattershotAggregateValidation:
         with pytest.raises(ContractError):
             scattershot_aggregate_validation([bad], u)
 
+    def test_input_that_differs_from_its_trigger_rejected(self, tmp_path):
+        # the outputs follow the input's distribution; taking the trigger as
+        # the input would validate them against the wrong model
+        u = haar_random_unitary(4, 3)
+        inp = (0, 0, 1, 1)
+        outputs = sample_outputs(exact_distribution(u, inp), 200, seed=1)
+        records = [SampleRecord(inp, inp, o, i) for i, o in enumerate(outputs)]
+        records[50] = SampleRecord((1, 1, 0, 0), inp, outputs[50], 50)
+        message = (r"^record at pulse 50 has input \(0, 0, 1, 1\) but trigger \(1, 1, 0, 0\); "
+                   "validation needs them equal$")
+        with pytest.raises(ContractError, match=message):
+            scattershot_aggregate_validation(records, u)
+        log = tmp_path / "samples.csv"
+        write_sample_log(log, records)
+        with pytest.raises(ContractError, match=message):
+            _validate_events(_read_events(log), u, True, 5.0)
+
     def test_noise_floor_scaling(self):
         # multinomial sampling noise: distance roughly halves when the
         # per-group sample count quadruples
