@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -201,17 +201,9 @@ def _cmd_scattershot(config: ExperimentConfig) -> int:
     n_select = int(config.params["n"])
     pulses = int(config.params["pulses"])
     result = scattershot_run(u, params, pulses, n_select, config.seed)
-    report = result.report
-    fields = {
-        "n": report.n,
-        "retained_events": report.retained_events,
-        "pulses": report.pulses,
-        "rate_hz": report.rate_hz,
-        "predicted_rate_hz": report.predicted_rate_hz,
-    }
     if config.out:
         write_sample_log(config.out, result.records, _header_lines(config))
-    _emit_report(config, fields, path=config.params.get("report"))
+    _emit_report(config, asdict(result.report), path=config.params.get("report"))
     return EXIT_OK
 
 

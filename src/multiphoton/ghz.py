@@ -171,8 +171,8 @@ def simulate_counts(model: GhzModel, basis: str, shots: int, seed: int,
     Deterministic given the seed; the RNG stream is keyed by the basis and,
     for equatorial settings, by the angle.
     """
-    if shots < 1:
-        raise ContractError("shots must be at least 1")
+    if not 1 <= shots < 2**63:
+        raise ContractError(f"shots must lie in [1, 2**63), got {shots}")
     if basis == "hv":
         probs = hv_outcome_distribution(model)
         label = "ghz-hv"

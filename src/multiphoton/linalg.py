@@ -4,7 +4,8 @@ Interferometers are plain 2-D complex ``numpy`` arrays; a Fock pattern
 given to or returned by the public functions is a tuple of non-negative
 mode occupations.  Internally each outcome space (modes, photons,
 collisions) is enumerated once into a cached integer table whose rows are
-the patterns, so distributions and validation work on row indices.  This
+the patterns, so distributions and validation work on row indices; the
+table alone maps a pattern, as its sorted occupied modes, to its row.  This
 module also provides the unitarity check, Haar-random unitary generation,
 the sub-matrix construction whose permanent gives a multi-photon transition
 amplitude, and the on-disk matrix format used by the command-line tools.
@@ -220,9 +221,9 @@ class _PatternTable:
     Row k is pattern k of :func:`enumerate_patterns`: ``cols[k]`` lists its
     occupied modes with repeats, ``occupations[k]`` its mode occupations and
     ``factors[k]`` the product of their factorials.  The tuple view
-    ``outcomes``, its pattern -> row ``index`` and the prefix-tree links
-    ``parents`` are built on first use.  ``_pattern_table`` caches one table
-    per space for all its users.
+    ``outcomes``, its pattern -> row ``index``, the base-``modes`` ``codes``
+    of ``cols`` and the prefix-tree links ``parents`` are built on first
+    use.  ``_pattern_table`` caches one table per space for all its users.
     """
 
     def __init__(self, modes: int, photons: int, collisions: bool):
@@ -239,7 +240,8 @@ class _PatternTable:
         factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=float)
         self.factors = factorials[self.occupations].prod(axis=1)
         self.collisions = collisions
-        for array in (self.cols, self.occupations, self.factors):
+        self._place = modes ** np.arange(photons - 1, -1, -1)
+        for array in (self.cols, self.occupations, self.factors, self._place):
             array.flags.writeable = False
 
     @functools.cached_property
@@ -251,13 +253,22 @@ class _PatternTable:
         return dict(zip(self.outcomes, range(len(self.outcomes))))
 
     @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """Base-``modes`` code of each row's ``cols``, ascending like the rows."""
+        codes = self.cols @ self._place
+        codes.flags.writeable = False
+        return codes
+
+    def rows(self, cols) -> np.ndarray:
+        """Row of each pattern given as sorted occupied modes, like ``cols``.
+        Every pattern must be in the table: one that is not gets a wrong row."""
+        return np.searchsorted(self.codes, cols @ self._place)
+
+    @functools.cached_property
     def parents(self) -> np.ndarray:
-        """Row of each pattern's first n - 1 occupied modes in the (n - 1)-photon table;
-        both tables are lexicographic, so their base-``modes`` codes are sorted."""
+        """Row of each pattern's first n - 1 occupied modes in the (n - 1)-photon table."""
         modes, photons = self.occupations.shape[1], self.cols.shape[1]
-        place = modes ** np.arange(photons - 2, -1, -1)
-        prefixes = _pattern_table(modes, photons - 1, self.collisions).cols
-        return np.searchsorted(prefixes @ place, self.cols[:, :-1] @ place)
+        return _pattern_table(modes, photons - 1, self.collisions).rows(self.cols[:, :-1])
 
 
 _pattern_table = functools.lru_cache(maxsize=32)(_PatternTable)

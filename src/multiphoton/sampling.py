@@ -8,8 +8,9 @@ scattershot pipeline: every pulse each source may fire, heralded inputs
 select a random input pattern, and events are retained when exactly
 ``n_select`` heralds and ``n_select`` detected output photons coincide.  A
 run draws only the pairs that were created, selects the candidate pulses
-from those pairs, builds each batch's new inputs in one engine call, and
-draws the outputs per distinct input pattern on arrays.
+from those pairs, and from there works on rows of the ``n_select``-photon
+pattern table: each batch's new input rows are built in one engine call,
+and the output rows are drawn per distinct input row.
 
 Retained events live in one columnar table (pulse index and pattern ids,
 each distinct pattern held once) from the run, or from a read sample log,
@@ -249,8 +250,8 @@ def distinguishable_distribution(unitary, input_pattern,
 
 def sample_outputs(distribution: OutcomeDistribution, shots: int, seed: int) -> list:
     """Draw output patterns from a distribution, deterministically per seed."""
-    if shots < 1:
-        raise ContractError("shots must be at least 1")
+    if not 1 <= shots < 2**63:
+        raise ContractError(f"shots must lie in [1, 2**63), got {shots}")
     rng = derive_rng(seed, "sample-outputs")
     cum = distribution.cumulative()
     picks = np.searchsorted(cum, rng.random(shots), side="right")
@@ -418,9 +419,9 @@ def _predicted_run_rate(params: Sequence[SourceParams], n_select: int) -> float:
     return _common_rep_rate(params) * _exactly_n_probability(useful, idle, n_select)
 
 
-def _candidate_triggers(pairs: _Pairs, pulses: int, n_select: int,
-                        modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pulses that can be retained, and their trigger patterns as ``(C, modes)`` rows.
+def _candidate_triggers(pairs: _Pairs, pulses: int, n_select: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pulses that can be retained, and the sources that heralded each as
+    ``(C, n_select)`` rows, ascending as the pairs are sorted by (pulse, source).
 
     Retention needs n_select heralds and n_select detected outputs; the
     latter is impossible unless every heralded signal survived, in which
@@ -431,11 +432,7 @@ def _candidate_triggers(pairs: _Pairs, pulses: int, n_select: int,
     heralds = np.bincount(pulse, minlength=pulses)
     heralds[pulse[~pairs.signal[pairs.heralded]]] = 0
     is_candidate = heralds == n_select
-    candidates = np.flatnonzero(is_candidate)
-    keep = is_candidate[pulse]
-    triggers = np.zeros((candidates.size, modes), dtype=np.int64)
-    triggers[np.searchsorted(candidates, pulse[keep]), source[keep]] = 1
-    return candidates, triggers
+    return np.flatnonzero(is_candidate), source[is_candidate[pulse]].reshape(-1, n_select)
 
 
 def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
@@ -463,11 +460,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         )
     if not 1 <= n_select <= modes:
         raise ContractError(f"n_select must lie in [1, {modes}], got {n_select}")
-    if n_select > MAX_EXACT_PHOTONS:
-        raise ResourceLimitError(
-            f"scattershot sampling draws from exact distributions, limited to "
-            f"{MAX_EXACT_PHOTONS} photons; got {n_select}"
-        )
+    _guard_enumeration(modes, n_select, True, "scattershot_run")
     if pulses < 1:
         raise ContractError("pulse count must be at least 1")
     rep = _common_rep_rate(params)
@@ -477,44 +470,32 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     detect_prob = np.array([p.eta_detect for p in params])
     perfect_detectors = bool(np.all(detect_prob == 1.0))
 
-    dist_cache: dict = {}
     # Every candidate's trigger and drawn output hold n_select photons, so
-    # events are stored as rows of that photon number's pattern table.  Its
-    # base-``modes`` codes of occupied modes are sorted, so a trigger's row
-    # is found by searchsorted.
-    table = codes = None
-    place = modes ** np.arange(n_select - 1, -1, -1)
+    # events are stored as rows of that photon number's pattern table.
+    table = _pattern_table(modes, n_select, True)
+    dist_cache: dict = {}  # input row -> its output distribution
     pulse_parts = [np.empty(0, dtype=np.int64)]
     trigger_parts = [np.empty(0, dtype=np.intp)]
     output_parts = [np.empty(0, dtype=np.intp)]
     for batch_index, start in enumerate(range(0, pulses, _BATCH)):
         size = min(_BATCH, pulses - start)
         rng = derive_rng(seed, "scattershot", batch_index)
-        candidates, triggers = _candidate_triggers(
-            _draw_pairs(rng, eps, herald_prob, signal_prob, size), size, n_select, modes)
+        candidates, heralding = _candidate_triggers(
+            _draw_pairs(rng, eps, herald_prob, signal_prob, size), size, n_select)
         if candidates.size == 0:
             continue
         draws = rng.random(candidates.size)
+        trigger_rows = table.rows(heralding)
         # The batch's new inputs are built in one engine call, then one
         # searchsorted runs per distinct input.
-        order = np.lexsort(triggers.T[::-1])
-        first = np.flatnonzero(np.r_[True, np.diff(triggers[order], axis=0).any(axis=1)])
-        patterns, by_pattern = triggers[order[first]], np.split(order, first[1:])
-        keys = [pattern.tobytes() for pattern in patterns]
-        new = [i for i, key in enumerate(keys) if key not in dist_cache]
-        dist_cache.update(zip([keys[i] for i in new],
-                              _distributions(u, patterns[new], True, True)))
-        if table is None:  # built by the first engine call
-            table = _pattern_table(modes, n_select, True)
-            codes = table.cols @ place
-        occupied = np.repeat(np.tile(np.arange(modes), len(patterns)), patterns.ravel())
-        pattern_rows = np.searchsorted(codes, occupied.reshape(len(patterns), n_select) @ place)
-        trigger_rows = np.empty(candidates.size, dtype=np.intp)
+        inputs, by_input = np.unique(trigger_rows, return_inverse=True)
+        new = [row for row in inputs.tolist() if row not in dist_cache]
+        dist_cache.update(zip(new, _distributions(u, table.occupations[new], True, True)))
         picks = np.empty(candidates.size, dtype=np.intp)
-        for key, row, rows in zip(keys, pattern_rows.tolist(), by_pattern):
-            cum = dist_cache[key].cumulative()
-            picks[rows] = np.minimum(np.searchsorted(cum, draws[rows], side="right"), len(cum) - 1)
-            trigger_rows[rows] = row
+        for i, row in enumerate(inputs.tolist()):
+            at = by_input == i
+            cum = dist_cache[row].cumulative()
+            picks[at] = np.minimum(np.searchsorted(cum, draws[at], side="right"), len(cum) - 1)
         if not perfect_detectors:
             # Thinning keeps n_select photons only where it removes none, so
             # a retained output is the pattern drawn for it.
@@ -527,7 +508,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     # Only the patterns the events use are kept, renumbered in table order.
     used, ids = np.unique(np.concatenate(trigger_parts + output_parts), return_inverse=True)
     trigger, output = ids.reshape(2, -1)
-    patterns = tuple(map(tuple, table.occupations[used].tolist())) if used.size else ()
+    patterns = tuple(map(tuple, table.occupations[used].tolist()))
     events = _Events(pulse=np.concatenate(pulse_parts), trigger=trigger, input=trigger,
                      output=output, patterns=patterns)
     retained = len(events.pulse)
@@ -535,7 +516,9 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         n=n_select,
         retained_events=retained,
         pulses=pulses,
-        rate_hz=rep * retained / pulses,
+        # The product alone can overflow where the rate does not.
+        rate_hz=(rep * retained / pulses if rep * retained < math.inf
+                 else rep * (retained / pulses)),
         predicted_rate_hz=_predicted_run_rate(params, n_select),
     )
     return ScattershotResult(events, report)

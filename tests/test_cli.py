@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from multiphoton import cli
-from multiphoton.cli import EXIT_DATA, EXIT_RESOURCE, _build_parser, main, resolve_config
+from multiphoton.cli import (EXIT_CONTRACT, EXIT_DATA, EXIT_RESOURCE, _build_parser, main,
+                             resolve_config)
 from multiphoton.linalg import haar_random_unitary, load_matrix, save_matrix
 from multiphoton.sampling import SampleRecord, read_sample_log, write_sample_log
 from multiphoton.validation import scattershot_aggregate_validation
@@ -138,6 +139,10 @@ class TestSampleCommand:
     def test_needs_interferometer(self):
         assert main(["sample", "--input", "1100", "--shots", "5"]) == 4
 
+    def test_shots_beyond_int64_exit_code(self):
+        assert main(["sample", "--modes", "4", "--input", "1100",
+                     "--shots", str(10**20)]) == EXIT_CONTRACT
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["sample", "--modes", "not-a-number", "--input", "10", "--shots", "1"])
@@ -218,6 +223,11 @@ class TestGhzCommand:
         code = main(["ghz", "--photons", "4", "--population", "0.4",
                      "--coherence", "0.6", "--shots", "10"])
         assert code == 4
+
+    def test_shots_beyond_int64_exit_code(self):
+        code = main(["ghz", "--photons", "3", "--population", "0.9",
+                     "--coherence", "0.5", "--shots", str(10**20)])
+        assert code == EXIT_CONTRACT
 
 
 class TestHomCommand:

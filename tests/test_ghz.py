@@ -111,6 +111,11 @@ class TestSimulateCounts:
         with pytest.raises(ContractError):
             simulate_counts(GhzModel(4, 1.0, 1.0), "hv", 0, seed=0)
 
+    @pytest.mark.parametrize("shots", [2**63, 10**20])
+    def test_shots_beyond_int64_rejected(self, shots):
+        with pytest.raises(ContractError):
+            simulate_counts(GhzModel(4, 1.0, 1.0), "hv", shots, seed=0)
+
     def test_determinism(self):
         a = simulate_counts(GhzModel(4, 0.7, 0.5), "theta", 500, seed=3, theta=0.1)
         b = simulate_counts(GhzModel(4, 0.7, 0.5), "theta", 500, seed=3, theta=0.1)

@@ -14,6 +14,7 @@ from multiphoton.linalg import (
     load_matrix,
     occupation_from_string,
     occupation_to_string,
+    _pattern_table,
     save_matrix,
     transition_submatrix,
 )
@@ -123,6 +124,17 @@ class TestPatternEnumeration:
                         pattern[m] += 1
                     want.append(tuple(pattern))
                 assert enumerate_patterns(modes, photons, collisions) == want
+
+    def test_row_lookup_inverts_the_table(self):
+        for modes, photons, collisions in itertools.product(range(1, 8), range(1, 5),
+                                                            (True, False)):
+            table = _pattern_table(modes, photons, collisions)
+            assert np.array_equal(table.rows(table.cols), np.arange(len(table.cols)))
+            # the same lookup from the occupation tuples, against their dict index
+            occupied = np.array([np.repeat(np.arange(modes), occ) for occ in table.outcomes],
+                                dtype=np.intp).reshape(-1, photons)
+            assert table.rows(occupied).tolist() == [table.index[o] for o in table.outcomes]
+            assert not table.codes.flags.writeable
 
     def test_twelve_mode_counts(self):
         assert count_patterns(12, 3, collisions=False) == 220

@@ -316,6 +316,12 @@ class TestSampleOutputs:
         with pytest.raises(ContractError):
             sample_outputs(dist, 0, seed=0)
 
+    @pytest.mark.parametrize("shots", [2**63, 10**20])
+    def test_shots_beyond_int64_rejected(self, shots):
+        dist = OutcomeDistribution(((1,),), np.array([1.0]))
+        with pytest.raises(ContractError):
+            sample_outputs(dist, shots, seed=0)
+
 
 class TestExpectedRate:
     def test_combination_factors(self):
@@ -469,6 +475,19 @@ class TestScattershotRun:
         u = haar_random_unitary(8, 30)
         with pytest.raises(ResourceLimitError):
             scattershot_run(u, [SourceParams(epsilon=0.5)] * 8, 10, 7, seed=0)
+
+    def test_oversized_pattern_table_refused_before_firing(self):
+        # C(35, 6) = 1.6e6 six-photon patterns exceed the enumeration
+        # limit; idle sources never reach a distribution build.
+        with pytest.raises(ResourceLimitError):
+            scattershot_run(haar_random_unitary(30, 1), [SourceParams(0.0)] * 30, 10, 6, 0)
+
+    def test_rate_survives_an_overflowing_product(self):
+        # every pulse is retained, so rep_rate * retained alone overflows
+        u = haar_random_unitary(4, 32)
+        result = scattershot_run(u, [SourceParams(1.0, rep_rate=1e308)] * 4, 100, 4, seed=0)
+        assert result.report.retained_events == 100
+        assert result.report.rate_hz == result.report.predicted_rate_hz == 1e308
 
     def test_record_invariants_with_lossy_detectors(self):
         u = haar_random_unitary(6, 31)
