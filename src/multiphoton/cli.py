@@ -506,6 +506,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             name, allowed = _JSON_TYPES[_FLAGS[key][0]]
             if isinstance(value, bool) != (name == "boolean") or not isinstance(value, allowed):
                 raise DataError(f"config key {key!r} must be a JSON {name}, got {value!r}")
+            if name == "number":
+                try:
+                    float(value)
+                except OverflowError as exc:  # an integer too large for a float
+                    raise DataError(f"config key {key!r} is too large for a float") from exc
             if values.get(key) is None:
                 values[key] = value
     seed = values.pop("seed", None)

@@ -197,7 +197,11 @@ def load_matrix(path) -> np.ndarray:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
     except OverflowError as exc:  # an integer literal too large for a float
         raise DataError(f"matrix entry out of range: {exc}") from exc
-    return as_complex_matrix(flat.reshape(rows, cols))
+    try:
+        flat = flat.reshape(rows, cols)
+    except ValueError as exc:  # a shape with no entries too large for numpy, 10**400 x 0
+        raise DataError("matrix file declares a shape too large to hold") from exc
+    return as_complex_matrix(flat)
 
 
 def save_matrix(path, matrix, meta: dict | None = None) -> None:

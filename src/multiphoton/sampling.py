@@ -9,8 +9,10 @@ select a random input pattern, and events are retained when exactly
 ``n_select`` heralds and ``n_select`` detected output photons coincide.  A
 run draws only the pairs that were created, selects the candidate pulses
 from those pairs, and from there works on rows of the ``n_select``-photon
-pattern table: each batch's new input rows are built in one engine call,
-and the output rows are drawn per distinct input row.
+pattern table.  It goes over rounds of batches in two passes: the first
+fires each batch and keeps its candidates, the second draws their outputs.
+Between the passes one engine call builds every input of the round that
+the run has not built yet, into one matrix of cumulative sums per run.
 
 Retained events live in one columnar table (pulse index and pattern ids,
 each distinct pattern held once) from the run, or from a read sample log,
@@ -62,6 +64,9 @@ MAX_ENUMERATION = 1_000_000
 # Pulses are processed in fixed-size batches with one RNG stream per batch,
 # so results do not depend on how a run is split up.
 _BATCH = 1 << 16
+# Batches are drawn in rounds of this many (2**22 pulses); each round's new
+# inputs are built in one engine call.  Results do not depend on it.
+_ROUND = 64
 
 
 class _Support(NamedTuple):
@@ -90,20 +95,25 @@ class OutcomeDistribution:
             size = len(outcomes)
             if len(support.index) != size:
                 raise ContractError("duplicate outcome pattern")
-        probs = np.asarray(probabilities, dtype=float)
+        probs = np.array(probabilities, dtype=float)  # a copy, clipped in place
         if probs.ndim != 1 or size != probs.size:
             raise ContractError("outcomes and probabilities must align")
         if probs.size == 0:
             raise ContractError("distribution must have at least one outcome")
-        if not probs.min() >= -1e-12:  # negated comparisons: a NaN fails them
-            raise ContractError(f"probabilities must be non-negative numbers, got {probs.min()}")
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if not abs(total - 1.0) <= 1e-9:
-            raise ContractError(f"probabilities sum to {total}, expected 1")
+        _check_probabilities(probs[None])
         self._support = support
         self.probabilities = probs
         self._cumulative = None
+
+    @classmethod
+    def _rows(cls, table: _PatternTable, probs: np.ndarray) -> list:
+        """One distribution per row of a probability matrix over ``table``,
+        checked once by :func:`_check_probabilities`; each keeps a view of
+        its row."""
+        dists = [cls.__new__(cls) for _ in range(len(probs))]
+        for dist, row in zip(dists, _check_probabilities(probs)):
+            dist._support, dist.probabilities, dist._cumulative = table, row, None
+        return dists
 
     @property
     def outcomes(self) -> tuple:
@@ -121,6 +131,23 @@ class OutcomeDistribution:
             cum[-1] = 1.0
             self._cumulative = cum
         return self._cumulative
+
+
+def _check_probabilities(probs: np.ndarray) -> np.ndarray:
+    """Clip the rows of a 2-D probability array at 0 in place, and return it.
+
+    Raises ContractError unless every entry is at least -1e-12 and every
+    clipped row sums to 1 within 1e-9; a NaN fails both checks.
+    """
+    low = probs.min()
+    if not low >= -1e-12:  # negated comparisons: a NaN fails them
+        raise ContractError(f"probabilities must be non-negative numbers, got {low}")
+    np.clip(probs, 0.0, None, out=probs)
+    totals = probs.sum(axis=1)
+    off = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-9))
+    if off.size:
+        raise ContractError(f"probabilities sum to {totals[off[0]]}, expected 1")
+    return probs
 
 
 def _guard_enumeration(modes: int, photons: int, collisions: bool, caller: str) -> None:
@@ -144,72 +171,89 @@ def _guard_enumeration(modes: int, photons: int, collisions: bool, caller: str) 
 _BLOCK_BYTES = 1 << 22
 
 
-def _distributions(u: np.ndarray, inputs: np.ndarray, collisions: bool,
-                   interfering: bool) -> list:
-    """Output distributions of every input (rows of an occupation array) by Glynn's formula.
+def _probabilities(u: np.ndarray, inputs: np.ndarray, collisions: bool,
+                   interfering: bool) -> tuple[_PatternTable, np.ndarray]:
+    """Output probabilities of inputs of one photon number, by Glynn's formula.
 
-    ``u`` must be a checked unitary.  With r_i the rows of the source matrix
-    (``u``, or ``|u|^2`` for distinguishable photons) picked by the input's
-    photons, every output T's permanent is 2^-(n-1) sum_d (prod d)
-    prod_(j in T) w_d[j] over the sign vectors d with d_0 = +1, where
-    w_d = sum_i d_i r_i.  A chunk of inputs takes its row sums w from one
-    sign table, laid out as (mode, sign vector, input); products grow along
-    the pattern table's prefix tree (pattern k = its parent in the
-    (n-1)-photon table times ``w[cols[k, n-1]]``), the last two levels one
-    sign vector at a time.  Every step is elementwise per input, so an
-    input's probabilities do not depend on the chunk it is built in.
+    ``inputs`` are rows of an occupation array that all hold the same
+    photon number n, and ``u`` must be a checked unitary.  Returns the
+    n-photon pattern table and an unchecked (inputs, outcomes) float64
+    matrix, one row per input over the table's rows.
+
+    With r_i the rows of the source matrix (``u``, or ``|u|^2`` for
+    distinguishable photons) picked by the input's photons, every output
+    T's permanent is 2^-(n-1) sum_d (prod d) prod_(j in T) w_d[j] over the
+    sign vectors d with d_0 = +1, where w_d = sum_i d_i r_i.  A chunk of
+    inputs takes its row sums w from one sign table, laid out as (mode,
+    sign vector, input); products grow along the pattern table's prefix
+    tree (pattern k = its parent in the (n-1)-photon table times
+    ``w[cols[k, n-1]]``), the last two levels one sign vector at a time.
+    Every step is elementwise per input, so an input's probabilities do not
+    depend on the chunk, or the matrix, it is built in.
     """
     caller = "exact_distribution" if interfering else "distinguishable_distribution"
     modes = u.shape[0]
     # re^2 + im^2 rather than abs()**2: keeps the n=1 case bit-identical
     # between the two models, where they coincide by definition.
     source = u if interfering else u.real**2 + u.imag**2
+    n = int(inputs[0].sum())
+    _guard_enumeration(modes, n, collisions, caller)
+    *levels, table = [_pattern_table(modes, k, collisions) for k in range(1, n + 1)]
+    signs = 1 << (n - 1)
+    out = np.empty((len(inputs), len(table.cols)))
+    chunk = max(1, _BLOCK_BYTES // (max(len(table.cols), 1) * signs * source.itemsize))
+    for lo in range(0, len(inputs), chunk):
+        occ = inputs[lo:lo + chunk]
+        rows = source[np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel())]
+        rows = rows.reshape(len(occ), n, modes).transpose(2, 0, 1)  # (mode, input, photon)
+        sums, plus = _low_table(rows[:, :, 1:].reshape(modes * len(occ), n - 1))
+        sums += rows[:, :, :1].reshape(-1, 1)
+        sums = sums.reshape(modes, len(occ), signs).transpose(0, 2, 1).copy()
+        terms = np.ones((1, signs, len(occ)), dtype=source.dtype)  # the empty pattern
+        for level in levels[:-1]:
+            terms = terms[level.parents] * sums[level.cols[:, -1]]
+        halves = np.zeros((2, len(table.cols), len(occ)), dtype=source.dtype)
+        # The widest two levels never exist for every sign vector at once:
+        # per sign vector they stay small, and the last one is gathered
+        # into reused buffers (mode="clip" lets take write to them
+        # directly; every index is in range).
+        parent, factor = np.empty((2, len(table.cols), len(occ)), dtype=source.dtype)
+        for d in range(signs):
+            prefix = terms[:, d]
+            if levels:
+                prefix = prefix[levels[-1].parents] * sums[levels[-1].cols[:, -1], d]
+            np.take(prefix, table.parents, axis=0, out=parent, mode="clip")
+            np.take(sums[:, d], table.cols[:, -1], axis=0, out=factor, mode="clip")
+            parent *= factor
+            halves[int(d >= plus)] += parent
+        perms = (halves[0] - halves[1]) / signs
+        probs = out[lo:lo + len(occ)]  # a contiguous row per input sums alike in any chunk
+        if interfering:
+            input_factors = [math.prod(map(math.factorial, row)) for row in occ.tolist()]
+            probs[...] = ((perms.real**2 + perms.imag**2)
+                          / (table.factors[:, None] * input_factors)).T
+        else:
+            probs[...] = (np.clip(perms, 0.0, None) / table.factors[:, None]).T
+        if not collisions:
+            totals = probs.sum(axis=1, keepdims=True)
+            if (totals <= 0).any():
+                raise ContractError("no probability mass on collision-free outputs")
+            probs /= totals
+    return table, out
+
+
+def _distributions(u: np.ndarray, inputs: np.ndarray, collisions: bool,
+                   interfering: bool) -> list:
+    """One OutcomeDistribution per input (rows of an occupation array, any
+    photon numbers), built by :func:`_probabilities` one photon number at a
+    time."""
     photons = inputs.sum(axis=1)
     dists = [None] * len(inputs)
     for n in sorted(set(photons.tolist())):
-        _guard_enumeration(modes, n, collisions, caller)
-        *levels, table = [_pattern_table(modes, k, collisions) for k in range(1, n + 1)]
-        signs = 1 << (n - 1)
         at = np.flatnonzero(photons == n)
-        chunk = max(1, _BLOCK_BYTES // (max(len(table.cols), 1) * signs * source.itemsize))
-        for lo in range(0, len(at), chunk):
-            occ = inputs[at[lo:lo + chunk]]
-            rows = source[np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel())]
-            rows = rows.reshape(len(occ), n, modes).transpose(2, 0, 1)  # (mode, input, photon)
-            sums, plus = _low_table(rows[:, :, 1:].reshape(modes * len(occ), n - 1))
-            sums += rows[:, :, :1].reshape(-1, 1)
-            sums = sums.reshape(modes, len(occ), signs).transpose(0, 2, 1).copy()
-            terms = np.ones((1, signs, len(occ)), dtype=source.dtype)  # the empty pattern
-            for level in levels[:-1]:
-                terms = terms[level.parents] * sums[level.cols[:, -1]]
-            halves = np.zeros((2, len(table.cols), len(occ)), dtype=source.dtype)
-            # The widest two levels never exist for every sign vector at once:
-            # per sign vector they stay small, and the last one is gathered
-            # into reused buffers (mode="clip" lets take write to them
-            # directly; every index is in range).
-            parent, factor = np.empty((2, len(table.cols), len(occ)), dtype=source.dtype)
-            for d in range(signs):
-                prefix = terms[:, d]
-                if levels:
-                    prefix = prefix[levels[-1].parents] * sums[levels[-1].cols[:, -1], d]
-                np.take(prefix, table.parents, axis=0, out=parent, mode="clip")
-                np.take(sums[:, d], table.cols[:, -1], axis=0, out=factor, mode="clip")
-                parent *= factor
-                halves[int(d >= plus)] += parent
-            perms = (halves[0] - halves[1]) / signs
-            if interfering:
-                input_factors = [math.prod(map(math.factorial, row)) for row in occ.tolist()]
-                probs = (perms.real**2 + perms.imag**2) / (table.factors[:, None] * input_factors)
-            else:
-                probs = np.clip(perms, 0.0, None) / table.factors[:, None]
-            probs = probs.T.copy()  # a contiguous row per input sums alike in any chunk
-            if not collisions:
-                totals = probs.sum(axis=1, keepdims=True)
-                if (totals <= 0).any():
-                    raise ContractError("no probability mass on collision-free outputs")
-                probs /= totals
-            for i, row in zip(at[lo:lo + chunk], probs):
-                dists[i] = OutcomeDistribution(table, row)
+        table, probs = _probabilities(u, inputs[at], collisions, interfering)
+        for i, dist in zip(at, OutcomeDistribution._rows(table, probs)):
+            dists[i] = dist
     return dists
 
 
@@ -448,9 +492,24 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     fired and exactly ``n_select`` output photons were detected.  Firing is
     drawn sparsely, pair by pair (see :func:`~multiphoton.sources._draw_pairs`).
 
+    Pulses come in batches of 2**16, each with its own generator, and the
+    batches in rounds of 64.  The first pass over a round fires each batch
+    and draws its candidates' output uniforms.  A batch with candidates is
+    kept as pending: its first pulse, the candidates' pulse offsets, their
+    uniforms and input rows, and its generator when a detector is lossy,
+    as thinning draws from it later.  One engine call then builds every
+    input of the round that the run has not built yet.  Their checked
+    probabilities become cumulative sums, in place, as new rows of the
+    run's one cumulative matrix, which holds a row per input built.  The
+    second pass sorts each pending batch's candidates by input, draws each
+    input's outputs with one ``searchsorted`` on its row, and thins them.
+    The pending batches are all the state a round holds, so the round size
+    bounds it, whatever the run length; the matrix grows only with the
+    number of distinct inputs.
+
     The events are kept as a columnar table; ``records`` on the result
     builds their SampleRecords on first access.  Deterministic given the
-    seed, independently of batch processing order.
+    seed, and the same for any batch or round processing order.
     """
     u = _require_unitary(unitary, "scattershot_run")
     modes = u.shape[0]
@@ -473,38 +532,55 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     # Every candidate's trigger and drawn output hold n_select photons, so
     # events are stored as rows of that photon number's pattern table.
     table = _pattern_table(modes, n_select, True)
-    dist_cache: dict = {}  # input row -> its output distribution
+    built: dict = {}  # input row -> its row of cum
+    cum = np.empty((0, len(table.cols)))
     pulse_parts = [np.empty(0, dtype=np.int64)]
     trigger_parts = [np.empty(0, dtype=np.intp)]
     output_parts = [np.empty(0, dtype=np.intp)]
-    for batch_index, start in enumerate(range(0, pulses, _BATCH)):
-        size = min(_BATCH, pulses - start)
-        rng = derive_rng(seed, "scattershot", batch_index)
-        candidates, heralding = _candidate_triggers(
-            _draw_pairs(rng, eps, herald_prob, signal_prob, size), size, n_select)
-        if candidates.size == 0:
+    batches = range(0, pulses, _BATCH)
+    for first in range(0, len(batches), _ROUND):
+        pending = []
+        for batch_index in range(first, min(first + _ROUND, len(batches))):
+            start = batches[batch_index]
+            size = min(_BATCH, pulses - start)
+            rng = derive_rng(seed, "scattershot", batch_index)
+            candidates, heralding = _candidate_triggers(
+                _draw_pairs(rng, eps, herald_prob, signal_prob, size), size, n_select)
+            if candidates.size:
+                pending.append((start, candidates, rng.random(candidates.size),
+                                table.rows(heralding), None if perfect_detectors else rng))
+        if not pending:
             continue
-        draws = rng.random(candidates.size)
-        trigger_rows = table.rows(heralding)
-        # The batch's new inputs are built in one engine call, then one
-        # searchsorted runs per distinct input.
-        inputs, by_input = np.unique(trigger_rows, return_inverse=True)
-        new = [row for row in inputs.tolist() if row not in dist_cache]
-        dist_cache.update(zip(new, _distributions(u, table.occupations[new], True, True)))
-        picks = np.empty(candidates.size, dtype=np.intp)
-        for i, row in enumerate(inputs.tolist()):
-            at = by_input == i
-            cum = dist_cache[row].cumulative()
-            picks[at] = np.minimum(np.searchsorted(cum, draws[at], side="right"), len(cum) - 1)
-        if not perfect_detectors:
-            # Thinning keeps n_select photons only where it removes none, so
-            # a retained output is the pattern drawn for it.
-            detected = rng.binomial(table.occupations[picks], detect_prob).sum(axis=1) == n_select
-            candidates, trigger_rows, picks = (
-                candidates[detected], trigger_rows[detected], picks[detected])
-        pulse_parts.append(start + candidates)
-        trigger_parts.append(trigger_rows)
-        output_parts.append(picks)
+        inputs = np.unique(np.concatenate([rows for _, _, _, rows, _ in pending]))
+        new = [row for row in inputs.tolist() if row not in built]
+        if new:
+            _, block = _probabilities(u, table.occupations[new], True, True)
+            _check_probabilities(block)
+            np.cumsum(block, axis=1, out=block)
+            block[:, -1] = 1.0
+            built.update(zip(new, range(len(cum), len(cum) + len(new))))
+            cum = np.concatenate((cum, block)) if len(cum) else block
+        for start, candidates, draws, trigger_rows, rng in pending:
+            # One searchsorted per distinct input, on its slice of the
+            # candidates sorted by input; the last cumulative entry is 1.0,
+            # so every pick is a valid outcome row.
+            order = np.argsort(trigger_rows, kind="stable")
+            ranked = trigger_rows[order]
+            cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(order)]
+            picks = np.empty(len(order), dtype=np.intp)
+            for lo, hi, row in zip(cuts, cuts[1:], ranked[cuts[:-1]].tolist()):
+                at = order[lo:hi]
+                picks[at] = np.searchsorted(cum[built[row]], draws[at], side="right")
+            if rng is not None:
+                # Thinning keeps n_select photons only where it removes
+                # none, so a retained output is the pattern drawn for it.
+                thinned = rng.binomial(table.occupations[picks], detect_prob)
+                detected = thinned.sum(axis=1) == n_select
+                candidates, trigger_rows, picks = (
+                    candidates[detected], trigger_rows[detected], picks[detected])
+            pulse_parts.append(start + candidates)
+            trigger_parts.append(trigger_rows)
+            output_parts.append(picks)
     # Only the patterns the events use are kept, renumbered in table order.
     used, ids = np.unique(np.concatenate(trigger_parts + output_parts), return_inverse=True)
     trigger, output = ids.reshape(2, -1)

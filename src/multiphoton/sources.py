@@ -42,10 +42,17 @@ _PURITY_TOL = 1e-4
 _MAX_BISECTIONS = 80
 
 
-def _check_unit_interval(name: str, value: float) -> float:
+def _as_float(name: str, value) -> float:
     if isinstance(value, (str, bool)):  # float() would read "0.1" and True
         raise ContractError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer too large for a float
+        raise ContractError(f"{name} must be a number in the float range") from exc
+
+
+def _check_unit_interval(name: str, value: float) -> float:
+    value = _as_float(name, value)
     if not 0.0 <= value <= 1.0:
         raise ContractError(f"{name} must lie in [0, 1], got {value}")
     return value
@@ -70,7 +77,7 @@ class SourceParams:
         _check_unit_interval("epsilon", self.epsilon)
         _check_unit_interval("eta_herald", self.eta_herald)
         _check_unit_interval("eta_detect", self.eta_detect)
-        if isinstance(self.rep_rate, (str, bool)) or not 0 < self.rep_rate < math.inf:
+        if not 0 < _as_float("rep_rate", self.rep_rate) < math.inf:
             raise ContractError(f"rep_rate must be finite and positive, got {self.rep_rate!r}")
 
     @property

@@ -2,12 +2,15 @@
 
 Each function draws its own cases from a seeded generator and raises
 AssertionError on the first violated invariant.  The default case counts
-match the acceptance requirement of at least 100 cases per property.
+match the acceptance requirement of at least 100 cases per property.  The
+module also holds the ``hypothesis`` strategies of JSON values that the
+loader fuzz tests share.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import stats
 
 from multiphoton import (
@@ -35,6 +38,16 @@ from multiphoton import (
 from multiphoton.ghz import estimate_coherence, estimate_population
 from multiphoton.permanent import permanent_naive, permanent_ryser
 from multiphoton.sources import normalized_joint_spectrum
+
+
+# JSON values: nested lists and objects of strings, booleans, nulls, floats
+# (NaN and infinities included) and integers up to 10**400.
+JSON_NUMBERS = st.floats() | st.integers(-10**400, 10**400)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | JSON_NUMBERS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10)
 
 
 def _random_complex(rng, n):

@@ -191,6 +191,14 @@ class TestScattershotCommand:
                      "--n", "2", "--pulses", "10"])
         assert code == 4
 
+    def test_source_rep_rate_too_large_for_a_float_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "sources.json"
+        config.write_text(json.dumps({"sources": [{"epsilon": 0.5, "rep_rate": 10**400}] * 3}))
+        code = main(["scattershot", "--modes", "3", "--sources", str(config),
+                     "--n", "2", "--pulses", "100", "--seed", "1"])
+        assert code == EXIT_DATA
+        assert "rep_rate" in capsys.readouterr().err
+
     def test_removed_indistinguishability_field_exit_code(self, tmp_path, capsys):
         config = tmp_path / "sources.json"
         config.write_text(json.dumps({"sources": [{"epsilon": 0.1, "indistinguishability": 1.0}]
@@ -367,6 +375,18 @@ class TestConfigFile:
         config.write_text(json.dumps({"k": 12, "n": 3}))
         assert main(["rates", "--config", str(config)]) == 0
         assert "combinations: 220" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, doc", [
+        ("rates", {"k": 3, "n": 2}),
+        ("scattershot", {"modes": 3, "epsilon": 0.5, "eta": 1.0, "n": 2, "pulses": 100}),
+    ])
+    def test_number_too_large_for_a_float_rejected(self, tmp_path, capsys, command, doc):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**doc, "rep_rate": 10**400}))
+        assert main([command, "--config", str(config)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'rep_rate'" in captured.err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.json"

@@ -1,8 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multiphoton.errors import ContractError, DataError, DimensionError
 from multiphoton.linalg import (
@@ -18,7 +21,7 @@ from multiphoton.linalg import (
     save_matrix,
     transition_submatrix,
 )
-from properties import check_linalg_properties
+from properties import JSON_NUMBERS, JSON_VALUES, check_linalg_properties
 
 BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -181,6 +184,36 @@ class TestMatrixFile:
         path.write_text('{"rows":1,"cols":1,"entries":%s}' % entries)
         with pytest.raises(DataError):
             load_matrix(path)
+
+    def test_rejects_a_shape_too_large_to_hold(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"rows":1%s,"cols":0,"entries":[]}' % ("0" * 400))
+        with pytest.raises(DataError, match="too large"):
+            load_matrix(path)
+
+
+# Mostly matrix-shaped documents, so that fuzzing reaches past the key checks.
+_SIZES = st.integers(-2, 3) | st.integers(-10**400, 10**400) | JSON_VALUES
+_MATRIX_DOCS = JSON_VALUES | st.fixed_dictionaries({}, optional={
+    "rows": _SIZES, "cols": _SIZES,
+    "entries": (st.lists(st.lists(JSON_NUMBERS | JSON_VALUES, max_size=3), max_size=9)
+                | JSON_VALUES),
+    "meta": JSON_VALUES,
+})
+_FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(doc=_MATRIX_DOCS)
+def test_load_matrix_returns_or_raises_data_or_contract_error(tmp_path, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        matrix = load_matrix(path)
+    except (DataError, ContractError):
+        return
+    assert matrix.shape == (doc["rows"], doc["cols"])
 
 
 def test_module_properties():

@@ -63,6 +63,29 @@ class TestOutcomeDistribution:
             OutcomeDistribution(((1, 0), (0, 1)), probs)
 
 
+# Rows that fail the probability check: a NaN, an entry below -1e-12 and a
+# sum 1e-6 above 1.
+_BAD_ROWS = [[math.nan, 1.0], [-1e-6, 1.0 + 1e-6], [0.5, 0.5 + 1e-6]]
+
+
+class TestProbabilityCheck:
+    @pytest.mark.parametrize("row", _BAD_ROWS, ids=["nan", "negative", "sum"])
+    def test_rejects_what_outcome_distribution_rejects(self, row):
+        with pytest.raises(ContractError):
+            OutcomeDistribution(((1, 0), (0, 1)), row)
+        for probs in ([row], [[0.25, 0.75], row]):  # alone, and after a valid row
+            with pytest.raises(ContractError):
+                sampling._check_probabilities(np.array(probs))
+
+    def test_clips_in_place_within_tolerance(self):
+        probs = np.array([[-1e-13, 1.0], [0.25, 0.75 + 1e-10]])
+        assert sampling._check_probabilities(probs) is probs
+        assert probs.tolist() == [[0.0, 1.0], [0.25, 0.75 + 1e-10]]
+        dist = OutcomeDistribution(((1, 0), (0, 1)), probs[0])
+        assert not np.shares_memory(dist.probabilities, probs)
+        assert dist.probabilities.tolist() == [0.0, 1.0]
+
+
 class TestExactDistribution:
     def test_identity_is_point_mass(self):
         dist = exact_distribution(np.eye(4), (0, 1, 1, 0))
@@ -418,6 +441,27 @@ def dense_scattershot_reference(u, params, pulses, n_select, seed, build=exact_d
     return records
 
 
+_FAINT_LOSSY = [SourceParams(0.03, eta_herald=0.9, eta_detect=d)
+                for d in (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)]
+_FAINT_PULSES = 3 * _BATCH + 100
+
+
+def dense_candidate_counts(params, pulses, n_select, seed):
+    """Candidate pulses of each batch, selected densely as in the reference."""
+    eps, herald_prob, signal_prob = (np.array([p.epsilon for p in params]),
+                                     np.array([p.eta_herald * p.eta_detect for p in params]),
+                                     np.array([p.eta_herald for p in params]))
+    counts = []
+    for batch, start in enumerate(range(0, pulses, _BATCH)):
+        size = min(_BATCH, pulses - start)
+        pairs = _draw_pairs(derive_rng(seed, "scattershot", batch), eps, herald_prob,
+                            signal_prob, size)
+        heralds = np.bincount(pairs.pulse[pairs.heralded], minlength=size)
+        inputs = np.bincount(pairs.pulse[pairs.heralded & pairs.signal], minlength=size)
+        counts.append(int(((heralds == n_select) & (inputs == n_select)).sum()))
+    return counts
+
+
 class TestScattershotRun:
     @pytest.mark.parametrize("modes, params, pulses, n, seed", [
         # ideal, unequal sources
@@ -426,6 +470,12 @@ class TestScattershotRun:
         (6, [SourceParams(0.4, eta_herald=0.9, eta_detect=0.7)] * 6, 70_000, 2, 2),
         # bright sources, four photons
         (8, [SourceParams.from_lumped_efficiency(0.3, 0.81)] * 8, 5_000, 4, 3),
+        # faint sources, unequal detectors: four batches, the last partial
+        # and without a candidate (see test_round_size_does_not_change_the_run)
+        (8, _FAINT_LOSSY, _FAINT_PULSES, 3, 5),
+        # one photon per event
+        (5, [SourceParams(0.2, eta_herald=0.8, eta_detect=d) for d in (0.5, 0.7, 0.8, 0.9, 1.0)],
+         5_000, 1, 4),
     ])
     def test_matches_dense_per_event_reference(self, modes, params, pulses, n, seed):
         u = haar_random_unitary(modes, 40 + modes)
@@ -445,6 +495,20 @@ class TestScattershotRun:
             u, params, pulses, n, n, lambda u, occ: reference_distribution(u, occ, precise=False))
         assert len(reference) > 100
         assert result.records == reference
+
+    @pytest.mark.parametrize("round_batches", [1, 2])
+    def test_round_size_does_not_change_the_run(self, round_batches, monkeypatch):
+        # Later batches bring inputs no earlier batch drew, so a smaller
+        # round builds in several engine calls, and the last batch has no
+        # candidate, so a one-batch round holds nothing.
+        assert dense_candidate_counts(_FAINT_LOSSY, _FAINT_PULSES, 3, 5) == [33, 22, 14, 0]
+        u = haar_random_unitary(8, 48)
+        default = scattershot_run(u, _FAINT_LOSSY, _FAINT_PULSES, 3, 5)
+        monkeypatch.setattr(sampling, "_ROUND", round_batches)
+        run = scattershot_run(u, _FAINT_LOSSY, _FAINT_PULSES, 3, 5)
+        assert run.report == default.report
+        assert run.records == default.records
+        assert len(run.records) > 0
 
     def test_deterministic_sources_retain_every_pulse(self):
         u = haar_random_unitary(3, 27)

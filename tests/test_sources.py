@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multiphoton import sources
 from multiphoton.errors import ContractError, DataError
@@ -19,7 +21,7 @@ from multiphoton.sources import (
     schmidt_purity,
     tune_correlation_angle,
 )
-from properties import check_sources_properties
+from properties import JSON_NUMBERS, JSON_VALUES, check_sources_properties
 
 
 def gaussian_purity_closed_form(sigma_pump, sigma_pm, angle):
@@ -60,6 +62,11 @@ class TestSourceParams:
         # float() reads "0.1" and True, but the dataclass would keep the raw value
         with pytest.raises(ContractError, match=field):
             SourceParams(**{"epsilon": 0.1, field: value})
+
+    @pytest.mark.parametrize("field", ["epsilon", "rep_rate"])
+    def test_rejects_an_integer_too_large_for_a_float(self, field):
+        with pytest.raises(ContractError, match=field):
+            SourceParams(**{"epsilon": 0.1, field: 10**400})
 
     def test_from_lumped_efficiency(self):
         s = SourceParams.from_lumped_efficiency(0.01, 0.5)
@@ -340,6 +347,36 @@ class TestSourceConfigFile:
         path.write_text(json.dumps({"sources": []}))
         with pytest.raises(DataError):
             load_source_params(path)
+
+    def test_rep_rate_too_large_for_a_float_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"sources": [{"epsilon": 0.5, "rep_rate": 1%s}]}' % ("0" * 400))
+        with pytest.raises(DataError, match="rep_rate"):
+            load_source_params(path)
+
+
+# Mostly source-list documents, so that fuzzing reaches SourceParams.
+_SOURCE = st.fixed_dictionaries({}, optional={
+    name: st.floats(0, 1) | JSON_NUMBERS | JSON_VALUES
+    for name in ("epsilon", "eta_herald", "eta_detect", "rep_rate")
+}) | JSON_VALUES
+_SOURCE_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"sources": st.lists(_SOURCE, max_size=3) | JSON_VALUES})
+_FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(doc=_SOURCE_DOCS)
+def test_load_source_params_returns_or_raises_data_or_contract_error(tmp_path, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        params = load_source_params(path)
+    except (DataError, ContractError):
+        return
+    assert len(params) == len(doc["sources"]) > 0
+    assert all(0 < float(p.rep_rate) < math.inf for p in params)
 
 
 def test_module_properties():
