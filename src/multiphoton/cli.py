@@ -37,7 +37,6 @@ from .ghz import (
     simulate_ghz_experiment,
 )
 from .linalg import (
-    as_occupation,
     count_patterns,
     haar_random_unitary,
     load_matrix,
@@ -178,7 +177,7 @@ def _cmd_permanent(config: ExperimentConfig) -> int:
 
 def _cmd_sample(config: ExperimentConfig) -> int:
     u = _load_unitary(config)
-    pattern = as_occupation(occupation_from_string(config.params["input"]), u.shape[0])
+    pattern = occupation_from_string(config.params["input"])  # exact_distribution checks it
     shots = int(config.params["shots"])
     collisions = config.params.get("collisions", True)
     if config.params.get("distinguishable", False):
@@ -492,11 +491,16 @@ def _load_config_file(path) -> dict:
 # The JSON type a config value needs, by its flag's type; a boolean is never a number.
 _JSON_TYPES = {bool: ("boolean", bool), int: ("integer", int),
                float: ("number", (int, float)), str: ("string", str)}
+# Integer values must fit in int64, but the seed's: any non-negative int seeds the generator.
+_INT64_KEYS = {key for key, (kind, _) in _FLAGS.items() if kind is int and key != "seed"}
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge parsed flags with the optional config file; flags win."""
     values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    for key, value in values.items():
+        if key in _INT64_KEYS and value is not None and not -2**63 <= value < 2**63:
+            raise ContractError(f"--{key.replace('_', '-')} is beyond the 64-bit integer range")
     if args.config:
         file_values = _load_config_file(args.config)
         unknown = set(file_values) - set(values)
@@ -511,6 +515,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                     float(value)
                 except OverflowError as exc:  # an integer too large for a float
                     raise DataError(f"config key {key!r} is too large for a float") from exc
+            if key in _INT64_KEYS and not -2**63 <= value < 2**63:
+                raise DataError(f"config key {key!r} is beyond the 64-bit integer range")
             if values.get(key) is None:
                 values[key] = value
     seed = values.pop("seed", None)

@@ -101,11 +101,11 @@ def haar_random_unitary(modes: int, seed: int) -> np.ndarray:
 
 def as_occupation(pattern, modes: int | None = None) -> tuple[int, ...]:
     """Validate a mode-occupation pattern and return it as a tuple of ints."""
-    items = list(pattern)
-    occ = tuple(int(x) for x in items)
-    if any(x != y for x, y in zip(occ, items)):
+    items = tuple(pattern)
+    occ = tuple(map(int, items))
+    if occ != items:  # elementwise ==: numpy ints, 1.0 and True equal their ints
         raise ContractError("occupations must be integers")
-    if any(x < 0 for x in occ):
+    if occ and min(occ) < 0:
         raise ContractError("occupations must be non-negative")
     if modes is not None and len(occ) != modes:
         raise DimensionError(f"occupation has {len(occ)} modes, expected {modes}")

@@ -157,9 +157,7 @@ def _glynn(matrix, threads: int) -> complex:
 def permanent_ryser(matrix) -> complex:
     """Permanent by Glynn's formula on one thread, in O(2^(n-1) * n).
 
-    The name is kept from the Gray-code Ryser kernel this replaced, because
-    callers, the tests and the benchmark reach the single-thread kernel by
-    it.  The relative error against a long-double evaluation is about 1e-15
+    The relative error against a long-double evaluation is about 1e-15
     at n=16 and 1e-14 at n=20 (Ryser: 1e-12 and up to 3e-9).  Guarded at
     n <= 30 as a resource limit: 2^29 terms is roughly the largest workload
     that finishes in reasonable time on one machine.
@@ -174,7 +172,6 @@ def permanent_parallel(matrix, threads: int) -> complex:
     Block sums are reduced in block order, so the value is bit-identical to
     :func:`permanent_ryser` for every thread count, with the same accuracy:
     about 1e-14 relative at n=20.  This is what the CLI ``permanent``
-    command runs; ``permanent_ryser`` keeps the Ryser name, though it runs
-    this kernel too, because callers reach the single-thread kernel by it.
+    command runs.
     """
     return _glynn(matrix, threads)

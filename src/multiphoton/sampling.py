@@ -87,21 +87,16 @@ class OutcomeDistribution:
     """
 
     def __init__(self, outcomes, probabilities):
-        if isinstance(outcomes, _PatternTable):
-            support, size = outcomes, len(outcomes.cols)
-        else:
-            outcomes = tuple(tuple(int(x) for x in o) for o in outcomes)
-            support = _Support(outcomes, dict(zip(outcomes, range(len(outcomes)))))
-            size = len(outcomes)
-            if len(support.index) != size:
-                raise ContractError("duplicate outcome pattern")
+        ids, outcomes = _numbered_patterns(outcomes)
+        if len(outcomes) != len(ids):
+            raise ContractError("duplicate outcome pattern")
         probs = np.array(probabilities, dtype=float)  # a copy, clipped in place
-        if probs.ndim != 1 or size != probs.size:
+        if probs.ndim != 1 or len(ids) != probs.size:
             raise ContractError("outcomes and probabilities must align")
         if probs.size == 0:
             raise ContractError("distribution must have at least one outcome")
         _check_probabilities(probs[None])
-        self._support = support
+        self._support = _Support(outcomes, dict(zip(outcomes, range(len(outcomes)))))
         self.probabilities = probs
         self._cumulative = None
 
@@ -121,8 +116,7 @@ class OutcomeDistribution:
 
     def prob(self, pattern) -> float:
         """Probability of one pattern; 0.0 when outside the support set."""
-        key = tuple(int(x) for x in pattern)
-        i = self._support.index.get(key)
+        i = self._support.index.get(as_occupation(pattern))
         return float(self.probabilities[i]) if i is not None else 0.0
 
     def cumulative(self) -> np.ndarray:
@@ -298,8 +292,8 @@ def sample_outputs(distribution: OutcomeDistribution, shots: int, seed: int) -> 
         raise ContractError(f"shots must lie in [1, 2**63), got {shots}")
     rng = derive_rng(seed, "sample-outputs")
     cum = distribution.cumulative()
+    # The last cumulative entry is 1.0, so every pick is a valid outcome row.
     picks = np.searchsorted(cum, rng.random(shots), side="right")
-    picks = np.minimum(picks, len(cum) - 1)
     outcomes = distribution.outcomes
     return [outcomes[i] for i in picks]
 
@@ -323,8 +317,8 @@ class SampleRecord:
 class _Events(NamedTuple):
     """Events as columns: the int64 ``pulse`` index and the ``trigger``,
     ``input`` and ``output`` pattern ids, rows of ``patterns``, which holds
-    each distinct pattern once as a tuple of ints (unused rows allowed).  A
-    scattershot run passes one array as both trigger and input ids.
+    each distinct pattern once, checked where the table is made (unused rows
+    allowed).  A scattershot run passes one array as both trigger and input ids.
     """
 
     pulse: np.ndarray
@@ -342,17 +336,14 @@ class _Events(NamedTuple):
 
 
 def _events_from_records(records: Sequence[SampleRecord]) -> _Events:
-    """The event table of a record list, each distinct pattern held once."""
-    ids = _Memo(lambda pattern: len(ids))  # each new pattern takes the next id
-
-    def column(name):
-        patterns = map(tuple, map(attrgetter(name), records))
-        return np.fromiter(map(ids.__getitem__, patterns), dtype=np.intp, count=len(records))
-
+    """The event table of a record list, each distinct pattern checked and held once."""
     _check_pulse_indices(records)
     pulse = np.fromiter(map(attrgetter("pulse_index"), records), dtype=np.int64,
                         count=len(records))
-    return _Events(pulse, column("trigger"), column("input"), column("output"), tuple(ids))
+    ids, patterns = _numbered_patterns([*map(attrgetter("trigger"), records),
+                                        *map(attrgetter("input"), records),
+                                        *map(attrgetter("output"), records)])
+    return _Events(pulse, *ids.reshape(3, -1), patterns)
 
 
 def _check_pulse_indices(records: Sequence[SampleRecord]) -> None:
@@ -614,6 +605,14 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self._convert(key)
         return value
+
+
+def _numbered_patterns(patterns) -> tuple[np.ndarray, tuple]:
+    """Each pattern's id, numbered by first appearance, and the distinct
+    patterns in id order, each checked once by :func:`as_occupation`."""
+    ids = _Memo(lambda pattern: len(ids))
+    numbers = np.fromiter(map(ids.__getitem__, map(tuple, patterns)), dtype=np.intp)
+    return numbers, tuple(map(as_occupation, ids))
 
 
 def write_sample_log(path, records: Sequence[SampleRecord], header_lines=()) -> None:

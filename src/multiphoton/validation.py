@@ -16,9 +16,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DataError
-from .linalg import _require_unitary, as_occupation
-from .sampling import OutcomeDistribution, SampleRecord, _distributions, _events_from_records
+from .errors import ContractError, DataError, DimensionError
+from .linalg import _require_unitary
+from .sampling import (
+    OutcomeDistribution,
+    SampleRecord,
+    _distributions,
+    _events_from_records,
+    _numbered_patterns,
+)
 
 __all__ = [
     "ValidationReport",
@@ -144,10 +150,6 @@ def _rows(index: dict, patterns) -> np.ndarray:
     return np.fromiter(map(index.get, patterns, itertools.repeat(-1)), dtype=np.intp)
 
 
-def _as_keys(patterns) -> list:
-    return [tuple(int(x) for x in pattern) for pattern in patterns]
-
-
 def empirical_distribution(patterns, support) -> dict:
     """Plug-in frequency distribution over a fixed outcome support.
 
@@ -158,16 +160,16 @@ def empirical_distribution(patterns, support) -> dict:
     if isinstance(support, OutcomeDistribution):
         keys, index = support.outcomes, support._support.index
     else:
-        keys = tuple(_as_keys(support))
-        index = dict(zip(keys, range(len(keys))))
-        if len(index) != len(keys):
+        ids, keys = _numbered_patterns(support)
+        if len(keys) != len(ids):
             raise ContractError("support contains duplicate patterns")
-    samples = _as_keys(patterns)
-    rows = _rows(index, samples)
-    if (rows < 0).any():
-        raise DataError(f"sample {samples[np.argmin(rows)]} lies outside the outcome support")
-    if not samples:
+        index = dict(zip(keys, range(len(keys))))
+    sid, samples = _numbered_patterns(patterns)
+    if not len(sid):
         raise DataError("no samples provided")
+    rows = _rows(index, samples)[sid]
+    if (rows < 0).any():
+        raise DataError(f"sample {samples[sid[np.argmin(rows)]]} lies outside the outcome support")
     return dict(zip(keys, (np.bincount(rows, minlength=len(keys)) / len(rows)).tolist()))
 
 
@@ -262,17 +264,13 @@ def likelihood_ratio_test(samples, q_model, p_model, threshold: float = 5.0) -> 
     """
     if not threshold > 0:
         raise ContractError(f"threshold must be positive, got {threshold}")
-    pairs = [(tuple(int(x) for x in inp), tuple(int(x) for x in out)) for inp, out in samples]
+    pairs = [(inp, out) for inp, out in samples]
     if not pairs:
         raise ContractError("no samples supplied")
-    inputs, outputs = zip(*pairs)
-    ids: dict = {}
-    block = np.array([ids.setdefault(inp, len(ids)) for inp in inputs], dtype=np.intp)
-    out_ids: dict = {}
-    oid = np.array([out_ids.setdefault(out, len(out_ids)) for out in outputs], dtype=np.intp)
-    q_dists, p_dists = zip(*[(_model(q_model, inp), _model(p_model, inp)) for inp in ids])
-    return _pooled_report(block, q_dists, *_evaluate(block, oid, list(out_ids), q_dists, p_dists),
-                          threshold, pairs.__getitem__)
+    (block, inputs), (oid, outputs) = map(_numbered_patterns, zip(*pairs))
+    q_dists, p_dists = zip(*[(_model(q_model, inp), _model(p_model, inp)) for inp in inputs])
+    return _pooled_report(block, q_dists, *_evaluate(block, oid, outputs, q_dists, p_dists),
+                          threshold, lambda t: (inputs[block[t]], outputs[oid[t]]))
 
 
 def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
@@ -321,16 +319,16 @@ def _validate_events(events, unitary, collisions: bool, threshold: float
     if not len(events.pulse):
         raise ContractError("empty record set")
     u = _require_unitary(unitary, "scattershot_aggregate_validation")
-    tid, oid = events.trigger, events.output
+    tid, oid, patterns = events.trigger, events.output, events.patterns
     # Equal patterns share one id, so an input differs from its trigger iff its id does.
     differ = events.input != tid
     if differ.any():
         e = differ.argmax()
         raise ContractError(
-            f"record at pulse {events.pulse[e]} has input {events.patterns[events.input[e]]} "
-            f"but trigger {events.patterns[tid[e]]}; validation needs them equal"
+            f"record at pulse {events.pulse[e]} has input {patterns[events.input[e]]} "
+            f"but trigger {patterns[tid[e]]}; validation needs them equal"
         )
-    triggers, outputs = _pattern_rows(events.patterns, tid), _pattern_rows(events.patterns, oid)
+    triggers, outputs = _pattern_rows(patterns, tid), _pattern_rows(patterns, oid)
     trigger_photons, output_photons = triggers.sum(axis=1), outputs.sum(axis=1)
     unmatched = np.flatnonzero(trigger_photons[tid] != output_photons[oid])
     if unmatched.size:
@@ -344,28 +342,27 @@ def _validate_events(events, unitary, collisions: bool, threshold: float
         tid, oid = tid[kept], oid[kept]
         if not len(tid):
             raise ContractError("no records left after removing collision outputs")
+    if triggers.shape[1] != u.shape[0]:  # the check exact_distribution makes on its input
+        raise DimensionError(f"occupation has {triggers.shape[1]} modes, expected {u.shape[0]}")
     # Groups in sorted trigger order, events within a group in table order.
     present = np.unique(tid)
     present = present[np.lexsort(triggers[present].T[::-1])]
-    group_of = np.empty(len(events.patterns), dtype=np.intp)
+    group_of = np.empty(len(patterns), dtype=np.intp)
     group_of[present] = np.arange(len(present))
     order = np.argsort(group_of[tid], kind="stable")
     block, oid = group_of[tid[order]], oid[order]
-    # the checks exact_distribution makes on its input: length and occupations
-    inputs = [as_occupation(inp, u.shape[0]) for inp in triggers[present].tolist()]
     q_dists = _distributions(u, triggers[present], collisions, True)
     p_dists = _distributions(u, triggers[present], collisions, False)
-    out_keys = list(map(tuple, outputs.tolist()))
-    rows, q_val, p_val = _evaluate(block, oid, out_keys, q_dists, p_dists)
+    rows, q_val, p_val = _evaluate(block, oid, patterns, q_dists, p_dists)
     if (rows < 0).any():
-        raise DataError(f"sample {out_keys[oid[np.argmin(rows)]]} lies outside the outcome support")
+        raise DataError(f"sample {patterns[oid[np.argmin(rows)]]} lies outside the outcome support")
     # Each group's output counts, laid end to end like its model.
     starts = np.cumsum([0] + [q.probabilities.size for q in q_dists])
     hits = np.bincount(starts[block] + rows, minlength=starts[-1])
     groups = []
     for g, (q, count) in enumerate(zip(q_dists, np.bincount(block).tolist())):
         freq = hits[starts[g] : starts[g + 1]] / count
-        groups.append(GroupValidation(trigger=inputs[g], samples=count,
+        groups.append(GroupValidation(trigger=patterns[present[g]], samples=count,
                                       similarity=_similarity(freq, q.probabilities),
                                       distance=_distance(freq, q.probabilities)))
     sims = np.array([g.similarity for g in groups])
@@ -374,7 +371,7 @@ def _validate_events(events, unitary, collisions: bool, threshold: float
         (float(sims.std(ddof=1)), float(dists.std(ddof=1))) if len(groups) > 1 else (0.0, 0.0)
     )
     pooled = _pooled_report(block, q_dists, rows, q_val, p_val, threshold,
-                            lambda t: (inputs[block[t]], out_keys[oid[t]]))
+                            lambda t: (patterns[present[block[t]]], patterns[oid[t]]))
     return AggregateValidationReport(
         groups=tuple(groups),
         mean_similarity=float(sims.mean()),

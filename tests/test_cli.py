@@ -388,6 +388,15 @@ class TestConfigFile:
         assert captured.out == ""
         assert "'rep_rate'" in captured.err
 
+    def test_integer_beyond_int64_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"modes": 3, "epsilon": 0.5, "eta": 1.0, "n": 2,
+                                      "pulses": 10**400}))
+        assert main(["scattershot", "--config", str(config)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config key 'pulses' is beyond the 64-bit integer range\n"
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"k": 12, "n": 3, "wavelength": 775}))
@@ -477,6 +486,30 @@ def test_matrix_sizes_and_entries_must_have_json_number_types(tmp_path, capsys, 
     path.write_bytes(content)
     assert main(["permanent", str(path)]) == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+# Each value is 2**63 or more, so it is refused before anything is allocated.
+@pytest.mark.parametrize("argv, flag", [
+    (["rates", "--k", "1" + "0" * 400, "--n", "2"], "--k"),
+    (["scattershot", "--modes", "3", "--epsilon", "0.5", "--eta", "1", "--n", "2",
+      "--pulses", "9" * 400], "--pulses"),
+    (["scattershot", "--modes", "9" * 400, "--epsilon", "0.5", "--eta", "1", "--n", "2",
+      "--pulses", "10"], "--modes"),
+    (["hom", "--visibility", "0.9", "--steps", str(10**30)], "--steps"),
+    (["jsa", "--sigma-pump", "1", "--sigma-pm", "1", "--angle", "0.3",
+      "--grid-size", "9" * 400], "--grid-size"),
+], ids=["rates-k", "scattershot-pulses", "scattershot-modes", "hom-steps", "jsa-grid-size"])
+def test_integer_flag_beyond_int64_exit_code(capsys, argv, flag):
+    assert main(argv) == EXIT_CONTRACT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} is beyond the 64-bit integer range\n"
+
+
+def test_seed_beyond_int64_accepted(capsys):
+    # any non-negative int seeds the generator, so the seed has no int64 bound
+    assert main(["rates", "--k", "4", "--n", "2", "--seed", "9" * 400]) == 0
+    assert f"# seed: {'9' * 400}\n" in capsys.readouterr().out
 
 
 # The option strings of each subcommand (and the positional of permanent).

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+from operator import attrgetter
 
 import pytest
 
@@ -64,3 +65,25 @@ def test_source_params_has_no_indistinguishability():
 def test_tune_correlation_angle_has_no_tolerance_parameters():
     assert list(inspect.signature(tune_correlation_angle).parameters) == [
         "sigma_pump", "sigma_pm", "target_purity", "grid_size", "span"]
+
+
+# The package names the benchmark's workloads call, so that deleting one
+# fails here before it breaks a benchmark run.
+BENCHMARK_CALLS = {
+    "multiphoton.cli": ("main",),
+    "multiphoton.ghz": ("GhzModel", "simulate_ghz_experiment", "estimate_population",
+                        "estimate_coherence", "fidelity_and_witness"),
+    "multiphoton.linalg": ("haar_random_unitary", "save_matrix", "transition_submatrix"),
+    "multiphoton.permanent": ("permanent_naive", "permanent_ryser", "permanent_parallel"),
+    "multiphoton.sampling": ("scattershot_run", "exact_distribution", "write_sample_log",
+                             "read_sample_log"),
+    "multiphoton.sources": ("SourceParams", "SourceParams.from_lumped_efficiency",
+                            "fire_sources", "tune_correlation_angle"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CALLS))
+def test_names_the_benchmark_calls_exist(name):
+    module = importlib.import_module(name)
+    for attr in BENCHMARK_CALLS[name]:
+        assert callable(attrgetter(attr)(module)), f"{name}.{attr}"

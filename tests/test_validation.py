@@ -8,6 +8,7 @@ import pytest
 from multiphoton.errors import ContractError, DataError
 from multiphoton.linalg import _require_unitary, as_occupation, haar_random_unitary
 from multiphoton.sampling import (
+    OutcomeDistribution,
     SampleRecord,
     _distributions,
     _read_events,
@@ -136,8 +137,6 @@ class TestLikelihoodRatioTest:
     def test_zero_probability_decides_immediately(self):
         q = {(2, 0): 0.5, (0, 2): 0.5, (1, 1): 0.0}
         p = {(2, 0): 0.25, (0, 2): 0.25, (1, 1): 0.5}
-        from multiphoton.sampling import OutcomeDistribution
-
         q_dist = OutcomeDistribution(tuple(q), np.array(list(q.values())))
         p_dist = OutcomeDistribution(tuple(p), np.array(list(p.values())))
         samples = [((1, 1), (2, 0)), ((1, 1), (1, 1)), ((1, 1), (0, 2))]
@@ -213,8 +212,6 @@ class TestLikelihoodRatioTest:
             reference.similarity, reference.distance, reference.verdict, reference.samples_used)
 
     def test_impossible_under_both_rejected(self):
-        from multiphoton.sampling import OutcomeDistribution
-
         dist = OutcomeDistribution(((1, 0), (0, 1)), np.array([0.5, 0.5]))
         with pytest.raises(DataError):
             likelihood_ratio_test([((1, 0), (2, 0))], dist, dist, 5.0)
@@ -442,6 +439,63 @@ class TestScattershotAggregateValidation:
         assert distances[0] > distances[1] > distances[2]
         assert distances[0] / distances[1] == pytest.approx(2.0, rel=0.5)
         assert distances[1] / distances[2] == pytest.approx(2.0, rel=0.5)
+
+
+_U = haar_random_unitary(3, 7)
+_Q, _P = exact_distribution(_U, (0, 1, 1)), distinguishable_distribution(_U, (0, 1, 1))
+_SUPPORT = ((1, 1, 0), (0, 1, 1), (2, 0, 0))
+
+
+def _logged(records, path):
+    write_sample_log(path / "samples.csv", records)
+    return (path / "samples.csv").read_text()
+
+
+# Every entry point that takes patterns, with a pattern x standing for (0, 1, 1)
+# in the place named; each returns a result whose repr shows the pattern types.
+ENTRY_POINTS = {
+    "OutcomeDistribution": lambda x, path: OutcomeDistribution(
+        [(1, 1, 0), x], [0.25, 0.75]).outcomes,
+    "prob": lambda x, path: _Q.prob(x),
+    "empirical_distribution-sample": lambda x, path: empirical_distribution(
+        [x, (1, 1, 0), x], _SUPPORT),
+    "empirical_distribution-support": lambda x, path: empirical_distribution(
+        [(0, 1, 1), (1, 1, 0)], [(1, 1, 0), x, (2, 0, 0)]),
+    "likelihood_ratio_test-input": lambda x, path: likelihood_ratio_test(
+        [(x, (1, 1, 0)), (x, (0, 1, 1))], _Q, _P),
+    "likelihood_ratio_test-output": lambda x, path: likelihood_ratio_test(
+        [((0, 1, 1), x), ((0, 1, 1), (2, 0, 0))], _Q, _P),
+    "scattershot_aggregate_validation-output": lambda x, path: scattershot_aggregate_validation(
+        [SampleRecord((1, 1, 0), (1, 1, 0), x, 0),
+         SampleRecord((1, 1, 0), (1, 1, 0), (2, 0, 0), 1)], _U),
+    "scattershot_aggregate_validation-trigger": lambda x, path: scattershot_aggregate_validation(
+        [SampleRecord(x, x, (1, 1, 0), 0), SampleRecord(x, x, (0, 2, 0), 1)], _U),
+    "write_sample_log": lambda x, path: _logged([SampleRecord(x, x, x, 0)], path),
+}
+
+
+class TestPatternContract:
+    """Every pattern given to the package is checked by as_occupation."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("pattern", [(0.5, 1.5, 1), (-1, 2, 1), "011"],
+                             ids=["fractional", "negative", "string"])
+    def test_bad_pattern_raises_the_occupation_error(self, tmp_path, entry, pattern):
+        with pytest.raises(ContractError) as expected:
+            as_occupation(pattern)
+        with pytest.raises(ContractError, match=f"^{re.escape(str(expected.value))}$"):
+            ENTRY_POINTS[entry](pattern, tmp_path)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("pattern", [(np.int64(0), np.int32(1), np.uint8(1)),
+                                         (0, 1.0, 1), (False, True, 1)],
+                             ids=["numpy-ints", "float", "bool"])
+    def test_integer_valued_pattern_gives_the_plain_int_result(self, tmp_path, entry, pattern):
+        expected = repr(ENTRY_POINTS[entry]((0, 1, 1), tmp_path))
+        assert repr(ENTRY_POINTS[entry](pattern, tmp_path)) == expected
+
+    def test_wrong_length_pattern_has_probability_zero(self):
+        assert _Q.prob((0, 1, 1, 0)) == _Q.prob((1, 1)) == 0.0
 
 
 def test_module_properties():
