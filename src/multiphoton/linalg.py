@@ -99,14 +99,22 @@ def haar_random_unitary(modes: int, seed: int) -> np.ndarray:
     return q * phases
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def as_occupation(pattern, modes: int | None = None) -> tuple[int, ...]:
     """Validate a mode-occupation pattern and return it as a tuple of ints."""
     items = tuple(pattern)
-    occ = tuple(map(int, items))
+    try:
+        occ = tuple(map(int, items))
+    except (TypeError, ValueError, OverflowError):  # e.g. "a", nan, inf
+        raise ContractError("occupations must be integers") from None
     if occ != items:  # elementwise ==: numpy ints, 1.0 and True equal their ints
         raise ContractError("occupations must be integers")
     if occ and min(occ) < 0:
         raise ContractError("occupations must be non-negative")
+    if occ and max(occ) > _INT64_MAX:
+        raise ContractError(f"occupations must not exceed {_INT64_MAX}")
     if modes is not None and len(occ) != modes:
         raise DimensionError(f"occupation has {len(occ)} modes, expected {modes}")
     return occ

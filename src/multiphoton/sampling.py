@@ -7,10 +7,12 @@ of their outcome space, draws output samples, and simulates the full
 scattershot pipeline: every pulse each source may fire, heralded inputs
 select a random input pattern, and events are retained when exactly
 ``n_select`` heralds and ``n_select`` detected output photons coincide.  A
-run draws only the pairs that were created, selects the candidate pulses
-from those pairs, and from there works on rows of the ``n_select``-photon
-pattern table.  It goes over rounds of batches in two passes: the first
-fires each batch and keeps its candidates, the second draws their outputs.
+run draws only the candidate pulses, those where exactly ``n_select``
+sources herald a surviving signal and the rest stay silent: per batch a
+binomial count, their pulse offsets and each one's heralding set, a row of
+the ``n_select``-photon pattern table it works on from there.  It goes over
+rounds of batches in two passes: the first fires each batch and keeps its
+candidates, the second draws their outputs.
 Between the passes one engine call builds every input of the round that
 the run has not built yet, into one matrix of cumulative sums per run.
 
@@ -42,7 +44,7 @@ from .linalg import (
 )
 from .permanent import _low_table
 from .rng import derive_rng
-from .sources import SourceParams, _draw_pairs, _Pairs
+from .sources import SourceParams
 
 __all__ = [
     "OutcomeDistribution",
@@ -454,20 +456,57 @@ def _predicted_run_rate(params: Sequence[SourceParams], n_select: int) -> float:
     return _common_rep_rate(params) * _exactly_n_probability(useful, idle, n_select)
 
 
-def _candidate_triggers(pairs: _Pairs, pulses: int, n_select: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pulses that can be retained, and the sources that heralded each as
-    ``(C, n_select)`` rows, ascending as the pairs are sorted by (pulse, source).
-
-    Retention needs n_select heralds and n_select detected outputs; the
-    latter is impossible unless every heralded signal survived, in which
-    case the input pattern equals the trigger pattern.
+class _CandidateDraw(NamedTuple):
+    """The per-batch draw of candidate pulses, where exactly n sources are
+    good and the rest silent (see :func:`_candidate_draw`), with
+    ``probability`` P_cand.  A candidate's heralding set S has probability
+    proportional to prod_{i in S} g_i * prod_{i not in S} w_i (conditional
+    Poisson sampling: Chen, Dempster & Liu, Biometrika 81 (1994) 457);
+    ``cumulative`` sums those normalised weights over the collision-free
+    n-subsets, and ``rows`` holds each subset's row of the n-photon pattern
+    table with collisions.
     """
-    pulse = pairs.pulse[pairs.heralded]
-    source = pairs.source[pairs.heralded]
-    heralds = np.bincount(pulse, minlength=pulses)
-    heralds[pulse[~pairs.signal[pairs.heralded]]] = 0
-    is_candidate = heralds == n_select
-    return np.flatnonzero(is_candidate), source[is_candidate[pulse]].reshape(-1, n_select)
+
+    probability: float
+    cumulative: np.ndarray
+    rows: np.ndarray
+
+    def fire(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate pulse offsets of one batch of ``size`` pulses,
+        ascending, and each one's trigger row: a binomial count, the
+        offsets, then the heralding sets, in that order from ``rng``."""
+        count = rng.binomial(size, self.probability) if self.probability else 0
+        offsets = np.sort(rng.choice(size, count, replace=False))
+        picks = np.searchsorted(self.cumulative, rng.random(count), side="right")
+        return offsets, self.rows[picks]
+
+
+def _candidate_draw(params: Sequence[SourceParams], n: int) -> _CandidateDraw:
+    """The candidate draw of n heralds from these sources.  Per pulse,
+    source i is good, heralded with a surviving signal, with probability
+    ``g_i = epsilon * (eta_herald * eta_detect) * eta_herald``; silent, not
+    heralded, with ``w_i = 1 - epsilon * eta_herald * eta_detect``; and
+    otherwise a spoiler, heralded with its signal lost."""
+    heralded = np.array([p.herald_probability for p in params])
+    good, silent = heralded * np.array([p.eta_herald for p in params]), 1.0 - heralded
+    modes = len(params)
+    subsets = _pattern_table(modes, n, False).cols
+    # segment[a, b] is the product of silent[a:b], so a subset's weight is
+    # the products over the gaps between its sorted columns times its good
+    # entries, in O(C n) memory and exact where some silent entry is 0.
+    segment = np.ones((modes + 1, modes + 1))
+    for a in range(modes):
+        segment[a, a + 1:] = np.cumprod(silent[a:])
+    gaps = segment[np.pad(subsets + 1, ((0, 0), (1, 0))),
+                   np.pad(subsets, ((0, 0), (0, 1)), constant_values=modes)]
+    weights = gaps.prod(axis=1) * good[subsets].prod(axis=1)
+    cumulative = np.cumsum(weights)
+    if cumulative[-1] > 0.0:
+        # x / x is exactly 1.0, so the last entry and the zero-weight subsets
+        # after the last positive one read 1.0 and are never picked
+        cumulative /= cumulative[-1]
+    return _CandidateDraw(min(float(weights.sum()), 1.0), cumulative,
+                          _pattern_table(modes, n, True).rows(subsets))
 
 
 def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
@@ -480,19 +519,22 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     mode count).  Output photons are sampled from the exact interference
     distribution of the realized input and thinned by the output detector
     efficiencies.  A pulse is retained when exactly ``n_select`` heralds
-    fired and exactly ``n_select`` output photons were detected.  Firing is
-    drawn sparsely, pair by pair (see :func:`~multiphoton.sources._draw_pairs`).
+    fired and exactly ``n_select`` output photons were detected.  That
+    needs every heralded signal to survive, so only such candidate pulses
+    are drawn, never the pairs (see :func:`_candidate_draw`).
 
     Pulses come in batches of 2**16, each with its own generator, and the
-    batches in rounds of 64.  The first pass over a round fires each batch
-    and draws its candidates' output uniforms.  A batch with candidates is
-    kept as pending: its first pulse, the candidates' pulse offsets, their
-    uniforms and input rows, and its generator when a detector is lossy,
-    as thinning draws from it later.  One engine call then builds every
-    input of the round that the run has not built yet.  Their checked
-    probabilities become cumulative sums, in place, as new rows of the
-    run's one cumulative matrix, which holds a row per input built.  The
-    second pass sorts each pending batch's candidates by input, draws each
+    batches in rounds of 64.  The first pass over a round fires each batch:
+    from its generator, the candidate count ~ Binomial(size, P_cand), their
+    pulse offsets without replacement, each one's heralding set by one
+    ``searchsorted`` on the cumulative subset weights, then the candidates'
+    output uniforms.  A batch with candidates is kept as pending: its first
+    pulse, the candidates' pulse offsets, their uniforms and input rows, and
+    its generator when a detector is lossy, as thinning draws from it
+    later.  One engine call then builds every input of the round that the
+    run has not built yet.  Their checked probabilities become cumulative
+    sums, in place, as new rows of the run's one cumulative matrix, which
+    holds a row per input built.  The second pass sorts each pending batch's candidates by input, draws each
     input's outputs with one ``searchsorted`` on its row, and thins them.
     The pending batches are all the state a round holds, so the round size
     bounds it, whatever the run length; the matrix grows only with the
@@ -514,9 +556,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     if pulses < 1:
         raise ContractError("pulse count must be at least 1")
     rep = _common_rep_rate(params)
-    eps = np.array([p.epsilon for p in params])
-    herald_prob = np.array([p.eta_herald * p.eta_detect for p in params])
-    signal_prob = np.array([p.eta_herald for p in params])
+    draw = _candidate_draw(params, n_select)
     detect_prob = np.array([p.eta_detect for p in params])
     perfect_detectors = bool(np.all(detect_prob == 1.0))
 
@@ -535,11 +575,10 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
             start = batches[batch_index]
             size = min(_BATCH, pulses - start)
             rng = derive_rng(seed, "scattershot", batch_index)
-            candidates, heralding = _candidate_triggers(
-                _draw_pairs(rng, eps, herald_prob, signal_prob, size), size, n_select)
+            candidates, trigger_rows = draw.fire(rng, size)
             if candidates.size:
                 pending.append((start, candidates, rng.random(candidates.size),
-                                table.rows(heralding), None if perfect_detectors else rng))
+                                trigger_rows, None if perfect_detectors else rng))
         if not pending:
             continue
         inputs = np.unique(np.concatenate([rows for _, _, _, rows, _ in pending]))

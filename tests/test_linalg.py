@@ -92,6 +92,12 @@ class TestOccupations:
         with pytest.raises(DimensionError):
             as_occupation([1, 1], modes=3)
 
+    def test_entries_are_bounded_to_int64(self):
+        assert as_occupation([2**63 - 1, 0]) == (2**63 - 1, 0)
+        for bad in (2**63, 2**70):
+            with pytest.raises(ContractError, match="must not exceed"):
+                as_occupation([bad, 0])
+
     def test_string_round_trip(self):
         assert occupation_to_string((0, 1, 2)) == "012"
         assert occupation_from_string("010011000000") == (0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0)

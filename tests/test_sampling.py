@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multiphoton import cli, sampling
+from multiphoton import cli, sampling, sources
 from multiphoton.errors import ContractError, DataError, ResourceLimitError
 from multiphoton.linalg import (
     enumerate_patterns,
@@ -32,7 +34,7 @@ from multiphoton.sampling import (
     scattershot_run,
     write_sample_log,
 )
-from multiphoton.sources import SourceParams, _draw_pairs
+from multiphoton.sources import SourceParams, fire_sources
 from multiphoton.validation import scattershot_aggregate_validation
 from properties import check_sampling_properties
 
@@ -390,18 +392,16 @@ class TestExpectedRate:
 
 
 def dense_scattershot_reference(u, params, pulses, n_select, seed, build=exact_distribution):
-    """Dense per-pulse selection and a per-event output loop.
+    """The run's candidates with a per-event output loop.
 
-    Each batch's sparse pair draw is scattered into ``(pulses, sources)``
-    herald and input arrays; candidates are the rows with n_select heralds
-    and n_select inputs, and each candidate draws its output (and its
+    Each batch's candidate pulses and heralding sets come from the run's own
+    firing, ``_CandidateDraw.fire`` (tested against the pair-by-pair draw in
+    ``TestCandidateDraw``); each candidate then draws its output (and its
     detector thinning) on its own, in pulse order, from ``build(u, input)``
     built once per input.
     """
-    k = len(params)
-    eps = np.array([p.epsilon for p in params])
-    herald_prob = np.array([p.eta_herald * p.eta_detect for p in params])
-    signal_prob = np.array([p.eta_herald for p in params])
+    draw = sampling._candidate_draw(params, n_select)
+    patterns = enumerate_patterns(len(params), n_select)
     detect_prob = np.array([p.eta_detect for p in params])
     lossy = bool(np.any(detect_prob < 1.0))
     dists = {}
@@ -409,20 +409,12 @@ def dense_scattershot_reference(u, params, pulses, n_select, seed, build=exact_d
     for batch, start in enumerate(range(0, pulses, _BATCH)):
         size = min(_BATCH, pulses - start)
         rng = derive_rng(seed, "scattershot", batch)
-        pairs = _draw_pairs(rng, eps, herald_prob, signal_prob, size)
-        heralded = np.zeros((size, k), dtype=bool)
-        signal = np.zeros((size, k), dtype=bool)
-        heralded[pairs.pulse, pairs.source] = pairs.heralded
-        signal[pairs.pulse, pairs.source] = pairs.signal
-        inputs = heralded & signal
-        candidates = np.flatnonzero(
-            (heralded.sum(axis=1) == n_select) & (inputs.sum(axis=1) == n_select)
-        )
+        candidates, rows = draw.fire(rng, size)
         if candidates.size == 0:
             continue
         draws = rng.random(candidates.size)
-        for u_draw, row in zip(draws, candidates):
-            key = tuple(int(x) for x in inputs[row])
+        for u_draw, offset, row in zip(draws, candidates.tolist(), rows.tolist()):
+            key = patterns[row]  # every heralded signal survived: the input is the trigger
             if key not in dists:
                 dists[key] = build(u, key)
             cum = dists[key].cumulative()
@@ -433,10 +425,10 @@ def dense_scattershot_reference(u, params, pulses, n_select, seed, build=exact_d
                 if output.sum() != n_select:
                     continue
             records.append(SampleRecord(
-                trigger=tuple(int(x) for x in heralded[row]),
+                trigger=key,
                 input=key,
                 output=tuple(int(x) for x in output),
-                pulse_index=start + int(row),
+                pulse_index=start + offset,
             ))
     return records
 
@@ -446,20 +438,119 @@ _FAINT_LOSSY = [SourceParams(0.03, eta_herald=0.9, eta_detect=d)
 _FAINT_PULSES = 3 * _BATCH + 100
 
 
-def dense_candidate_counts(params, pulses, n_select, seed):
-    """Candidate pulses of each batch, selected densely as in the reference."""
-    eps, herald_prob, signal_prob = (np.array([p.epsilon for p in params]),
-                                     np.array([p.eta_herald * p.eta_detect for p in params]),
-                                     np.array([p.eta_herald for p in params]))
-    counts = []
-    for batch, start in enumerate(range(0, pulses, _BATCH)):
-        size = min(_BATCH, pulses - start)
-        pairs = _draw_pairs(derive_rng(seed, "scattershot", batch), eps, herald_prob,
-                            signal_prob, size)
-        heralds = np.bincount(pairs.pulse[pairs.heralded], minlength=size)
-        inputs = np.bincount(pairs.pulse[pairs.heralded & pairs.signal], minlength=size)
-        counts.append(int(((heralds == n_select) & (inputs == n_select)).sum()))
-    return counts
+def _good_and_silent(params):
+    heralded = np.array([p.herald_probability for p in params])
+    return heralded * np.array([p.eta_herald for p in params]), 1.0 - heralded
+
+
+def _subset_weights(params, n):
+    """Each collision-free n-subset of the sources and its normalised
+    candidate weight, prod of good over the subset and silent elsewhere,
+    multiplied out term by term."""
+    good, silent = _good_and_silent(params)
+    subsets = list(itertools.combinations(range(len(params)), n))
+    weights = np.array([math.prod(good[i] if i in subset else silent[i]
+                                  for i in range(len(params))) for subset in subsets])
+    return subsets, weights / weights.sum()
+
+
+def _pair_draw_candidates(params, n, seed, batches, size):
+    """Per-batch candidate counts and each candidate's heralding set, from
+    the pair-by-pair draw of ``fire_sources``: n heralds, every heralded
+    signal surviving."""
+    fire = fire_sources(params, seed, batches * size)
+    candidate = ((fire.heralded.sum(axis=1) == n)
+                 & ((fire.heralded & fire.signal_present).sum(axis=1) == n))
+    counts = candidate.reshape(batches, size).sum(axis=1)
+    return counts, [tuple(np.flatnonzero(row).tolist()) for row in fire.heralded[candidate]]
+
+
+def _candidate_draw_candidates(params, n, seed, batches, size):
+    """The same from the run's candidate draw, one generator per batch."""
+    draw = sampling._candidate_draw(params, n)
+    patterns = enumerate_patterns(len(params), n)
+    counts, subsets = [], []
+    for batch in range(batches):
+        offsets, rows = draw.fire(derive_rng(seed, "scattershot", batch), size)
+        assert np.all(np.diff(offsets) > 0) and np.all((0 <= offsets) & (offsets < size))
+        counts.append(offsets.size)
+        subsets += [tuple(np.flatnonzero(patterns[row]).tolist()) for row in rows.tolist()]
+    return np.array(counts), subsets
+
+
+_FIRING_CASES = {
+    "equal": ([SourceParams(0.2, eta_herald=0.9)] * 6, 2),
+    "unequal": ([SourceParams(e) for e in (0.05, 0.1, 0.2, 0.3, 0.15)], 3),
+    "lossy": ([SourceParams(0.25, eta_herald=0.85, eta_detect=d)
+               for d in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)], 2),
+}
+
+
+class TestCandidateDraw:
+    """The candidate draw against the pair-by-pair draw it replaces."""
+
+    @pytest.mark.parametrize("drawer", [_pair_draw_candidates, _candidate_draw_candidates],
+                             ids=["pairs", "candidates"])
+    @pytest.mark.parametrize("case", _FIRING_CASES)
+    def test_counts_and_heralding_sets_follow_the_candidate_weights(self, case, drawer):
+        from scipy import stats
+        params, n = _FIRING_CASES[case]
+        batches, size = 200, 1_000
+        probability = sampling._candidate_draw(params, n).probability
+        counts, drawn = drawer(params, n, 17, batches, size)
+        # per-batch counts: Binomial(size, P_cand) in mean and in spread
+        mean, var = size * probability, size * probability * (1.0 - probability)
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / batches)
+        dispersion = ((counts - mean) ** 2 / var).sum()
+        assert 1e-3 < stats.chi2.cdf(dispersion, batches) < 1 - 1e-3
+        # heralding sets: the normalised subset weights, by chi-square
+        subsets, weights = _subset_weights(params, n)
+        tally = Counter(drawn)
+        assert set(tally) <= set(subsets)
+        observed = np.array([tally[subset] for subset in subsets])
+        assert stats.chisquare(observed, weights * len(drawn)).pvalue > 1e-3
+
+    def test_probability_is_the_exactly_n_convolution(self):
+        rng = np.random.default_rng(23)
+        random_cases = []
+        for _ in range(100):
+            modes = int(rng.integers(1, 11))
+            random_cases.append(([SourceParams(*rng.random(3).tolist()) for _ in range(modes)],
+                                 int(rng.integers(1, modes + 1))))
+        for params, n in [*_FIRING_CASES.values(), *random_cases]:
+            good, silent = _good_and_silent(params)
+            want = sampling._exactly_n_probability(good, silent, n)
+            got = sampling._candidate_draw(params, n).probability
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_a_certain_source_heralds_every_candidate(self):
+        # epsilon = eta = 1 makes source 0 never silent: a candidate without
+        # it has weight exactly 0
+        params = [SourceParams(1.0)] + [SourceParams(0.05, eta_herald=0.9)] * 5
+        draw = sampling._candidate_draw(params, 2)
+        offsets, rows = draw.fire(derive_rng(0, "scattershot", 0), _BATCH)
+        assert offsets.size > 1000
+        assert all(enumerate_patterns(6, 2)[row][0] == 1 for row in rows.tolist())
+        result = scattershot_run(haar_random_unitary(6, 36), params, 20_000, 2, seed=2)
+        assert result.report.retained_events > 0
+        assert all(r.trigger[0] == 1 for r in result.records)
+
+    def test_idle_sources_draw_nothing_and_divide_by_nothing(self):
+        with np.errstate(all="raise"):
+            draw = sampling._candidate_draw([SourceParams(0.0)] * 4, 2)
+            offsets, rows = draw.fire(derive_rng(0, "scattershot", 0), _BATCH)
+        assert draw.probability == 0.0
+        assert offsets.size == rows.size == 0
+        assert np.all(draw.cumulative == 0.0)
+
+    def test_run_never_draws_pairs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the run drew pairs")
+
+        monkeypatch.setattr(sources, "_draw_pairs", refuse)
+        params = [SourceParams(0.4, eta_herald=0.9, eta_detect=0.7)] * 6
+        result = scattershot_run(haar_random_unitary(6, 31), params, 70_000, 2, seed=3)
+        assert result.report.retained_events > 0
 
 
 class TestScattershotRun:
@@ -498,10 +589,15 @@ class TestScattershotRun:
 
     @pytest.mark.parametrize("round_batches", [1, 2])
     def test_round_size_does_not_change_the_run(self, round_batches, monkeypatch):
-        # Later batches bring inputs no earlier batch drew, so a smaller
-        # round builds in several engine calls, and the last batch has no
-        # candidate, so a one-batch round holds nothing.
-        assert dense_candidate_counts(_FAINT_LOSSY, _FAINT_PULSES, 3, 5) == [33, 22, 14, 0]
+        # A later batch brings an input no earlier batch drew, so a smaller
+        # round builds in several engine calls, and the last, partial batch
+        # has no candidate, so a one-batch round holds nothing.
+        draw = sampling._candidate_draw(_FAINT_LOSSY, 3)
+        rows = [set(draw.fire(derive_rng(5, "scattershot", batch),
+                              min(_BATCH, _FAINT_PULSES - start))[1].tolist())
+                for batch, start in enumerate(range(0, _FAINT_PULSES, _BATCH))]
+        assert len(rows) == 4 and not rows[-1]
+        assert any(later - set().union(*rows[:b]) for b, later in enumerate(rows) if b)
         u = haar_random_unitary(8, 48)
         default = scattershot_run(u, _FAINT_LOSSY, _FAINT_PULSES, 3, 5)
         monkeypatch.setattr(sampling, "_ROUND", round_batches)

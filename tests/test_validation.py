@@ -478,8 +478,10 @@ class TestPatternContract:
     """Every pattern given to the package is checked by as_occupation."""
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("pattern", [(0.5, 1.5, 1), (-1, 2, 1), "011"],
-                             ids=["fractional", "negative", "string"])
+    @pytest.mark.parametrize("pattern", [(0.5, 1.5, 1), (-1, 2, 1), "011", ("a", 1, 1),
+                                         (math.nan, 1, 1), (math.inf, 1, 1), (2**70, 1, 1)],
+                             ids=["fractional", "negative", "string", "text-entry", "nan",
+                                  "inf", "beyond-int64"])
     def test_bad_pattern_raises_the_occupation_error(self, tmp_path, entry, pattern):
         with pytest.raises(ContractError) as expected:
             as_occupation(pattern)
