@@ -39,7 +39,6 @@ from .linalg import (
     _require_unitary,
     as_occupation,
     count_patterns,
-    occupation_from_string,
     occupation_to_string,
 )
 from .permanent import _low_table
@@ -632,6 +631,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
 
 _LOG_COLUMNS = "pulse_index,trigger_pattern,input_pattern,output_pattern"
 _MAX_PULSE = str(np.iinfo(np.int64).max)  # the pulse column is int64
+_DIGIT_WEIGHTS = 10 ** np.arange(18, -1, -1, dtype=np.uint64)  # of up to 19 digits, in uint64
 
 
 class _Memo(dict):
@@ -680,59 +680,83 @@ def read_sample_log(path) -> list:
     """Read a sample log back into records, skipping '#' metadata lines.
 
     Rows hold the pulse index and the trigger, input and output patterns,
-    all as ASCII digits (one per mode).  The records are a view of the
-    columnar reader that ``multiphoton validate`` uses: each line is parsed
-    once, each distinct pattern string is decoded once, and records with
-    equal patterns share one tuple.  Raises DataError, naming the line, for
-    a missing or wrong column header, a row without four fields, a field
-    holding anything but ASCII digits or a pulse index beyond the int64
-    range, and for text that is not UTF-8.
+    all as ASCII digits (one per mode).  The records are a view of the event
+    table that ``multiphoton validate`` reads: the rows are parsed column by
+    column from the log's bytes, each distinct pattern is decoded once, and
+    records with equal patterns share one tuple.  Raises DataError, naming
+    the line, for a missing or wrong column header, a row without four
+    fields, a field holding anything but ASCII digits or a pulse index beyond
+    the int64 range, and for text that is not UTF-8.
     """
     return _read_events(path).records()
 
 
 def _read_events(path) -> _Events:
-    """The event table of a sample log, with :func:`read_sample_log`'s checks."""
+    """The event table of a sample log, with :func:`read_sample_log`'s checks:
+    lines are stripped and classified as text, then parsed as one byte array."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"sample log is not UTF-8 text: {exc}") from exc
-    ids: dict = {}  # each distinct pattern string -> its row of patterns
-    patterns, pulses, fields = [], [], []
-    header_seen = False
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        if not header_seen:
-            if line != _LOG_COLUMNS:
-                raise DataError(f"line {line_no}: expected column header {_LOG_COLUMNS!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
-        pulse = parts.pop(0)
-        if not (pulse.isascii() and pulse.isdigit()):
-            raise DataError(f"line {line_no}: malformed pulse index: {pulse!r}")
-        if len(pulse) >= len(_MAX_PULSE):  # may exceed int64, or int()'s digit limit
-            digits = pulse.lstrip("0") or "0"
-            if (len(digits), digits) > (len(_MAX_PULSE), _MAX_PULSE):
-                raise DataError(f"line {line_no}: pulse index out of range: {pulse!r}")
-            pulse = digits
-        for text in parts:
-            if text not in ids:
-                try:
-                    patterns.append(occupation_from_string(text))
-                except DataError as exc:
-                    raise DataError(f"line {line_no}: {exc}") from exc
-                ids[text] = len(ids)
-        pulses.append(pulse)
-        fields += parts
-    if not header_seen:
+    text = "\n".join(map(str.strip, [""] + text.split("\n") + [""]))  # each between newlines
+    buf = np.frombuffer(text.encode(), dtype=np.uint8)
+    del text
+    nl = np.flatnonzero(buf == 10)  # line k is buf[nl[k - 1] + 1:nl[k]]
+    kept = 1 + np.flatnonzero(~np.isin(buf[nl[:-1] + 1], (10, 35)))  # not blank or "#"
+    if not kept.size:
         raise DataError("sample log has no column header")
-    pulse = np.fromiter(map(int, pulses), dtype=np.int64, count=len(pulses))
-    columns = np.fromiter(map(ids.__getitem__, fields), dtype=np.intp, count=len(fields))
-    return _Events(pulse, *columns.reshape(-1, 3).T, tuple(patterns))
+    if buf[nl[kept[0] - 1] + 1:nl[kept[0]]].tobytes() != _LOG_COLUMNS.encode():
+        raise DataError(f"line {kept[0]}: expected column header {_LOG_COLUMNS!r}")
+    # Every byte that is not a digit: a row parses when the five around and in
+    # it are the newline before it, three commas and its own newline.
+    sep = np.flatnonzero(buf - 48 > 9)
+    rows = kept[1:]
+    bounds = sep[np.searchsorted(sep, nl[rows])[:, None] + np.arange(-4, 1)]
+    size = np.diff(bounds) - 1  # of the four fields
+    good = (bounds[:, 0] == nl[rows - 1]) & (buf[bounds[:, 1:4]] == 44).all(axis=1)
+    # The header precedes every row, so 19 bytes precede its first comma.
+    window = np.lib.stride_tricks.sliding_window_view(buf, 19)[bounds[:, 1] - 19] - 48
+    window *= np.arange(19) >= 19 - size[:, :1]  # bytes before the pulse read 0
+    pulse = np.einsum("ij,j->i", window, _DIGIT_WEIGHTS).view(np.int64)  # beyond int64: < 0
+    wide = np.flatnonzero(size[:, 0] > 19)  # digits before the window must be zeros
+    lead = np.column_stack((bounds[wide, 0] + 1, bounds[wide, 1] - 19)).ravel()
+    pulse[wide[np.maximum.reduceat(buf, lead)[::2] > 48]] = -1
+    good &= (pulse >= 0) & (size > 0).all(axis=1)
+    if not good.all():
+        row = rows[np.argmin(good)]
+        raise DataError(f"line {row}: {_row_error(buf[nl[row - 1] + 1:nl[row]].tobytes())}")
+    # Pattern keys: a field's digits as numbers of up to 19 digits from its end,
+    # one field length at a time, so that one long field cannot widen every key.
+    end, size = bounds[:, 2:].ravel(), size[:, 1:].ravel()
+    del nl, kept, rows, sep, bounds, window  # only pulses and pattern keys from here
+    ids, heads = np.empty(end.size, dtype=np.intp), [np.empty(0, dtype=np.intp)]
+    for length in np.flatnonzero(np.bincount(size)).tolist():
+        at = np.flatnonzero(size == length)
+        back = np.arange(min(length, 19), length + 19, 19)  # how far back each number starts
+        words = np.lib.stride_tricks.sliding_window_view(buf, back[0])[end[at, None] - back] - 48
+        words[:, -1, :back[-1] - length] = 0  # the digits before the field
+        words = np.einsum("ijk,k->ij", words, _DIGIT_WEIGHTS[-back[0]:])
+        order = np.argsort(words[:, 0]) if back.size == 1 else np.lexsort(words.T)
+        words = words[order]
+        new = np.r_[True, (words[1:] != words[:-1]).any(axis=1)]  # where each run starts
+        ids[at[order]] = sum(map(len, heads)) + np.cumsum(new) - 1
+        heads.append(at[np.minimum.reduceat(order, np.flatnonzero(new))])  # first fields
+    heads = np.concatenate(heads)
+    ids = np.argsort(np.argsort(heads))[ids]  # numbered by first appearance
+    patterns = tuple(tuple((buf[end[f] - size[f]:end[f]] - 48).tolist())
+                     for f in np.sort(heads).tolist())
+    return _Events(pulse, *ids.reshape(-1, 3).T, patterns)
 
+
+def _row_error(line: bytes) -> str:
+    """The first check a refused row fails: field count, pulse, its range, patterns."""
+    pulse, *patterns = parts = line.decode().split(",")
+    digits = pulse.lstrip("0")
+    checks = [(len(parts) == 4, f"expected 4 fields, got {len(parts)}"),
+              (pulse.isascii() and pulse.isdigit(), f"malformed pulse index: {pulse!r}"),
+              ((len(digits), digits) <= (len(_MAX_PULSE), _MAX_PULSE),
+               f"pulse index out of range: {pulse!r}")]
+    checks += [(text.isascii() and text.isdigit(), f"malformed occupation string: {text!r}")
+               for text in patterns]
+    return next(why for passed, why in checks if not passed)

@@ -329,13 +329,14 @@ def _validate_events(events, unitary, collisions: bool, threshold: float
             f"but trigger {patterns[tid[e]]}; validation needs them equal"
         )
     triggers, outputs = _pattern_rows(patterns, tid), _pattern_rows(patterns, oid)
-    trigger_photons, output_photons = triggers.sum(axis=1), outputs.sum(axis=1)
-    unmatched = np.flatnonzero(trigger_photons[tid] != output_photons[oid])
+    photons = [sum(pattern) for pattern in patterns]  # ints: int64 row sums can wrap
+    level = np.unique(np.array(photons, dtype=object), return_inverse=True)[1]
+    unmatched = np.flatnonzero(level[tid] != level[oid])
     if unmatched.size:
         e = unmatched[0]
         raise ContractError(
             f"record at pulse {events.pulse[e]} is not post-selected: "
-            f"{trigger_photons[tid[e]]} triggers vs {output_photons[oid[e]]} detected photons"
+            f"{photons[tid[e]]} triggers vs {photons[oid[e]]} detected photons"
         )
     if not collisions:
         kept = outputs.max(axis=1)[oid] <= 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -775,13 +776,86 @@ def per_line_read_reference(path):
         try:
             if not (pulse.isascii() and pulse.isdigit()):
                 raise DataError(f"malformed pulse index: {pulse!r}")
+            digits = pulse.lstrip("0") or "0"
+            if len(digits) > 19 or int(digits) >= 2**63:
+                raise DataError(f"pulse index out of range: {pulse!r}")
             records.append(SampleRecord(trigger=decode(parts[1]), input=decode(parts[2]),
-                                        output=decode(parts[3]), pulse_index=int(pulse)))
+                                        output=decode(parts[3]), pulse_index=int(digits)))
         except ValueError as exc:
             raise DataError(f"line {line_no}: {exc}") from exc
     if not header_seen:
         raise DataError("sample log has no column header")
     return records
+
+
+_MAX_PULSE = str(np.iinfo(np.int64).max)  # the pulse column is int64
+
+
+def per_line_events_reference(path):
+    """Sample-log reader into an event table, one line at a time: each line is
+    stripped, classified and split, and each distinct pattern string is
+    decoded once and numbered by first appearance."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"sample log is not UTF-8 text: {exc}") from exc
+    ids: dict = {}  # each distinct pattern string -> its row of patterns
+    patterns, pulses, fields = [], [], []
+    header_seen = False
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        if not header_seen:
+            if line != LOG_COLUMNS:
+                raise DataError(f"line {line_no}: expected column header {LOG_COLUMNS!r}")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise DataError(f"line {line_no}: expected 4 fields, got {len(parts)}")
+        pulse = parts.pop(0)
+        if not (pulse.isascii() and pulse.isdigit()):
+            raise DataError(f"line {line_no}: malformed pulse index: {pulse!r}")
+        if len(pulse) >= len(_MAX_PULSE):  # may exceed int64, or int()'s digit limit
+            digits = pulse.lstrip("0") or "0"
+            if (len(digits), digits) > (len(_MAX_PULSE), _MAX_PULSE):
+                raise DataError(f"line {line_no}: pulse index out of range: {pulse!r}")
+            pulse = digits
+        for text in parts:
+            if text not in ids:
+                try:
+                    patterns.append(occupation_from_string(text))
+                except DataError as exc:
+                    raise DataError(f"line {line_no}: {exc}") from exc
+                ids[text] = len(ids)
+        pulses.append(pulse)
+        fields += parts
+    if not header_seen:
+        raise DataError("sample log has no column header")
+    pulse = np.fromiter(map(int, pulses), dtype=np.int64, count=len(pulses))
+    columns = np.fromiter(map(ids.__getitem__, fields), dtype=np.intp, count=len(fields))
+    return sampling._Events(pulse, *columns.reshape(-1, 3).T, tuple(patterns))
+
+
+def event_fields(events):
+    """An event table as comparable values: each column's dtype and entries, then
+    the patterns."""
+    columns = (events.pulse, events.trigger, events.input, events.output)
+    return *((column.dtype, column.tolist()) for column in columns), events.patterns
+
+
+def read_both(path):
+    """``_read_events`` and ``per_line_events_reference`` of one log: each
+    one's event fields, or its DataError's message."""
+    results = []
+    for reader in (sampling._read_events, per_line_events_reference):
+        try:
+            results.append(event_fields(reader(path)))
+        except DataError as exc:
+            results.append(str(exc))
+    return results
 
 
 def _scattershot_log():
@@ -805,14 +879,43 @@ def _mixed_length_log():
     return records, ["seed: 2"]
 
 
+def _twenty_mode_log():
+    # A 20-mode pattern is keyed by two numbers, its last 19 digits and its
+    # first: these patterns differ only in their first digit, only in their
+    # last 19, or only in length.
+    tail = (0, 1) * 8 + (2, 0, 0)
+    patterns = [(1,) + tail, (0,) + tail, (1,) + tail[:-1] + (1,), tail, (0, 0) + tail]
+    records = [SampleRecord(p, p, q, 3 * i)
+               for i, (p, q) in enumerate(itertools.product(patterns, repeat=2))]
+    return records, ["modes: 20"]
+
+
+def _int64_pulse_log():
+    pulses = [0, 2**63 - 1, 7, 2**63 - 1]
+    return [SampleRecord((1, 0), (1, 0), (0, 1), p) for p in pulses], ()
+
+
 LOG_CASES = {"scattershot": _scattershot_log, "bunched": _bunched_log,
-             "mixed_lengths": _mixed_length_log}
+             "mixed_lengths": _mixed_length_log, "twenty_modes": _twenty_mode_log,
+             "int64_pulses": _int64_pulse_log, "header_only": lambda: ([], ["seed: 3"]),
+             "crlf": _scattershot_log, "unicode_spaces": _mixed_length_log,
+             "comments_between_rows": _bunched_log, "zero_padded_pulses": _int64_pulse_log}
+# How the read tests rewrite the text of a case's log; the records stay the same.
+LOG_DRESSES = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    # str.strip takes these off; so must the byte parser.
+    "unicode_spaces": lambda text: "\n".join(f"\u00a0{line}\u3000\x1c"
+                                             for line in text.split("\n")),
+    "comments_between_rows": lambda text: text.replace("\n", "\n\n# ünïcödé ☃,1,2,3\n  \n"),
+    "zero_padded_pulses": lambda text: re.sub(r"(?m)^(\d+),",
+                                              lambda m: m[1].zfill(22) + ",", text),
+}
 
 
 BAD_ROWS = [
     "200,110,110,0x0", "200,110,110,", "200,110, 110,020", "200,110,110,١٢٠",
     "200,²10,110,020", "-5,110,110,020", "+5,110,110,020", "1_0,110,110,020",
-    "٣,110,110,020", ",110,110,020", "200,110,110",
+    "٣,110,110,020", ",110,110,020", "200,110,110", "200,110;110,020", "200,110,1x0",
 ]
 
 
@@ -836,6 +939,13 @@ MALFORMED_LOGS = {
     "bad-pattern-before-short-row": f"{LOG_COLUMNS}\n1,110,110,020\n2,1x0,110,020\n3,110\n".encode(),
     "short-row-before-bad-pulse": f"{LOG_COLUMNS}\n1,110,110\n-2,110,110,020\n".encode(),
     "bad-pulse-before-bad-pattern": f"{LOG_COLUMNS}\n+1,110,110,020\n2,110,110,0x0\n".encode(),
+    "pulse-2**63": f"{LOG_COLUMNS}\n9223372036854775807,110,110,020\n"
+                   "9223372036854775808,110,110,020\n".encode(),
+    "zero-padded-pulse-2**63": f"{LOG_COLUMNS}\n0009223372036854775807,110,110,020\n"
+                               "0009223372036854775808,110,110,020\n".encode(),
+    "bad-last-row-without-newline": f"{LOG_COLUMNS}\n1,110,110,020\n2,110,110,0x0".encode(),
+    "crlf-short-row": f"{LOG_COLUMNS}\r\n1,110,110,020\r\n\r\n2,110\r\n".encode(),
+    "spaced-bad-row": f"\u00a0# ☃\n\u3000{LOG_COLUMNS}\x1c\n\x1c1,110,110,0２0\u00a0\n".encode(),
 }
 
 
@@ -865,8 +975,14 @@ class TestSampleLog:
         records, header = LOG_CASES[case]()
         path = tmp_path / "samples.csv"
         per_record_write_reference(path, records, header)
+        if case in LOG_DRESSES:
+            text = path.read_text(encoding="utf-8")
+            path.write_text(LOG_DRESSES[case](text), encoding="utf-8", newline="")
+            assert path.read_bytes() != text.encode()
         back = read_sample_log(path)
         assert back == per_line_read_reference(path) == records
+        ours, reference = read_both(path)
+        assert ours == reference and not isinstance(ours, str)
         # Equal patterns are decoded once and shared.
         patterns = [p for r in back for p in (r.trigger, r.input, r.output)]
         assert len({id(p) for p in patterns}) == len(set(patterns))
@@ -951,6 +1067,7 @@ class TestSampleLog:
         with pytest.raises(DataError) as reference:
             per_line_read_reference(path)
         assert str(ours.value) == str(reference.value)
+        assert read_both(path) == [str(ours.value)] * 2
         unitary = tmp_path / "u.json"
         save_matrix(unitary, haar_random_unitary(3, 1))
         code = cli.main(["validate", "--samples", str(path), "--unitary", str(unitary)])
@@ -990,13 +1107,18 @@ class TestSampleLog:
 
 # Fuzzed sample-log bodies: valid rows and skipped lines, with at most one
 # malformed row or line of arbitrary text inserted among them.
-_DIGITS = st.text("0123456789", min_size=1, max_size=6)
-_GOOD_ROW = st.tuples(st.integers(0, 10**12).map(str) | st.just("007"),
-                      _DIGITS, _DIGITS, _DIGITS).map(",".join)
-_SKIPPED = st.sampled_from(["", "  ", "# note", "\t# x,1,1,1"])
-_BAD_FIELD = st.sampled_from(["", "١٢٠", "²10", "1x0", " 12", "-1", "+1", "1_0", "٣", "1e3"])
+# Patterns reach 20 digits, three key words; pulses cover [0, 2**63), some
+# zero-padded to up to 24 digits.
+_DIGITS = st.text("0123456789", min_size=1, max_size=20)
+_PULSE = st.tuples(st.integers(0, 2**63 - 1), st.sampled_from([0, 0, 3, 19, 24])).map(
+    lambda t: str(t[0]).zfill(t[1]))
+_GOOD_ROW = st.tuples(_PULSE, _DIGITS, _DIGITS, _DIGITS).map(",".join)
+_SKIPPED = st.sampled_from(["", "  ", "# note", "\t# x,1,1,1", "\u3000# ☃", "\x1c"])
+_BAD_FIELD = st.sampled_from(["", "١٢٠", "²10", "1x0", " 12", "-1", "+1", "1_0", "٣", "1e3",
+                              "9223372036854775808", "00009223372036854775808"])
 _BAD_ROW = st.tuples(_GOOD_ROW, st.integers(0, 3), _BAD_FIELD).map(
-    lambda t: ",".join(t[2] if i == t[1] else f for i, f in enumerate(t[0].split(","))))
+    lambda t: ",".join(t[2] if i == t[1] else f for i, f in enumerate(t[0].split(",")))
+) | _GOOD_ROW.map(lambda row: row.replace(",", ";", 1))
 _NOISE = st.text("0123456789,#-+_ x٣²\r\t", max_size=30) | st.text(max_size=30)
 _BODY = st.tuples(st.lists(_GOOD_ROW | _SKIPPED, max_size=6),
                   st.none() | _BAD_ROW | _NOISE, st.integers(0, 6)).map(
@@ -1023,6 +1145,8 @@ class TestSampleLogFuzz:
         except DataError:
             return
         assert records == per_line_read_reference(path)
+        ours, reference = read_both(path)
+        assert ours == reference
         again = tmp_path / "again.csv"
         write_sample_log(again, records)
         assert read_sample_log(again) == records
@@ -1044,16 +1168,18 @@ class TestSampleLogFuzz:
             except DataError as exc:
                 results.append(str(exc))
         assert results[0] == results[1]
+        ours, reference = read_both(path)
+        assert ours == reference
 
     @_FUZZ
     @given(body=_BODY)
     def test_validate_exits_with_data_or_contract_error(self, tmp_path, body):
-        # Fuzzed patterns hold at most 6 digits and other lines at most 30
-        # characters, while a 12-mode record needs 40, so no fuzzed log is
-        # valid against the 12-mode interferometer.
+        # Fuzzed patterns hold at most 20 digits and other lines at most 30
+        # characters, while a 21-mode record needs 67, so no fuzzed log is
+        # valid against the 21-mode interferometer.
         unitary = tmp_path / "u.json"
         if not unitary.exists():
-            save_matrix(unitary, haar_random_unitary(12, 1))
+            save_matrix(unitary, haar_random_unitary(21, 1))
         log = tmp_path / "fuzz.csv"
         log.write_text(f"{LOG_COLUMNS}\n{body}", encoding="utf-8")
         code = cli.main(["validate", "--samples", str(log), "--unitary", str(unitary),

@@ -407,6 +407,17 @@ class TestScattershotAggregateValidation:
         with pytest.raises(ContractError):
             scattershot_aggregate_validation([bad], u)
 
+    @pytest.mark.parametrize("trigger, output, counts", [
+        ((2**62, 2**62, 0), (0, 0, 0), "9223372036854775808 triggers vs 0"),
+        ((1, 1, 0), (2**63 - 1, 1, 0), "2 triggers vs 9223372036854775808"),
+    ], ids=["wide-trigger", "wide-output"])
+    def test_photon_counts_beyond_int64_do_not_wrap(self, trigger, output, counts):
+        records = [SampleRecord((1, 1, 0), (1, 1, 0), (0, 1, 1), 0),
+                   SampleRecord(trigger, trigger, output, 3)]
+        message = f"^record at pulse 3 is not post-selected: {counts} detected photons$"
+        with pytest.raises(ContractError, match=message):
+            scattershot_aggregate_validation(records, haar_random_unitary(3, 1))
+
     def test_input_that_differs_from_its_trigger_rejected(self, tmp_path):
         # the outputs follow the input's distribution; taking the trigger as
         # the input would validate them against the wrong model
