@@ -5,14 +5,16 @@ parameters: the population P of the target |H...H>, |V...V> subspace and
 the coherence C between those two components.  Provides the outcome
 distributions in the computational (H/V) basis and in rotated equatorial
 bases, count simulation, and the estimators that recover P, C and the
-entanglement witness from measured counts.
+entanglement witness from measured counts.  Counts are held and estimated
+as a sparse integer tally of outcome codes (see :class:`BasisCounts`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import compress
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -71,15 +73,21 @@ class BasisCounts:
     Outcomes are bitstrings of length ``n_photons``; character k is '0'
     when photon k gave the +1 eigenvalue outcome (H in the computational
     basis) and '1' for the -1 outcome.  Each count is a non-negative
-    integer: a Python ``int`` or a numpy integer, never a ``bool``.
-    ``theta`` is the equatorial basis angle and is None for the
-    computational basis.
+    integer: a Python ``int`` or a numpy integer, never a ``bool``, and
+    the counts sum to less than 2**63.  ``theta`` is the equatorial basis
+    angle and is None for the computational basis.
+
+    ``tally`` holds the counts as two read-only int64 arrays: the ascending
+    codes of the outcomes with an entry (code b is the bitstring, photon 0
+    first, that is b in binary; at most 63 photons) and their counts.  The
+    ``counts`` of :func:`simulate_counts` makes its bitstrings when read.
     """
 
     basis: str
     n_photons: int
-    counts: dict
+    counts: Mapping
     theta: float | None = None
+    tally: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.basis not in ("hv", "theta"):
@@ -88,20 +96,43 @@ class BasisCounts:
             raise ContractError("theta basis counts need the setting angle")
         if self.basis == "hv" and self.theta is not None:
             raise ContractError("computational-basis counts carry no angle")
-        # Whole-dict passes first; only a failing dict is walked key by key,
-        # to name the offending outcome.
-        keys, values = self.counts.keys(), self.counts.values()
-        if not (set(map(type, keys)) <= {str}
-                and set(map(len, keys)) <= {self.n_photons}
-                and not "".join(keys).translate(_DROP_BITS)
-                and all(map(_is_count_type, set(map(type, values))))
-                and min(values, default=0) >= 0):
-            for key, value in self.counts.items():
-                _check_outcome(key, value, self.n_photons)
+        counts, n = self.counts, self.n_photons
+        if not (isinstance(counts, _TallyView) and counts.n == n):
+            for key, value in counts.items():
+                _check_outcome(key, value, n)
+            if not 0 <= n <= 63 or sum(map(int, counts.values())) >= 2**63:
+                raise ContractError("a tally holds 0 to 63 photons and counts summing below 2**63")
+            bits = np.frombuffer("".join(counts).encode("ascii"), dtype=np.uint8) - ord("0")
+            codes = bits.reshape(len(counts), n) @ (1 << np.arange(n)[::-1])
+            order = np.argsort(codes)
+            counts = _TallyView(n, codes[order], np.fromiter(counts.values(), np.int64)[order])
+        object.__setattr__(self, "tally", counts.tally)
 
     @property
     def total(self) -> int:
-        return int(sum(self.counts.values()))
+        return int(self.tally[1].sum())
+
+
+class _TallyView(Mapping):
+    """Read-only ``str -> int`` view of a tally; it makes the bitstrings on first read."""
+
+    def __init__(self, n: int, codes: np.ndarray, values: np.ndarray):
+        codes.flags.writeable = values.flags.writeable = False
+        self.n, self.tally = n, (codes, values)
+
+    @cached_property
+    def _dict(self) -> dict:
+        codes, values = self.tally
+        return dict(zip([format(c, f"0{self.n}b") for c in codes.tolist()], values.tolist()))
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        return len(self.tally[0])
 
 
 @dataclass(frozen=True)
@@ -183,15 +214,10 @@ def simulate_counts(model: GhzModel, basis: str, shots: int, seed: int,
         label = f"ghz-theta-{theta!r}"
     else:
         raise ContractError(f"basis must be 'hv' or 'theta', got {basis!r}")
-    rng = derive_rng(seed, label)
-    draws = rng.multinomial(shots, probs)
+    draws = derive_rng(seed, label).multinomial(shots, probs)
     n = model.n_photons
     hit = np.flatnonzero(draws)
-    # Bit k of each outcome, most significant first, as the code point of '0'
-    # or '1': the rows read as length-n unicode strings.
-    digits = ((hit[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint32) + ord("0")
-    counts = dict(zip(digits.view(f"U{n}").ravel().tolist(), draws[hit].tolist()))
-    return BasisCounts(basis, n, counts, theta)
+    return BasisCounts(basis, n, _TallyView(n, hit, draws[hit]), theta)
 
 
 def simulate_ghz_experiment(model: GhzModel, shots: int, seed: int):
@@ -219,8 +245,8 @@ def estimate_population(counts: BasisCounts):
     total = counts.total
     if total < 1:
         raise DataError("no counts recorded")
-    n = counts.n_photons
-    hits = counts.counts.get("0" * n, 0) + counts.counts.get("1" * n, 0)
+    codes, values = counts.tally
+    hits = int(values[(codes == 0) | (codes == (1 << counts.n_photons) - 1)].sum())
     p_hat = hits / total
     sigma = math.sqrt(p_hat * (1.0 - p_hat) / total)
     return p_hat, sigma
@@ -230,10 +256,8 @@ def _parity_expectation(counts: BasisCounts):
     total = counts.total
     if total < 1:
         raise DataError("no counts recorded")
-    keys = counts.counts.keys()
-    digits = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
-    odd = (digits.reshape(len(keys), counts.n_photons) == ord("1")).sum(axis=1) & 1
-    odd_total = sum(compress(counts.counts.values(), odd.tolist()))
+    codes, values = counts.tally
+    odd_total = int(values[np.bitwise_count(codes) & 1 == 1].sum())
     m_hat = (total - 2 * odd_total) / total
     variance = (1.0 - m_hat**2) / total
     return m_hat, variance

@@ -20,7 +20,8 @@ Gray-code Ryser kernel it replaced erred by 1e-12 and 1e-10 to 3e-9.
 ``permanent_ryser`` keeps its name, although it now runs Glynn's formula,
 because it is the package's public single-thread entry point and callers,
 the tests and the benchmark reach it by that name; ``permanent_parallel``
-runs the same kernel on a thread pool.
+runs the same kernel on a thread pool from n = 21, below which the pool
+cost more than it saved on a 2-core host.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ _NAIVE_CHUNK = 1 << 12
 # (k=10 and k=11 took about twice as long).
 _LOW_BITS = 12
 _HIGH_BLOCK = 8
+# Smallest n run on a thread pool; on 2 cores the pool lost to one thread below it.
+_POOL_MIN_N = 21
 
 
 def _square(matrix) -> np.ndarray:
@@ -103,7 +106,7 @@ def _low_table(cols: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _glynn(matrix, threads: int) -> complex:
-    """Glynn's formula, the high sign blocks split over ``threads`` workers.
+    """Glynn's formula; from n = ``_POOL_MIN_N`` its sign blocks run on ``threads`` workers.
 
     Each block's sum is reduced in block order whatever the split, so the
     value is bit-identical for every thread count.  No BLAS call is made:
@@ -143,7 +146,7 @@ def _glynn(matrix, threads: int) -> complex:
             values.append((signs.prod(axis=0) * low).sum())
         return values
 
-    workers = min(threads, len(starts))
+    workers = min(threads, len(starts)) if n >= _POOL_MIN_N else 1
     if workers == 1:
         values = block_values(starts)
     else:
@@ -167,7 +170,8 @@ def permanent_ryser(matrix) -> complex:
 
 def permanent_parallel(matrix, threads: int) -> complex:
     """Permanent by the same Glynn kernel, its high sign blocks split into
-    at most ``threads`` contiguous segments run on a thread pool.
+    at most ``threads`` contiguous segments run on a thread pool; below
+    n = 21, where the pool measured slower, on the calling thread alone.
 
     Block sums are reduced in block order, so the value is bit-identical to
     :func:`permanent_ryser` for every thread count, with the same accuracy:

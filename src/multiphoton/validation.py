@@ -295,14 +295,17 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     return _validate_events(_events_from_records(records), unitary, collisions, threshold)
 
 
-def _pattern_rows(patterns: tuple, ids: np.ndarray) -> np.ndarray:
+def _pattern_rows(patterns: tuple, ids: np.ndarray, pulse: np.ndarray) -> np.ndarray:
     """``(len(patterns), modes)`` int64 array holding the patterns named in ``ids``
-    as rows; the rows of other patterns are zero."""
+    as rows; the rows of other patterns are zero.  ``pulse`` names the events."""
     used = np.unique(ids)
     try:
         rows = np.array([patterns[i] for i in used.tolist()], dtype=np.int64)
-    except ValueError as exc:
-        raise DataError(f"records mix pattern lengths: {exc}") from exc
+    except ValueError as exc:  # the patterns differ in length
+        size = np.fromiter(map(len, patterns), np.intp, len(patterns))[ids]
+        e = (size != size[0]).argmax()
+        raise DataError(f"records mix pattern lengths {size[0]} and {size[e]}: the first "
+                        f"record of length {size[e]} is at pulse {pulse[e]}") from exc
     table = np.zeros((len(patterns), rows.shape[1]), dtype=np.int64)
     table[used] = rows
     return table
@@ -328,7 +331,7 @@ def _validate_events(events, unitary, collisions: bool, threshold: float
             f"record at pulse {events.pulse[e]} has input {patterns[events.input[e]]} "
             f"but trigger {patterns[tid[e]]}; validation needs them equal"
         )
-    triggers, outputs = _pattern_rows(patterns, tid), _pattern_rows(patterns, oid)
+    triggers, outputs = (_pattern_rows(patterns, ids, events.pulse) for ids in (tid, oid))
     photons = [sum(pattern) for pattern in patterns]  # ints: int64 row sums can wrap
     level = np.unique(np.array(photons, dtype=object), return_inverse=True)[1]
     unmatched = np.flatnonzero(level[tid] != level[oid])

@@ -10,7 +10,10 @@ import pytest
 from multiphoton import cli
 from multiphoton.cli import (EXIT_CONTRACT, EXIT_DATA, EXIT_RESOURCE, _build_parser, main,
                              resolve_config)
+from multiphoton.ghz import (GhzModel, coherence_settings, hv_outcome_distribution,
+                             theta_outcome_distribution)
 from multiphoton.linalg import haar_random_unitary, load_matrix, save_matrix
+from multiphoton.rng import derive_rng
 from multiphoton.sampling import SampleRecord, read_sample_log, write_sample_log
 from multiphoton.validation import scattershot_aggregate_validation
 
@@ -227,6 +230,22 @@ class TestGhzCommand:
                       "genuine: True"):
             assert field in summary
 
+    @pytest.mark.parametrize("photons", [4, 12])
+    def test_counts_rows_match_per_outcome_oracle(self, tmp_path, photons):
+        out = tmp_path / "counts.csv"
+        assert main(["ghz", "--photons", str(photons), "--population", "0.732",
+                     "--coherence", "0.419", "--shots", "20000", "--seed", "9",
+                     "--out", str(out), "--report", str(tmp_path / "summary.txt")]) == 0
+        model = GhzModel(photons, 0.732, 0.419)
+        settings = [("hv", "ghz-hv", hv_outcome_distribution(model))] + [
+            (f"theta{k}", f"ghz-theta-{float(t)!r}", theta_outcome_distribution(model, float(t)))
+            for k, t in enumerate(coherence_settings(photons))]
+        want = ["basis,outcome,count"]
+        for name, label, probs in settings:
+            draws = derive_rng(9, label).multinomial(20000, probs)
+            want += [f"{name},{i:0{photons}b},{c}" for i, c in enumerate(draws.tolist()) if c]
+        assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == want
+
     def test_invalid_model_exit_code(self):
         code = main(["ghz", "--photons", "4", "--population", "0.4",
                      "--coherence", "0.6", "--shots", "10"])
@@ -352,6 +371,17 @@ class TestValidateCommand:
         assert main(["validate", "--samples", str(log), "--unitary", str(unitary)]) == 4
         assert capsys.readouterr().err == ("error: record at pulse 7 has input (0, 0, 1, 1) but "
                                            "trigger (1, 1, 0, 0); validation needs them equal\n")
+
+    def test_mixed_pattern_lengths_exit_code(self, tmp_path, capsys):
+        unitary, log = tmp_path / "u.json", tmp_path / "samples.csv"
+        save_matrix(unitary, haar_random_unitary(3, 2))
+        write_sample_log(log, [SampleRecord((1, 1, 0), (1, 1, 0), (0, 1, 1), 5),
+                               SampleRecord((1, 1, 0), (1, 1, 0), (1, 0, 1), 6),
+                               SampleRecord((1, 1, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), 9)])
+        assert main(["validate", "--samples", str(log), "--unitary", str(unitary)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == ("error: records mix pattern lengths 3 and 4: the first record of "
+                       "length 4 is at pulse 9\n")
 
     def test_missing_sample_file(self, tmp_path):
         unitary = tmp_path / "u.json"

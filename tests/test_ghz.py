@@ -128,8 +128,15 @@ class TestSimulateCounts:
             simulate_counts(GhzModel(4, 1.0, 1.0), "theta", 10, seed=0)
 
 
+def population_sum(counts, n):
+    """Oracle: population estimate from a per-key sum of the two target outcomes."""
+    total = sum(counts.values())
+    p_hat = sum(v for k, v in counts.items() if k in ("0" * n, "1" * n)) / total
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / total)
+
+
 class TestSimulateCountsOracle:
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 15))
     @pytest.mark.parametrize("basis", ["hv", "theta"])
     def test_matches_per_outcome_builder(self, n, basis):
         model = GhzModel(n, 0.8, 0.5)
@@ -144,9 +151,45 @@ class TestSimulateCountsOracle:
         assert list(counts.counts.items()) == list(want.items())
         assert all(type(k) is str and type(v) is int for k, v in counts.counts.items())
         check_counts(n, counts.counts)
-        if basis == "theta":
-            m_hat, _ = ghz._parity_expectation(counts)
-            assert m_hat == parity_sum(want) / 5000
+        # the same draws as a dict, in any key order, give the same tally and
+        # bit-identical estimates
+        built = BasisCounts(basis, n, want, theta)
+        shuffled = BasisCounts(basis, n, dict(reversed(want.items())), theta)
+        for got, ref, other in zip(counts.tally, built.tally, shuffled.tally):
+            assert np.array_equal(other, ref)
+            assert got.dtype == ref.dtype == np.int64 and not got.flags.writeable
+            assert np.array_equal(got, ref)
+        assert counts.counts == built.counts and counts.total == built.total == 5000
+        if basis == "hv":
+            assert estimate_population(counts) == estimate_population(built)
+            assert estimate_population(counts) == population_sum(want, n)
+        else:
+            m_hat, m_var = ghz._parity_expectation(counts)
+            assert (m_hat, m_var) == ghz._parity_expectation(built)
+            assert m_hat == parity_sum(want) / 5000 and m_var == (1.0 - m_hat**2) / 5000
+
+    def test_twenty_photons_hold_one_entry_per_hit_outcome(self):
+        counts = simulate_counts(GhzModel(20, 0.5, 0.3), "theta", 10, seed=1, theta=0.0)
+        assert len(counts.tally[0]) == len(counts.counts) <= 10
+        assert counts.total == 10
+
+    def test_estimates_never_read_the_bitstrings(self, monkeypatch):
+        model = GhzModel(12, 0.732, 0.419)
+
+        def witness():
+            hv, thetas = simulate_ghz_experiment(model, 100_000, seed=5)
+            population, coherence = estimate_population(hv), estimate_coherence(thetas)
+            return population, coherence, fidelity_and_witness(*population, *coherence)
+
+        want = witness()
+
+        def refuse(*args):
+            raise AssertionError("the bitstring view was read")
+
+        monkeypatch.setattr(ghz._TallyView, "_dict", property(refuse))
+        for name in ("__getitem__", "__iter__", "__len__"):
+            monkeypatch.setattr(ghz._TallyView, name, refuse)
+        assert witness() == want
 
 
 class TestBasisCounts:
@@ -210,6 +253,19 @@ class TestBasisCounts:
             counts[keys[0]] += 1
             got, _ = ghz._parity_expectation(BasisCounts("theta", n, counts, theta=0.0))
             assert got == parity_sum(counts) / sum(counts.values())
+
+    def test_counts_summing_past_int64_rejected(self):
+        top = {"00": 2**62, "11": 2**62 - 1}
+        assert BasisCounts("hv", 2, top).total == 2**63 - 1
+        for counts in ({"00": 2**62, "11": 2**62}, {"01": np.uint64(2**63)}, {"10": 2**70}):
+            with pytest.raises(ContractError, match=r"2\*\*63"):
+                BasisCounts("hv", 2, counts)
+
+    def test_outcome_codes_fit_sixty_three_photons(self):
+        assert estimate_population(BasisCounts("hv", 63, {"1" * 63: 3})) == (1.0, 0.0)
+        for n in (64, -1):
+            with pytest.raises(ContractError, match="0 to 63 photons"):
+                BasisCounts("hv", n, {})
 
     def test_theta_angle_required(self):
         with pytest.raises(ContractError):

@@ -148,8 +148,10 @@ class TestGlynnKernel:
             err = abs(np.clongdouble(permanent_ryser(a)) - ref) / abs(ref)
             assert err <= 1e-13
 
-    def test_thread_counts_agree_on_uneven_segments(self):
-        # n=18 has four high blocks, which three threads split unevenly
+    def test_thread_counts_agree_on_uneven_segments(self, monkeypatch):
+        # n=18 has four high blocks, which three threads split unevenly once
+        # the pool is allowed below its crossover
+        monkeypatch.setattr(permanent, "_POOL_MIN_N", 0)
         a = gaussian_matrix(np.random.default_rng(18), 18)
         ref = permanent_ryser(a)
         for threads in (1, 2, 3, 8):
@@ -164,12 +166,27 @@ class TestGlynnKernel:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(permanent, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(permanent, "_POOL_MIN_N", 0)
         rng = np.random.default_rng(3)
         permanent_parallel(gaussian_matrix(rng, 6), 8)
         assert started == []
         permanent_parallel(gaussian_matrix(rng, 18), 8)
         permanent_parallel(gaussian_matrix(rng, 18), 3)
         assert started == [4, 3]
+
+    def test_pool_starts_only_from_the_crossover(self, monkeypatch):
+        started, pool = [], permanent.ThreadPoolExecutor
+
+        def recording(max_workers):
+            started.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(permanent, "ThreadPoolExecutor", recording)
+        rng = np.random.default_rng(21)
+        for n in (17, permanent._POOL_MIN_N - 1, permanent._POOL_MIN_N):
+            a = gaussian_matrix(rng, n)
+            assert permanent_parallel(a, 2) == permanent_ryser(a), f"n={n}"
+        assert started == [2]
 
     @pytest.mark.parametrize("perm", [permanent_ryser, lambda a: permanent_parallel(a, 3)])
     def test_closed_forms(self, perm):
