@@ -481,7 +481,7 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # invalid JSON or text that is not UTF-8
+    except (ValueError, RecursionError) as exc:  # invalid, not UTF-8, or nested too deep
         raise DataError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError("config file must hold a JSON object")
@@ -510,6 +510,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             name, allowed = _JSON_TYPES[_FLAGS[key][0]]
             if isinstance(value, bool) != (name == "boolean") or not isinstance(value, allowed):
                 raise DataError(f"config key {key!r} must be a JSON {name}, got {value!r}")
+            if name == "string" and "\0" in value:  # no file name holds one
+                raise DataError(f"config key {key!r} holds a NUL character")
             if name == "number":
                 try:
                     float(value)

@@ -187,7 +187,7 @@ def load_matrix(path) -> np.ndarray:
             doc = json.load(fh, parse_constant=_reject_constant)
         except DataError:
             raise
-        except ValueError as exc:  # invalid JSON or text that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # invalid, not UTF-8, or nested too deep
             raise DataError(f"not a valid matrix file: {exc}") from exc
     # JSON gives int for integers and float for other numbers; bool is an int
     # subclass, so the types are compared exactly.

@@ -110,8 +110,8 @@ def _glynn(matrix, threads: int) -> complex:
 
     Each block's sum is reduced in block order whatever the split, so the
     value is bit-identical for every thread count.  No BLAS call is made:
-    OpenBLAS worker threads spin on after a matrix product, and on a 2-core
-    host they kept the pool's second thread from running.
+    OpenBLAS worker threads spin on after a threaded matrix product, which
+    on 2 cores made n=22 take 1.5x as long (see ``sampling._GEMM_CELLS``).
     """
     if threads < 1:
         raise ContractError("thread count must be at least 1")

@@ -2,19 +2,18 @@
 
 Builds exact output distributions for indistinguishable photons (permanent
 of the transition submatrix) and for the distinguishable-photon reference
-model with one batched Glynn engine over the shared integer pattern table
-of their outcome space, draws output samples, and simulates the full
-scattershot pipeline: every pulse each source may fire, heralded inputs
-select a random input pattern, and events are retained when exactly
-``n_select`` heralds and ``n_select`` detected output photons coincide.  A
-run draws only the candidate pulses, those where exactly ``n_select``
-sources herald a surviving signal and the rest stay silent: per batch a
-binomial count, their pulse offsets and each one's heralding set, a row of
-the ``n_select``-photon pattern table it works on from there.  It goes over
-rounds of batches in two passes: the first fires each batch and keeps its
-candidates, the second draws their outputs.
-Between the passes one engine call builds every input of the round that
-the run has not built yet, into one matrix of cumulative sums per run.
+model with one batched Glynn engine, a matrix product over sign vectors per
+input on the shared pattern table of their outcome space, draws output
+samples, and simulates the scattershot pipeline: every pulse each source
+may fire, heralded inputs select a random input pattern, and events are
+retained when exactly ``n_select`` heralds and ``n_select`` detected output
+photons coincide.  A run draws only the candidate pulses, where exactly
+``n_select`` sources herald a surviving signal and the rest stay silent:
+per batch a binomial count, their pulse offsets and each one's heralding
+set, a row of the ``n_select``-photon pattern table.  Over each round of
+batches, a first pass fires every batch, one engine call builds the inputs
+the run has not built yet into one matrix of cumulative sums, and a second
+pass draws the outputs.
 
 Retained events live in one columnar table (pulse index and pattern ids,
 each distinct pattern held once) from the run, or from a read sample log,
@@ -161,9 +160,14 @@ def _guard_enumeration(modes: int, photons: int, collisions: bool, caller: str) 
         )
 
 
-# Inputs are built in chunks whose (outputs, 2^(n-1) * chunk) block of
-# products would stay near this many bytes.
-_BLOCK_BYTES = 1 << 22
+# Per input, a sign block (2^k >= 8 sign vectors) holds at most _SIGN_BYTES of
+# (n-1)-photon products, a chunk about _CHUNK_BYTES of them and the grid, and a
+# matrix product at most _GEMM_CELLS multiply-adds, which OpenBLAS runs on one
+# thread.  At m=12 on 2 cores, ms for 5 bright n=4 runs / 200 n=5 inputs: chunk
+# 1024 KiB 37/101, 512 KiB 43/100, 2048 KiB 36/82 at 1.6x the n=4 peak memory.
+_SIGN_BYTES = 1 << 19
+_CHUNK_BYTES = 1 << 20
+_GEMM_CELLS = 1 << 16
 
 
 def _probabilities(u: np.ndarray, inputs: np.ndarray, collisions: bool,
@@ -178,13 +182,12 @@ def _probabilities(u: np.ndarray, inputs: np.ndarray, collisions: bool,
     With r_i the rows of the source matrix (``u``, or ``|u|^2`` for
     distinguishable photons) picked by the input's photons, every output
     T's permanent is 2^-(n-1) sum_d (prod d) prod_(j in T) w_d[j] over the
-    sign vectors d with d_0 = +1, where w_d = sum_i d_i r_i.  A chunk of
-    inputs takes its row sums w from one sign table, laid out as (mode,
-    sign vector, input); products grow along the pattern table's prefix
-    tree (pattern k = its parent in the (n-1)-photon table times
-    ``w[cols[k, n-1]]``), the last two levels one sign vector at a time.
-    Every step is elementwise per input, so an input's probabilities do not
-    depend on the chunk, or the matrix, it is built in.
+    sign vectors d with d_0 = +1, where w_d = sum_i d_i r_i.  For T its
+    (n-1)-photon parent p plus mode c, the sum is cell (p, c) of one product
+    per input, [(prod d) prefix_d[p]] (parents, signs) @ [w_d[c]] (signs,
+    modes); the prefixes grow along the prefix tree per block of sign vectors.
+    Sizes depend on n, m and the model alone, so an input's probabilities
+    do not depend on the chunk, or the matrix, it is built in.
     """
     caller = "exact_distribution" if interfering else "distinguishable_distribution"
     modes = u.shape[0]
@@ -195,40 +198,35 @@ def _probabilities(u: np.ndarray, inputs: np.ndarray, collisions: bool,
     _guard_enumeration(modes, n, collisions, caller)
     *levels, table = [_pattern_table(modes, k, collisions) for k in range(1, n + 1)]
     signs = 1 << (n - 1)
+    parents = len(levels[-1].cols) if levels else 1
+    block = min(signs, 1 << ((_SIGN_BYTES // (parents * source.itemsize)) | 8).bit_length() - 1)
+    stripe = max(1, _GEMM_CELLS // (block * modes))  # parents per matrix product
+    chunk = max(1, _CHUNK_BYTES // (parents * (block + modes) * source.itemsize))
+    cells = table.parents * modes + table.cols[:, -1]
     out = np.empty((len(inputs), len(table.cols)))
-    chunk = max(1, _BLOCK_BYTES // (max(len(table.cols), 1) * signs * source.itemsize))
     for lo in range(0, len(inputs), chunk):
         occ = inputs[lo:lo + chunk]
         rows = source[np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel())]
         rows = rows.reshape(len(occ), n, modes).transpose(2, 0, 1)  # (mode, input, photon)
         sums, plus = _low_table(rows[:, :, 1:].reshape(modes * len(occ), n - 1))
         sums += rows[:, :, :1].reshape(-1, 1)
-        sums = sums.reshape(modes, len(occ), signs).transpose(0, 2, 1).copy()
-        terms = np.ones((1, signs, len(occ)), dtype=source.dtype)  # the empty pattern
-        for level in levels[:-1]:
-            terms = terms[level.parents] * sums[level.cols[:, -1]]
-        halves = np.zeros((2, len(table.cols), len(occ)), dtype=source.dtype)
-        # The widest two levels never exist for every sign vector at once:
-        # per sign vector they stay small, and the last one is gathered
-        # into reused buffers (mode="clip" lets take write to them
-        # directly; every index is in range).
-        parent, factor = np.empty((2, len(table.cols), len(occ)), dtype=source.dtype)
-        for d in range(signs):
-            prefix = terms[:, d]
-            if levels:
-                prefix = prefix[levels[-1].parents] * sums[levels[-1].cols[:, -1], d]
-            np.take(prefix, table.parents, axis=0, out=parent, mode="clip")
-            np.take(sums[:, d], table.cols[:, -1], axis=0, out=factor, mode="clip")
-            parent *= factor
-            halves[int(d >= plus)] += parent
-        perms = (halves[0] - halves[1]) / signs
+        sums = sums.reshape(modes, len(occ), signs)
+        grid = np.zeros((len(occ), parents, modes), dtype=source.dtype)
+        for d in range(0, signs, block):
+            w = sums[:, :, d:d + block]
+            terms = np.where(np.arange(d, d + block) < plus, 1.0, -1.0).reshape(1, 1, -1)  # prod d
+            for level in levels:
+                terms = (np.take(terms, level.parents, axis=0)
+                         * np.take(w, level.cols[:, -1], axis=0))
+            for r in range(0, parents, stripe):
+                grid[:, r:r + stripe] += np.matmul(terms[r:r + stripe].transpose(1, 0, 2),
+                                                   w.transpose(1, 2, 0))
+        perms = np.take(grid.reshape(len(occ), -1), cells, axis=1) / signs
         probs = out[lo:lo + len(occ)]  # a contiguous row per input sums alike in any chunk
-        if interfering:
-            input_factors = [math.prod(map(math.factorial, row)) for row in occ.tolist()]
-            probs[...] = ((perms.real**2 + perms.imag**2)
-                          / (table.factors[:, None] * input_factors)).T
-        else:
-            probs[...] = (np.clip(perms, 0.0, None) / table.factors[:, None]).T
+        # |perm|^2 / (prod s_i! prod t_j!) for interfering photons, else perm / prod t_j!
+        weights = perms.real**2 + perms.imag**2 if interfering else np.clip(perms, 0.0, None)
+        norms = [math.prod(map(math.factorial, row)) if interfering else 1 for row in occ.tolist()]
+        probs[...] = weights / (table.factors * np.array(norms)[:, None])
         if not collisions:
             totals = probs.sum(axis=1, keepdims=True)
             if (totals <= 0).any():

@@ -373,7 +373,7 @@ def load_source_params(path) -> list[SourceParams]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # invalid JSON or text that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # invalid, not UTF-8, or nested too deep
             raise DataError(f"not a valid source config: {exc}") from exc
     entries = doc.get("sources") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not entries:

@@ -6,16 +6,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multiphoton import cli
-from multiphoton.cli import (EXIT_CONTRACT, EXIT_DATA, EXIT_RESOURCE, _build_parser, main,
-                             resolve_config)
+from multiphoton.cli import (EXIT_CONTRACT, EXIT_DATA, EXIT_RESOURCE, _build_parser,
+                             _load_config_file, main, resolve_config)
+from multiphoton.errors import ContractError, DataError
 from multiphoton.ghz import (GhzModel, coherence_settings, hv_outcome_distribution,
                              theta_outcome_distribution)
 from multiphoton.linalg import haar_random_unitary, load_matrix, save_matrix
 from multiphoton.rng import derive_rng
 from multiphoton.sampling import SampleRecord, read_sample_log, write_sample_log
 from multiphoton.validation import scattershot_aggregate_validation
+from properties import JSON_VALUES
 
 
 def write_ones_matrix(path):
@@ -451,6 +455,24 @@ class TestConfigFile:
         config.write_text("k = 12")
         assert main(["rates", "--config", str(config)]) == 3
 
+    @pytest.mark.parametrize("argv, key", [
+        (["rates", "--k", "4", "--n", "2"], "out"),
+        (["sample", "--input", "110", "--shots", "2"], "unitary"),
+        (["scattershot", "--modes", "2", "--n", "1", "--pulses", "1"], "sources"),
+    ])
+    def test_file_name_with_a_nul_character_rejected(self, tmp_path, capsys, argv, key):
+        # argv cannot carry a NUL, but a config string can, and open() refuses it
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: "a\0b"}))
+        assert main(argv + ["--config", str(config)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: config key {key!r} holds a NUL character\n"
+
+    def test_nesting_too_deep_to_parse_rejected(self, tmp_path):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DataError, match="recursion"):
+            _load_config_file(config)
+
     @pytest.mark.parametrize("argv, doc", [
         (["ghz", "--photons", "4", "--population", "0.8", "--coherence", "0.6"],
          {"shots": "abc"}),
@@ -502,6 +524,20 @@ def test_malformed_json_file_exit_code(tmp_path, argv, name, content):
     path = tmp_path / name
     path.write_bytes(content)
     assert main([arg.format(path) for arg in argv]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--k", "4", "--n", "2", "--config", "{deep}"],
+    ["validate", "--samples", "{log}", "--unitary", "{deep}"],
+    ["scattershot", "--modes", "2", "--n", "1", "--pulses", "1", "--sources", "{deep}"],
+], ids=["config", "matrix", "sources"])
+def test_json_nested_too_deep_to_parse_exit_code(tmp_path, capfd, argv):
+    deep, log = tmp_path / "deep.json", tmp_path / "samples.csv"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    write_sample_log(log, [SampleRecord((1, 0), (1, 0), (0, 1), 0)])
+    assert main([arg.format(deep=deep, log=log) for arg in argv]) == EXIT_DATA
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("content, message", [
@@ -598,3 +634,86 @@ def test_out_of_memory_is_a_resource_exit(monkeypatch, capsys, error, message):
     monkeypatch.setitem(cli._COMMANDS, "rates", cli._COMMANDS["rates"]._replace(handler=exhausted))
     assert main(["rates", "--k", "4", "--n", "2"]) == EXIT_RESOURCE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# A valid config per command, which fuzzed entries then extend or override.
+_BASE_CONFIGS = {
+    "rates": {"k": 4, "n": 2},
+    "ghz": {"photons": 3, "population": 0.7, "coherence": 0.4, "shots": 5},
+    "hom": {"visibility": 0.9, "steps": 5},
+    "jsa": {"sigma_pump": 1.0, "sigma_pm": 0.6, "angle": 0.3, "grid_size": 8},
+    "sample": {"modes": 3, "input": "110", "shots": 3},
+    "scattershot": {"modes": 3, "epsilon": 0.3, "eta": 0.8, "n": 2, "pulses": 20},
+}
+# Values of each flag's own JSON type, and of any other, under the
+# command's own keys mostly, so that most documents get past the
+# unknown-key check.  Small integers keep an accepted config cheap to run;
+# the others are past int64, NaN or infinite (json.dumps writes the bare
+# constants), or file names without a directory part.
+_TYPED_VALUES = {
+    int: st.integers(-2, 6) | st.integers(2**63, 10**400) | st.integers(-10**400, -2**63 - 1),
+    float: st.floats() | st.integers(-2, 6),
+    bool: st.booleans(),
+    str: (st.sampled_from(["", ".", "a\0b", "x.csv"])
+          | st.text(st.characters(blacklist_characters="/"), max_size=6)),
+}
+
+
+def _entry(key):
+    """A (key, value) pair: a value of the key's own type three times in four."""
+    typed = _TYPED_VALUES[cli._FLAGS[key][0]]
+    return st.tuples(st.just(key), st.one_of(typed, typed, typed, JSON_VALUES))
+
+
+_COMMAND_ENTRIES = st.sampled_from(sorted(_BASE_CONFIGS)).flatmap(lambda command: st.tuples(
+    st.just(command), st.lists(st.one_of(
+        *[st.sampled_from(cli._COMMANDS[command].flags + ("seed", "out")).flatmap(_entry)] * 5,
+        st.tuples(st.text(max_size=6), JSON_VALUES)), max_size=3).map(dict)))
+
+# Nesting depth around the document: none, shallow, or past the parser's recursion limit.
+_DEPTHS = st.sampled_from([0] * 10 + [1, 100_000])
+_CONFIG_FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_CONFIG_FUZZ
+@given(command_entries=_COMMAND_ENTRIES, replace=st.booleans(), depth=_DEPTHS)
+def test_config_file_resolves_or_exits_with_data_or_contract_error(
+        tmp_path, monkeypatch, command_entries, replace, depth):
+    monkeypatch.chdir(tmp_path)  # fuzzed output file names land here
+    command, entries = command_entries
+    doc = entries if replace else {**_BASE_CONFIGS[command], **entries}
+    path = tmp_path / "run.json"
+    path.write_text("[" * depth + json.dumps(doc) + "]" * depth, encoding="utf-8")
+    argv = [command, "--config", str(path)]
+    try:
+        loaded = _load_config_file(path)
+        config = resolve_config(_build_parser().parse_args(argv))
+    except (DataError, ContractError) as exc:
+        assert main(argv) == (EXIT_DATA if isinstance(exc, DataError) else EXIT_CONTRACT)
+        return
+    assert depth == 0 and loaded.keys() == doc.keys()
+    assert all(json.dumps(config.params[k]) == json.dumps(doc[k]) for k in config.params)
+    assert main(argv) in (0, EXIT_DATA, EXIT_CONTRACT)
+
+
+@_CONFIG_FUZZ
+@given(pattern=st.text(max_size=6) | st.text("0123456789", max_size=5), modes=st.integers(1, 4),
+       from_config=st.booleans())
+def test_input_pattern_exits_by_its_fault(tmp_path, capsys, pattern, modes, from_config):
+    argv = ["sample", "--modes", str(modes), "--shots", "2"]
+    if from_config:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"input": pattern}), encoding="utf-8")
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--input", pattern]
+    if not (pattern.isascii() and pattern.isdigit()):
+        expected = EXIT_DATA
+    elif len(pattern) != modes or sum(map(int, pattern)) == 0:
+        expected = EXIT_CONTRACT
+    else:
+        expected = EXIT_RESOURCE if sum(map(int, pattern)) > 6 else 0
+    assert main(argv) == expected
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == (2 if expected == 0 else 0)

@@ -181,6 +181,12 @@ class TestMatrixFile:
         with pytest.raises(DataError):
             load_matrix(path)
 
+    def test_rejects_nesting_too_deep_to_parse(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DataError, match="recursion"):
+            load_matrix(path)
+
     @pytest.mark.parametrize("entries", ["[[1]]", "[[1, 0, 0]]", "[[null, 0]]", '[["1", 0]]',
                                          "[1]", "[[1" + "0" * 400 + ", 0]]"],
                              ids=["one-part", "three-parts", "null", "string", "flat",

@@ -241,8 +241,9 @@ class TestGlynnEngine:
         for k, occ in enumerate(inputs):
             alone = _builder(interfering)(u, occ)
             assert np.array_equal(alone.probabilities, together[k].probabilities)
-        # chunks of 7 complex (14 real) inputs, so chunk boundaries fall elsewhere
-        monkeypatch.setattr(sampling, "_BLOCK_BYTES", 7 * 1365 * 8 * 16)
+        # one block of all 8 sign vectors over the 364 three-photon parents,
+        # in chunks of 7 complex (14 real) inputs, so chunk boundaries fall elsewhere
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES", 7 * 364 * (8 + 12) * 16)
         picked = [3, 4, 5, 200, 494, 0, 17, 18, 300, 301]
         chunked = _distributions(u, inputs[picked], True, interfering)
         for k, dist in zip(picked, chunked):
@@ -253,20 +254,46 @@ class TestGlynnEngine:
         inputs = np.array([(1, 1, 1, 1, 1, 1, 0, 0), (2, 0, 1, 0, 3, 0, 0, 0),
                            (0, 1, 0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1, 1, 1)])
         alone = [exact_distribution(u, occ, False) for occ in inputs]
-        monkeypatch.setattr(sampling, "_BLOCK_BYTES", 1 << 30)
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES", 1 << 30)
         together = _distributions(u, inputs, False, True)
         for a, b in zip(alone, together):
             assert a._support is b._support
             assert np.array_equal(a.probabilities, b.probabilities)
+
+    @pytest.mark.parametrize("interfering", [True, False])
+    @pytest.mark.parametrize("modes, n", [(12, 5), (8, 6)])
+    def test_sign_blocks_keep_every_input_bit_identical(self, modes, n, interfering,
+                                                         monkeypatch):
+        u = haar_random_unitary(modes, 44)
+        patterns = enumerate_patterns(modes, n)
+        inputs = np.array([patterns[k] for k in np.linspace(0, len(patterns) - 1, 11).astype(int)])
+        _, whole = sampling._probabilities(u, inputs, True, interfering)
+        # blocks of 8 sign vectors, 2 at n=5 and 4 at n=6, and chunks of
+        # 1, 5 complex (10 real) and all inputs
+        monkeypatch.setattr(sampling, "_SIGN_BYTES", 1)
+        per_input = math.comb(modes + n - 2, n - 1) * (8 + modes) * 16
+        builds = []
+        for chunk_bytes in (1, 5 * per_input, 1 << 40):
+            monkeypatch.setattr(sampling, "_CHUNK_BYTES", chunk_bytes)
+            builds.append(sampling._probabilities(u, inputs, True, interfering)[1])
+        builds += [np.concatenate([sampling._probabilities(u, inputs[k:k + 1], True, interfering)[1]
+                                   for k in range(len(inputs))])]
+        for split in builds[1:]:
+            assert np.array_equal(split, builds[0])
+        assert np.abs(builds[0] - whole).max() <= 1e-15
+        assert not np.array_equal(builds[0], whole)  # the blocks round differently
 
     def test_builds_stay_small(self):
         # the engine's working set is chunked; a later chunk-size change
         # must not quietly grow the peak
         u = haar_random_unitary(12, 43)
         inputs = np.array(enumerate_patterns(12, 4, False))
+        five = np.array(enumerate_patterns(12, 5, False))
         exact_distribution(u, (1,) * 6 + (0,) * 6)  # pattern tables cached first
         _distributions(u, inputs[:1], True, True)
+        _distributions(u, five[:1], False, True)
         for build in (lambda: _distributions(u, inputs, True, True),
+                      lambda: _distributions(u, five, False, True),
                       lambda: exact_distribution(u, (1,) * 6 + (0,) * 6)):
             tracemalloc.start()
             try:

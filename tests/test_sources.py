@@ -342,6 +342,12 @@ class TestSourceConfigFile:
         with pytest.raises(DataError):
             load_source_params(path)
 
+    def test_nesting_too_deep_to_parse_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"sources": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(DataError, match="recursion"):
+            load_source_params(path)
+
     def test_empty_list_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"sources": []}))
