@@ -37,6 +37,7 @@ from .ghz import (
     simulate_ghz_experiment,
 )
 from .linalg import (
+    _beyond_str_digits,
     count_patterns,
     haar_random_unitary,
     load_matrix,
@@ -45,11 +46,11 @@ from .linalg import (
 )
 from .permanent import permanent_parallel
 from .sampling import (
-    SampleRecord,
-    _read_events,
+    _shot_records,
     distinguishable_distribution,
     exact_distribution,
     expected_rate,
+    read_sample_log,
     sample_outputs,
     scattershot_run,
     write_sample_log,
@@ -62,7 +63,7 @@ from .sources import (
     schmidt_purity,
     tune_correlation_angle,
 )
-from .validation import _validate_events
+from .validation import scattershot_aggregate_validation
 
 __all__ = ["ExperimentConfig", "resolve_config", "run", "main"]
 
@@ -184,11 +185,11 @@ def _cmd_sample(config: ExperimentConfig) -> int:
         dist = distinguishable_distribution(u, pattern, collisions)
     else:
         dist = exact_distribution(u, pattern, collisions)
-    outputs = sample_outputs(dist, shots, config.seed)
     if config.out:
-        records = [SampleRecord(pattern, pattern, out, i) for i, out in enumerate(outputs)]
-        write_sample_log(config.out, records, _header_lines(config))
+        write_sample_log(config.out, _shot_records(dist, pattern, shots, config.seed),
+                         _header_lines(config))
     else:
+        outputs = sample_outputs(dist, shots, config.seed)
         sys.stdout.write("".join(f"{i},{''.join(map(str, out))}\n"
                                  for i, out in enumerate(outputs)))
     return EXIT_OK
@@ -306,11 +307,11 @@ def _cmd_jsa(config: ExperimentConfig) -> int:
 
 
 def _cmd_validate(config: ExperimentConfig) -> int:
-    events = _read_events(config.params["samples"])
+    records = read_sample_log(config.params["samples"])  # a view: no record is built
     u = load_matrix(config.params["unitary"])
     threshold = float(config.params.get("threshold", 5.0))
     collisions = config.params.get("collisions", True)
-    report = _validate_events(events, u, collisions, threshold)
+    report = scattershot_aggregate_validation(records, u, collisions, threshold)
     fields = {
         "groups": report.group_count,
         "mean_similarity": report.mean_similarity,
@@ -339,9 +340,11 @@ def _cmd_rates(config: ExperimentConfig) -> int:
     eta = float(config.params.get("eta", 0.5))
     rep = float(config.params.get("rep_rate", 80e6))
     rate = expected_rate(k, n, epsilon, eta, rep, scattershot)  # checks k and n first
-    try:
+    try:  # more digits than str() converts is a ValueError, told before C(k, n) is built
+        if _beyond_str_digits(k, n):
+            raise ValueError
         patterns = str(count_patterns(k, n, collisions=False))  # C(k, n), as n <= k
-    except ValueError as exc:  # more digits than str() converts
+    except ValueError as exc:
         raise ContractError(f"C({k}, {n}) has too many digits to report") from exc
     fields = {
         "mode": "scattershot" if scattershot else "standard",

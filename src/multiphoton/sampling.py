@@ -17,22 +17,27 @@ pass draws the outputs.
 
 Retained events live in one columnar table (pulse index and pattern ids,
 each distinct pattern held once) from the run, or from a read sample log,
-to validation; ``SampleRecord`` lists are built from it only where the
-public functions hand records in or out.
+to validation and the log writer; the public functions hand them out as a
+read-only sequence of ``SampleRecord``s over that table, which builds a
+record only when one is asked for.
 """
 
 from __future__ import annotations
 
-import functools
+import collections
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, DataError, ResourceLimitError
 from .linalg import (
+    _beyond_str_digits,
+    _log_comb,
     _pattern_table,
     _PatternTable,
     _require_unitary,
@@ -285,16 +290,30 @@ def distinguishable_distribution(unitary, input_pattern,
                           collisions, False)[0]
 
 
-def sample_outputs(distribution: OutcomeDistribution, shots: int, seed: int) -> list:
-    """Draw output patterns from a distribution, deterministically per seed."""
+def _sample_picks(distribution: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
+    """The rows of ``distribution.outcomes`` that :func:`sample_outputs` draws."""
     if not 1 <= shots < 2**63:
         raise ContractError(f"shots must lie in [1, 2**63), got {shots}")
     rng = derive_rng(seed, "sample-outputs")
-    cum = distribution.cumulative()
     # The last cumulative entry is 1.0, so every pick is a valid outcome row.
-    picks = np.searchsorted(cum, rng.random(shots), side="right")
+    return np.searchsorted(distribution.cumulative(), rng.random(shots), side="right")
+
+
+def sample_outputs(distribution: OutcomeDistribution, shots: int, seed: int) -> list:
+    """Draw output patterns from a distribution, deterministically per seed."""
     outcomes = distribution.outcomes
-    return [outcomes[i] for i in picks]
+    return [outcomes[i] for i in _sample_picks(distribution, shots, seed)]
+
+
+def _shot_records(distribution: OutcomeDistribution, pattern: tuple, shots: int,
+                  seed: int) -> _RecordView:
+    """The draw of :func:`sample_outputs` as records, none of them built: shot
+    i is an event at pulse i whose trigger and input are ``pattern``, its
+    outcome row or, when it is none, a row after the outcomes."""
+    picks = _sample_picks(distribution, shots, seed)
+    outcomes = distribution.outcomes
+    shot = np.full(shots, distribution._support.index.get(pattern, len(outcomes)))
+    return _RecordView(_Events(np.arange(shots), shot, shot, picks, (*outcomes, pattern)))
 
 
 @dataclass(frozen=True)
@@ -316,8 +335,9 @@ class SampleRecord:
 class _Events(NamedTuple):
     """Events as columns: the int64 ``pulse`` index and the ``trigger``,
     ``input`` and ``output`` pattern ids, rows of ``patterns``, which holds
-    each distinct pattern once, checked where the table is made (unused rows
-    allowed).  A scattershot run passes one array as both trigger and input ids.
+    each distinct pattern the events use once, checked where the table is
+    made (unused rows allowed).  A scattershot run passes one array as both
+    trigger and input ids.
     """
 
     pulse: np.ndarray
@@ -326,29 +346,57 @@ class _Events(NamedTuple):
     output: np.ndarray
     patterns: tuple
 
-    def records(self) -> list:
-        """One SampleRecord per event, in table order; equal patterns share one tuple."""
-        take = self.patterns.__getitem__
-        return list(map(SampleRecord, map(take, self.trigger.tolist()),
-                        map(take, self.input.tolist()), map(take, self.output.tolist()),
-                        self.pulse.tolist()))
+
+class _RecordView(Sequence):
+    """A read-only sequence of SampleRecords over an event table: an index
+    builds one record, a slice is a view of the sliced columns, iteration
+    builds the records in bulk, and a view equals a list or view of equal
+    records in the same order."""
+
+    __slots__ = ("_events",)
+
+    def __init__(self, events: _Events):
+        self._events = events
+
+    def __len__(self) -> int:
+        return len(self._events.pulse)
+
+    def __getitem__(self, index):
+        events = self._events
+        if isinstance(index, slice):
+            return _RecordView(_Events(*(c[index] for c in events[:4]), events.patterns))
+        i = range(len(self))[index]  # list semantics: negative indices, IndexError
+        return next(iter(self[i:i + 1]))
+
+    def __iter__(self):
+        """The records in table order, built in bulk; equal patterns share one tuple."""
+        pulse, *ids, patterns = self._events
+        return map(SampleRecord, *(map(patterns.__getitem__, i.tolist()) for i in ids),
+                   pulse.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _RecordView)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
 
 
-def _events_from_records(records: Sequence[SampleRecord]) -> _Events:
-    """The event table of a record list, each distinct pattern checked and held once."""
-    _check_pulse_indices(records)
-    pulse = np.fromiter(map(attrgetter("pulse_index"), records), dtype=np.int64,
-                        count=len(records))
-    ids, patterns = _numbered_patterns([*map(attrgetter("trigger"), records),
-                                        *map(attrgetter("input"), records),
-                                        *map(attrgetter("output"), records)])
-    return _Events(pulse, *ids.reshape(3, -1), patterns)
+def _events_from_records(records: Sequence[SampleRecord], convert=as_occupation) -> _Events:
+    """The event table of records: a view's own table, or for other records
+    one with each distinct pattern checked and held once as ``convert``
+    returns it, numbered in record order."""
+    if isinstance(records, _RecordView):
+        return records._events
+    fields = list(itertools.chain.from_iterable(
+        map(attrgetter("pulse_index", "trigger", "input", "output"), records)))
+    pulse = _pulse_column(fields[::4])
+    del fields[::4]  # the patterns are left, three per record
+    ids, patterns = _numbered_patterns(fields, convert)
+    return _Events(pulse, *ids.reshape(-1, 3).T, patterns)
 
 
-def _check_pulse_indices(records: Sequence[SampleRecord]) -> None:
-    """Raise ContractError unless every pulse index is an integer, not a
-    bool, in [0, 2**63), the range of the int64 pulse column."""
-    pulses = list(map(attrgetter("pulse_index"), records))
+def _pulse_column(pulses: list) -> np.ndarray:
+    """Pulse indices as the int64 pulse column; ContractError unless every
+    one is an integer, not a bool, in [0, 2**63)."""
     if not set(map(type, pulses)) <= {int}:
         for value in pulses:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -357,6 +405,7 @@ def _check_pulse_indices(records: Sequence[SampleRecord]) -> None:
     if pulses and not 0 <= min(pulses) <= max(pulses) < 2**63:
         value = min(pulses) if min(pulses) < 0 else max(pulses)
         raise ContractError(f"pulse index out of range [0, 2**63): {value}")
+    return np.array(pulses, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -374,18 +423,14 @@ class RateReport:
 class ScattershotResult:
     """Retained events plus the summary rate report.
 
-    ``records`` lists one SampleRecord per retained event, in pulse order.
-    The run keeps its events as a columnar table and builds that list from
-    it on first access, so a caller that reads only ``report`` never pays
-    for it.
+    ``records`` holds one SampleRecord per retained event, in pulse order,
+    as a read-only sequence over the run's columnar event table: it builds
+    a record only when one is indexed or iterated, so slicing it, writing
+    it with :func:`write_sample_log` or validating it builds none.
     """
 
-    _events: _Events = field(repr=False)
+    records: _RecordView = field(repr=False)
     report: RateReport
-
-    @functools.cached_property
-    def records(self) -> list:
-        return self._events.records()
 
 
 def _exactly_n_probability(selected: np.ndarray, idle: np.ndarray, n: int) -> float:
@@ -429,13 +474,16 @@ def expected_rate(k: int, n: int, eps: float, eta: float, rep_rate: float = 80e6
     p = eps * eta
     if not scattershot:
         return rep_rate * p**n
-    try:
-        return rep_rate * math.comb(k, n) * p**n * (1.0 - p) ** (k - n)
-    except OverflowError:  # C(k, n) beyond the float range: add the logarithms instead
-        if p in (0.0, 1.0):  # a zero factor, as 0 < n < k here
-            return 0.0
-        return math.exp(math.log(rep_rate) + math.log(math.comb(k, n)) + n * math.log(p)
-                        + (k - n) * math.log1p(-p))
+    if _log_comb(k, n) < 309 * math.log(10):  # else C(k, n) is beyond the float range
+        try:
+            return rep_rate * math.comb(k, n) * p**n * (1.0 - p) ** (k - n)
+        except OverflowError:
+            pass
+    if p in (0.0, 1.0):  # a zero factor, as 0 < n < k here
+        return 0.0
+    # C(k, n) itself only while str() could print it: beyond, it costs seconds or more.
+    log_comb = _log_comb(k, n) if _beyond_str_digits(k, n) else math.log(math.comb(k, n))
+    return math.exp(math.log(rep_rate) + log_comb + n * math.log(p) + (k - n) * math.log1p(-p))
 
 
 def _predicted_run_rate(params: Sequence[SourceParams], n_select: int) -> float:
@@ -537,9 +585,9 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     bounds it, whatever the run length; the matrix grows only with the
     number of distinct inputs.
 
-    The events are kept as a columnar table; ``records`` on the result
-    builds their SampleRecords on first access.  Deterministic given the
-    seed, and the same for any batch or round processing order.
+    The events are kept as a columnar table; ``records`` on the result is
+    a read-only view of it.  Deterministic given the seed, and the same for
+    any batch or round processing order.
     """
     u = _require_unitary(unitary, "scattershot_run")
     modes = u.shape[0]
@@ -624,7 +672,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
                  else rep * (retained / pulses)),
         predicted_rate_hz=_predicted_run_rate(params, n_select),
     )
-    return ScattershotResult(events, report)
+    return ScattershotResult(_RecordView(events), report)
 
 
 _LOG_COLUMNS = "pulse_index,trigger_pattern,input_pattern,output_pattern"
@@ -632,24 +680,12 @@ _MAX_PULSE = str(np.iinfo(np.int64).max)  # the pulse column is int64
 _DIGIT_WEIGHTS = 10 ** np.arange(18, -1, -1, dtype=np.uint64)  # of up to 19 digits, in uint64
 
 
-class _Memo(dict):
-    """``convert(key)`` for each distinct key, computed on its first lookup."""
-
-    def __init__(self, convert):
-        super().__init__()
-        self._convert = convert
-
-    def __missing__(self, key):
-        value = self[key] = self._convert(key)
-        return value
-
-
-def _numbered_patterns(patterns) -> tuple[np.ndarray, tuple]:
+def _numbered_patterns(patterns, convert=as_occupation) -> tuple[np.ndarray, tuple]:
     """Each pattern's id, numbered by first appearance, and the distinct
-    patterns in id order, each checked once by :func:`as_occupation`."""
-    ids = _Memo(lambda pattern: len(ids))
+    patterns in id order as ``convert`` (which checks them) returns them."""
+    ids = collections.defaultdict(lambda: len(ids))
     numbers = np.fromiter(map(ids.__getitem__, map(tuple, patterns)), dtype=np.intp)
-    return numbers, tuple(map(as_occupation, ids))
+    return numbers, tuple(map(convert, ids))
 
 
 def write_sample_log(path, records: Sequence[SampleRecord], header_lines=()) -> None:
@@ -657,41 +693,62 @@ def write_sample_log(path, records: Sequence[SampleRecord], header_lines=()) -> 
 
     Lines starting with '#' carry run metadata; the column row follows.
     A pattern is written as one ASCII digit per mode, so a mode holds at
-    most 9 photons.  Each distinct pattern is validated and encoded once,
-    and the file is written in one piece: a pattern that is not a sequence
-    of integers from 0 to 9, or a pulse index that is not an integer in
-    [0, 2**63), raises ContractError and nothing is written.
+    most 9 photons.  The rows come from the records' event table (a view's
+    own, so no record is built) with each distinct pattern validated and
+    encoded once, and the file is written in one piece: a pattern that is
+    not a sequence of integers from 0 to 9, or a pulse index that is not an
+    integer in [0, 2**63), raises ContractError and nothing is written.
     """
-    _check_pulse_indices(records)
-    encoded = _Memo(occupation_to_string)
-    body = "".join([
-        f"{rec.pulse_index},{encoded[tuple(rec.trigger)]},"
-        f"{encoded[tuple(rec.input)]},{encoded[tuple(rec.output)]}\n"
-        for rec in records
-    ])
-    header = "".join(f"# {line}\n" for line in header_lines)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{header}{_LOG_COLUMNS}\n{body}")
+    events = _events_from_records(records, occupation_to_string)
+    if isinstance(records, _RecordView):  # its table holds its patterns as tuples
+        events = events._replace(patterns=tuple(map(occupation_to_string, events.patterns)))
+    header = "".join(f"# {line}\n" for line in header_lines) + _LOG_COLUMNS + "\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + _log_rows(events).tobytes())
 
 
-def read_sample_log(path) -> list:
+def _log_rows(events: _Events) -> np.ndarray:
+    """The rows of a sample log as one uint8 array: each event's pulse index
+    and its patterns, given as strings, laid out at the widest pulse and
+    pattern and then cut to each value's own length."""
+    pulse, encoded = events.pulse, events.patterns
+    digits = len(str(pulse.max(initial=0)))
+    size = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    item = np.dtype((np.void, int(size.max(initial=0)) + 1))  # a comma, then a pattern
+    codes = np.frombuffer("".join("," + text.ljust(item.itemsize - 1) for text in encoded)
+                          .encode(), dtype=item)
+    shown = (np.arange(item.itemsize) <= size[:, None]).view(item)[:, 0]
+    rows = np.empty((len(pulse), digits + 3 * item.itemsize + 1), dtype=np.uint8)
+    rows[:, -1] = 10
+    keep = np.ones(rows.shape, dtype=bool)
+    rest = pulse
+    for place in range(digits - 1, -1, -1):
+        keep[:, place] = rest > 0  # no leading zeros
+        quotient = rest // 10  # by a scalar: several times faster than np.divmod or %
+        rows[:, place], rest = rest - 10 * quotient + 48, quotient
+    keep[:, digits - 1] = True  # the one digit of a pulse 0
+    for k, ids in enumerate(events[1:4]):  # a pattern is one void item: a fast gather
+        field = slice(digits + k * item.itemsize, digits + (k + 1) * item.itemsize)
+        rows[:, field].view(item)[:, 0] = np.take(codes, ids)
+        if size.min(initial=0) < item.itemsize - 1:  # some patterns are shorter
+            keep[:, field].view(item)[:, 0] = np.take(shown, ids)
+    return rows[keep]
+
+
+def read_sample_log(path) -> _RecordView:
     """Read a sample log back into records, skipping '#' metadata lines.
 
     Rows hold the pulse index and the trigger, input and output patterns,
-    all as ASCII digits (one per mode).  The records are a view of the event
-    table that ``multiphoton validate`` reads: the rows are parsed column by
-    column from the log's bytes, each distinct pattern is decoded once, and
-    records with equal patterns share one tuple.  Raises DataError, naming
-    the line, for a missing or wrong column header, a row without four
-    fields, a field holding anything but ASCII digits or a pulse index beyond
-    the int64 range, and for text that is not UTF-8.
+    all as ASCII digits (one per mode).  The records are a read-only view,
+    like ``ScattershotResult.records``, of the event table that ``multiphoton
+    validate`` reads: the rows are parsed column by column from the log's
+    bytes, each distinct pattern is decoded once, and records with equal
+    patterns share one tuple.  Raises DataError, naming the line, for a
+    missing or wrong column header, a row without four fields, a field
+    holding anything but ASCII digits or a pulse index beyond the int64
+    range, and for text that is not UTF-8.  Lines are stripped and
+    classified as text, then parsed as one byte array.
     """
-    return _read_events(path).records()
-
-
-def _read_events(path) -> _Events:
-    """The event table of a sample log, with :func:`read_sample_log`'s checks:
-    lines are stripped and classified as text, then parsed as one byte array."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -744,7 +801,7 @@ def _read_events(path) -> _Events:
     ids = np.argsort(np.argsort(heads))[ids]  # numbered by first appearance
     patterns = tuple(tuple((buf[end[f] - size[f]:end[f]] - 48).tolist())
                      for f in np.sort(heads).tolist())
-    return _Events(pulse, *ids.reshape(-1, 3).T, patterns)
+    return _RecordView(_Events(pulse, *ids.reshape(-1, 3).T, patterns))
 
 
 def _row_error(line: bytes) -> str:

@@ -273,28 +273,6 @@ def likelihood_ratio_test(samples, q_model, p_model, threshold: float = 5.0) -> 
                           threshold, lambda t: (inputs[block[t]], outputs[oid[t]]))
 
 
-def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
-                                     collisions: bool = True,
-                                     threshold: float = 5.0) -> AggregateValidationReport:
-    """Validate a scattershot record set against the exact theory per input.
-
-    Records are grouped by trigger pattern, which must equal their input
-    pattern (ContractError otherwise); each group's empirical output
-    distribution is compared with ``exact_distribution`` for that input
-    (similarity and distance), and all samples feed one pooled
-    likelihood-ratio test against the distinguishable hypothesis.  With
-    ``collisions=False`` the analysis restricts to collision-free outputs.
-    The group statistics do not depend on record order; the pooled test and
-    its ``lr_trajectory`` take the records by sorted trigger pattern, and in
-    their given order within a trigger group.
-
-    The records are a view of the columnar event path: they are converted to
-    an event table, each distinct pattern held once, and validated by the
-    same array validator that ``multiphoton validate`` runs on a sample log.
-    """
-    return _validate_events(_events_from_records(records), unitary, collisions, threshold)
-
-
 def _pattern_rows(patterns: tuple, ids: np.ndarray, pulse: np.ndarray) -> np.ndarray:
     """``(len(patterns), modes)`` int64 array holding the patterns named in ``ids``
     as rows; the rows of other patterns are zero.  ``pulse`` names the events."""
@@ -311,14 +289,28 @@ def _pattern_rows(patterns: tuple, ids: np.ndarray, pulse: np.ndarray) -> np.nda
     return table
 
 
-def _validate_events(events, unitary, collisions: bool, threshold: float
-                     ) -> AggregateValidationReport:
-    """:func:`scattershot_aggregate_validation` of an event table.
+def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
+                                     collisions: bool = True,
+                                     threshold: float = 5.0) -> AggregateValidationReport:
+    """Validate a scattershot record set against the exact theory per input.
 
-    Every step works on the table's columns; per-pattern work (photon
-    counts, group order, each output's row in its model's outcome table)
-    runs once per distinct pattern, not once per event.
+    Records are grouped by trigger pattern, which must equal their input
+    pattern (ContractError otherwise); each group's empirical output
+    distribution is compared with ``exact_distribution`` for that input
+    (similarity and distance), and all samples feed one pooled
+    likelihood-ratio test against the distinguishable hypothesis.  With
+    ``collisions=False`` the analysis restricts to collision-free outputs.
+    The group statistics do not depend on record order; the pooled test and
+    its ``lr_trajectory`` take the records by sorted trigger pattern, and in
+    their given order within a trigger group.
+
+    The records are validated as an event table: a view's own (from a run or
+    a read log, with no record built), or one made from a record list.  Every
+    step works on the table's columns; per-pattern work (photon counts, group
+    order, each output's row in its model's outcome table) runs once per
+    distinct pattern, not once per event.
     """
+    events = _events_from_records(records)
     if not len(events.pulse):
         raise ContractError("empty record set")
     u = _require_unitary(unitary, "scattershot_aggregate_validation")

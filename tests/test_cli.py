@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -15,11 +17,19 @@ from multiphoton.cli import (EXIT_CONTRACT, EXIT_DATA, EXIT_RESOURCE, _build_par
 from multiphoton.errors import ContractError, DataError
 from multiphoton.ghz import (GhzModel, coherence_settings, hv_outcome_distribution,
                              theta_outcome_distribution)
-from multiphoton.linalg import haar_random_unitary, load_matrix, save_matrix
+from multiphoton.linalg import _log_comb, haar_random_unitary, load_matrix, save_matrix
 from multiphoton.rng import derive_rng
-from multiphoton.sampling import SampleRecord, read_sample_log, write_sample_log
+from multiphoton.sampling import (SampleRecord, distinguishable_distribution, exact_distribution,
+                                  read_sample_log, sample_outputs, scattershot_run,
+                                  write_sample_log)
+from multiphoton.sources import SourceParams
 from multiphoton.validation import scattershot_aggregate_validation
 from properties import JSON_VALUES
+from test_sampling import per_record_log_reference
+
+
+def _no_record(*args, **kwargs):
+    raise AssertionError("a SampleRecord was built")
 
 
 def write_ones_matrix(path):
@@ -102,6 +112,36 @@ class TestRatesCommand:
         assert captured.out == ""
         assert captured.err == "error: C(20000, 10000) has too many digits to report\n"
 
+    def test_binomial_far_beyond_the_digits_str_converts_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["rates", "--k", "10000000000", "--n", "5000000000"]) == 4
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: C(10000000000, 5000000000) has too many digits "
+                                "to report\n")
+
+    @pytest.mark.parametrize("k", [20_000, 10**6, 2**63 - 1])
+    def test_binomials_around_the_digits_str_converts(self, capsys, k):
+        # The n where C(k, n) first has more digits than str() converts,
+        # and its neighbours: printed in full below it, refused from it.
+        limit = sys.get_int_max_str_digits()
+        lo, hi = 0, k // 2  # bisected on the estimate, then stepped on the exact value
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if _log_comb(k, mid) < limit * math.log(10) else (lo, mid)
+        while math.comb(k, lo - 1) >= 10**limit:
+            lo -= 1
+        while math.comb(k, lo) < 10**limit:
+            lo += 1
+        for n in (lo - 2, lo - 1, lo, lo + 1):
+            code = main(["rates", "--k", str(k), "--n", str(n)])
+            out = capsys.readouterr().out
+            if n < lo:
+                assert code == 0 and f"\ncombinations: {math.comb(k, n)}\n" in out
+            else:
+                assert code == 4 and out == ""
+
     def test_missing_required_flag(self, capsys):
         assert main(["rates", "--k", "12"]) == 4
         assert "--n" in capsys.readouterr().err
@@ -133,6 +173,24 @@ class TestSampleCommand:
         assert text.startswith("# multiphoton ")
         assert "# seed: 3" in text
         assert "pulse_index,trigger_pattern,input_pattern,output_pattern" in text
+
+    @pytest.mark.parametrize("flags", [["--input", "1100"],
+                                       ["--input", "2010", "--distinguishable"],
+                                       ["--input", "2100", "--no-collisions"]])
+    def test_log_is_the_per_record_log_and_builds_no_record(self, tmp_path, monkeypatch, flags):
+        args = ["sample", "--modes", "4", "--shots", "400", "--seed", "3", *flags]
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        pattern = tuple(map(int, flags[1]))
+        model = (distinguishable_distribution if "--distinguishable" in flags
+                 else exact_distribution)
+        dist = model(haar_random_unitary(4, 3), pattern, "--no-collisions" not in flags)
+        records = [SampleRecord(pattern, pattern, out, i)
+                   for i, out in enumerate(sample_outputs(dist, 400, 3))]
+        monkeypatch.setattr(SampleRecord, "__init__", _no_record)
+        assert main(args + ["--out", str(ours)]) == 0
+        header = [line[2:] for line in ours.read_text().splitlines() if line.startswith("# ")]
+        per_record_log_reference(reference, records, header)
+        assert ours.read_bytes() == reference.read_bytes()
 
     def test_non_unitary_matrix_rejected(self, tmp_path):
         path = write_ones_matrix(tmp_path / "ones.json")
@@ -190,6 +248,24 @@ class TestScattershotCommand:
 
         first = run()
         assert run() == first
+
+    @pytest.mark.parametrize("modes, epsilon, eta, n, pulses", [(8, 0.4, 0.9, 4, 20_000),
+                                                                (8, 0.01, 0.5, 3, 10_000_000)],
+                             ids=["bright", "faint"])
+    def test_log_is_the_per_record_log_and_builds_no_record(self, tmp_path, monkeypatch, modes,
+                                                            epsilon, eta, n, pulses):
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        params = [SourceParams.from_lumped_efficiency(epsilon, eta, 80e6)] * modes
+        run = scattershot_run(haar_random_unitary(modes, 6), params, pulses, n, 6)
+        records = list(run.records)
+        assert len(records) > 20
+        monkeypatch.setattr(SampleRecord, "__init__", _no_record)
+        assert main(["scattershot", "--modes", str(modes), "--epsilon", str(epsilon), "--eta",
+                     str(eta), "--n", str(n), "--pulses", str(pulses), "--seed", "6",
+                     "--out", str(ours), "--report", str(tmp_path / "report.txt")]) == 0
+        header = [line[2:] for line in ours.read_text().splitlines() if line.startswith("# ")]
+        per_record_log_reference(reference, records, header)
+        assert ours.read_bytes() == reference.read_bytes()
 
     def test_source_file_must_match_modes(self, tmp_path):
         config = tmp_path / "sources.json"

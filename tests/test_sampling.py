@@ -1,16 +1,21 @@
+import dataclasses
 import itertools
 import math
 import re
+import sys
+import time
 import tracemalloc
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multiphoton import cli, sampling, sources
+from multiphoton import cli, linalg, sampling, sources
 from multiphoton.errors import ContractError, DataError, ResourceLimitError
 from multiphoton.linalg import (
     enumerate_patterns,
@@ -407,6 +412,54 @@ class TestExpectedRate:
         assert expected_rate(2000, 1000, 0.0, 0.5) == 0.0
         assert expected_rate(2000, 1000, 1.0, 1.0) == 0.0
 
+    @staticmethod
+    def exact_log_rate_reference(k, n, eps, eta, rep_rate=80e6):
+        """The rate by the exact integer C(k, n): the float product while it
+        fits, else the sum of logarithms."""
+        p = eps * eta
+        try:
+            return rep_rate * math.comb(k, n) * p**n * (1.0 - p) ** (k - n)
+        except OverflowError:
+            if p in (0.0, 1.0):
+                return 0.0
+            return math.exp(math.log(rep_rate) + math.log(math.comb(k, n)) + n * math.log(p)
+                            + (k - n) * math.log1p(-p))
+
+    def test_log_binomial_estimate(self):
+        rng = np.random.default_rng(4)
+        pairs = [(2**63 - 1, n) for n in (0, 1, 2, 3, 230, 2**63 - 2)] + [(1, 0), (1, 1), (2, 1)]
+        pairs += [(int(k), int(rng.integers(0, k + 1))) for k in rng.integers(1, 20_000, 150)]
+        for k, n in pairs:
+            exact = math.log(math.comb(k, n))
+            assert abs(linalg._log_comb(k, n) - exact) <= 0.006
+            if min(n, k - n) > 200:
+                assert linalg._log_comb(k, n) == pytest.approx(exact, rel=1e-9, abs=0)
+
+    def test_exact_binomial_up_to_the_digits_str_converts(self):
+        # Bit-identical to the exact integer wherever C(k, n) could be printed,
+        # and within 1e-9 of it beyond, where only logarithms are summed.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.choice([rng.integers(1, 40_000), rng.integers(1, 2**63)]))
+            n = int(rng.choice([rng.integers(0, k + 1), rng.integers(0, min(k, 400) + 1)]))
+            eps, eta = map(float, rng.random(2))
+            if linalg._log_comb(k, n) > 2e4:
+                continue  # beyond about 8700 digits: too slow for the exact oracle
+            digits = math.log10(math.comb(k, n))
+            got = expected_rate(k, n, eps, eta)
+            want = self.exact_log_rate_reference(k, n, eps, eta)
+            if digits <= sys.get_int_max_str_digits():
+                assert got == want or (math.isnan(got) and math.isnan(want))
+            elif math.isfinite(want):
+                assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_binomial_of_ten_billion_takes_no_big_integer(self):
+        start = time.perf_counter()
+        rate = expected_rate(10**10, 5 * 10**9, 0.5, 1.0)
+        assert time.perf_counter() - start < 0.1
+        # rep_rate * C(k, k/2) / 2**k, about rep_rate / sqrt(pi k / 2)
+        assert rate == pytest.approx(80e6 / math.sqrt(math.pi * 10**10 / 2), rel=1e-6)
+
     def test_guards(self):
         with pytest.raises(ContractError):
             expected_rate(3, 4, 0.1, 0.5)
@@ -738,10 +791,9 @@ class TestScattershotRun:
         # events land on both sides of an internal batch boundary
         assert idx[-1] >= 65_536
 
-    def test_records_are_built_once_on_first_access(self):
+    def test_records_share_equal_patterns(self):
         u = haar_random_unitary(4, 35)
         result = scattershot_run(u, [SourceParams(epsilon=0.5)] * 4, 2_000, 2, seed=1)
-        assert "records" not in vars(result)
         records = result.records
         assert result.records is records
         assert len(records) == result.report.retained_events > 0
@@ -754,17 +806,52 @@ class TestScattershotRun:
 LOG_COLUMNS = "pulse_index,trigger_pattern,input_pattern,output_pattern"
 
 
-def per_record_write_reference(path, records, header_lines=()):
-    """Sample-log writer with one ``occupation_to_string`` call and one write per field."""
+class _Memo(dict):
+    """``convert(key)`` for each distinct key, computed on its first lookup."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self._convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self._convert(key)
+        return value
+
+
+def _check_pulse_indices(records) -> None:
+    """Raise ContractError unless every pulse index is an integer, not a
+    bool, in [0, 2**63), the range of the int64 pulse column."""
+    pulses = list(map(attrgetter("pulse_index"), records))
+    if not set(map(type, pulses)) <= {int}:
+        for value in pulses:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractError(f"pulse index must be an integer, got {value!r}")
+        pulses = list(map(int, pulses))  # numpy integers compare exactly as ints
+    if pulses and not 0 <= min(pulses) <= max(pulses) < 2**63:
+        value = min(pulses) if min(pulses) < 0 else max(pulses)
+        raise ContractError(f"pulse index out of range [0, 2**63): {value}")
+
+
+def per_record_log_reference(path, records, header_lines=()):
+    """The per-record sample-log writer, the oracle of the columnar one: one
+    f-string per record, each distinct pattern encoded once through a memo,
+    and the pulse indices checked first."""
+    _check_pulse_indices(records)
+    encoded = _Memo(occupation_to_string)
+    body = "".join([
+        f"{rec.pulse_index},{encoded[tuple(rec.trigger)]},"
+        f"{encoded[tuple(rec.input)]},{encoded[tuple(rec.output)]}\n"
+        for rec in records
+    ])
+    header = "".join(f"# {line}\n" for line in header_lines)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(LOG_COLUMNS + "\n")
-        for rec in records:
-            fh.write(
-                f"{rec.pulse_index},{occupation_to_string(rec.trigger)},"
-                f"{occupation_to_string(rec.input)},{occupation_to_string(rec.output)}\n"
-            )
+        fh.write(f"{header}{LOG_COLUMNS}\n{body}")
+
+
+def view_of(records):
+    """The records as a read-only view of their event table, as a run or a
+    read log hands them out."""
+    return sampling._RecordView(sampling._events_from_records(records))
 
 
 def per_line_read_reference(path):
@@ -874,10 +961,10 @@ def event_fields(events):
 
 
 def read_both(path):
-    """``_read_events`` and ``per_line_events_reference`` of one log: each
-    one's event fields, or its DataError's message."""
+    """The event table of ``read_sample_log`` and ``per_line_events_reference``
+    of one log: each one's event fields, or its DataError's message."""
     results = []
-    for reader in (sampling._read_events, per_line_events_reference):
+    for reader in (lambda path: read_sample_log(path)._events, per_line_events_reference):
         try:
             results.append(event_fields(reader(path)))
         except DataError as exc:
@@ -992,16 +1079,34 @@ class TestSampleLog:
     @pytest.mark.parametrize("case", LOG_CASES)
     def test_write_matches_per_record_writer(self, tmp_path, case):
         records, header = LOG_CASES[case]()
-        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
-        write_sample_log(ours, records, header)
-        per_record_write_reference(reference, records, header)
-        assert ours.read_bytes() == reference.read_bytes()
+        reference = tmp_path / "reference.csv"
+        per_record_log_reference(reference, list(records), header)
+        for given in (list(records), view_of(records)):
+            ours = tmp_path / "ours.csv"
+            write_sample_log(ours, given, header)
+            assert ours.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("cut", [slice(None), slice(None, None, 3), slice(5, 90, 7),
+                                     slice(None, None, -1), slice(-7, None), slice(10, 3),
+                                     slice(0, 0), slice(10**6, None), slice(-2, 1, -5)])
+    def test_views_and_their_slices_write_like_their_records(self, tmp_path, cut):
+        records, header = _scattershot_log()
+        path = tmp_path / "read.csv"
+        write_sample_log(path, records, header)
+        for view in (records, read_sample_log(path)):
+            part = view[cut]
+            assert isinstance(part, sampling._RecordView)
+            assert list(part) == list(view)[cut]
+            ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+            write_sample_log(ours, part, header)
+            per_record_log_reference(reference, list(part), header)
+            assert ours.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("case", LOG_CASES)
     def test_read_matches_per_record_reader(self, tmp_path, case):
         records, header = LOG_CASES[case]()
         path = tmp_path / "samples.csv"
-        per_record_write_reference(path, records, header)
+        per_record_log_reference(path, list(records), header)
         if case in LOG_DRESSES:
             text = path.read_text(encoding="utf-8")
             path.write_text(LOG_DRESSES[case](text), encoding="utf-8", newline="")
@@ -1125,11 +1230,119 @@ class TestSampleLog:
     ], ids=["ideal", "lossy"])
     def test_event_table_holds_each_used_pattern_once(self, params):
         run = scattershot_run(haar_random_unitary(6, 11), params, 20_000, 3, 8)
-        events = run._events
+        events = run.records._events
         assert len(set(events.patterns)) == len(events.patterns)
         used = np.unique(np.concatenate([events.trigger, events.input, events.output]))
         assert used.tolist() == list(range(len(events.patterns)))
-        assert sampling._events_from_records(run.records).records() == run.records
+        assert sampling._events_from_records(run.records) is events
+        assert view_of(list(run.records)) == run.records
+
+
+_FUZZ_WRITES = settings(max_examples=120, deadline=None, derandomize=True, database=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+# Random record lists for the writer oracle: pulses of several integer types,
+# some near the int64 end, patterns of 0-12 modes holding up to 9 photons each,
+# as tuples, lists or numpy integers, and header lines of any text.
+_PULSE_INDEX = (st.integers(0, 2**63 - 1) | st.integers(2**63 - 40, 2**63 - 1)).flatmap(
+    lambda p: st.sampled_from([int, np.int64, np.uint64] + [np.uint8, np.int32] * (p < 128))
+    .map(lambda kind: kind(p)))
+_PATTERN = st.lists(st.integers(0, 9), max_size=12).flatmap(
+    lambda p: st.sampled_from([tuple(p), p, tuple(map(np.int64, p))]))
+_RECORD = st.builds(SampleRecord, _PATTERN, _PATTERN, _PATTERN, _PULSE_INDEX)
+_SHARED = st.lists(_PATTERN, min_size=1, max_size=3).flatmap(  # a few patterns, many records
+    lambda ps: st.lists(st.builds(SampleRecord, st.sampled_from(ps), st.sampled_from(ps),
+                                  st.sampled_from(ps), _PULSE_INDEX), max_size=40))
+_HEADER = st.lists(st.text(max_size=12) | st.sampled_from(["ünïcödé ☃", "seed: 1", ""]),
+                   max_size=3)
+# One refused value: a bad pattern entry or a bad pulse index.
+_BAD_PATTERN = st.sampled_from([(10, 0), (0, -1), (1.5, 0), ("a", 1), (math.nan,), (2**64,),
+                                (0, 2**63)])
+_BAD_PULSE = st.sampled_from([-5, 1.5, True, 2**63, np.bool_(True), np.uint64(2**63), "3", None])
+
+
+class TestLogWriterOracle:
+    @_FUZZ_WRITES
+    @given(records=st.lists(_RECORD, max_size=12) | _SHARED, header=_HEADER)
+    def test_random_records_write_like_the_per_record_writer(self, tmp_path, records, header):
+        reference = tmp_path / "reference.csv"
+        per_record_log_reference(reference, records, header)
+        for given_records in (records, view_of(records)):
+            ours = tmp_path / "ours.csv"
+            write_sample_log(ours, given_records, header)
+            assert ours.read_bytes() == reference.read_bytes()
+
+    @_FUZZ_WRITES
+    @given(records=st.lists(_RECORD, min_size=1, max_size=8), data=st.data())
+    def test_refusals_keep_their_text_and_write_nothing(self, tmp_path, records, data):
+        # One or two records spoilt in one field each; the first refusal decides.
+        for _ in range(data.draw(st.integers(1, 2))):
+            at = data.draw(st.integers(0, len(records) - 1))
+            field = data.draw(st.sampled_from(["trigger", "input", "output", "pulse_index"]))
+            bad = data.draw(_BAD_PULSE if field == "pulse_index" else _BAD_PATTERN)
+            records[at] = dataclasses.replace(records[at], **{field: bad})
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        with pytest.raises(ContractError) as expected:
+            per_record_log_reference(reference, records)
+        with pytest.raises(ContractError) as refused:
+            write_sample_log(ours, records)
+        assert str(refused.value) == str(expected.value)
+        assert not ours.exists()
+
+    def test_empty_list_writes_the_header_alone(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_sample_log(path, [], ["ünïcödé ☃"])
+        assert path.read_bytes() == f"# ünïcödé ☃\n{LOG_COLUMNS}\n".encode()
+        assert read_sample_log(path) == []
+
+
+class TestRecordView:
+    @staticmethod
+    def run_result():
+        u = haar_random_unitary(4, 35)
+        return scattershot_run(u, [SourceParams(epsilon=0.5)] * 4, 2_000, 2, seed=1)
+
+    def test_is_a_read_only_sequence_built_once(self):
+        result = self.run_result()
+        view = result.records
+        assert result.records is view
+        assert isinstance(view, Sequence) and not isinstance(view, list)
+        with pytest.raises(TypeError):
+            view[0] = view[1]
+        with pytest.raises(TypeError):
+            del view[0]
+        with pytest.raises(AttributeError):
+            view.append(view[0])
+        with pytest.raises(TypeError):
+            hash(view)
+
+    def test_indices_follow_list_semantics(self):
+        view = self.run_result().records
+        records = list(view)
+        assert len(view) == len(records) > 10
+        for index in (0, 5, -1, -len(records), np.int64(3), np.uint8(2), np.intp(-2)):
+            assert view[index] == records[index]
+        for index in (len(records), -len(records) - 1, np.int64(len(records))):
+            with pytest.raises(IndexError):
+                view[index]
+        with pytest.raises(TypeError):
+            view[1.0]
+        assert view[3:9][-1] == records[8]
+        assert list(reversed(view)) == records[::-1]
+        assert view.index(records[4]) == 4 and records[4] in view
+
+    def test_equality_follows_list_semantics(self, tmp_path):
+        view = self.run_result().records
+        records = list(view)
+        path = tmp_path / "samples.csv"
+        write_sample_log(path, view)
+        for same in (records, view[:], read_sample_log(path)):
+            assert view == same and same == view
+            assert not (view != same) and not (same != view)
+        for other in (records[:-1], records[::-1], view[1:], records + records[:1]):
+            assert view != other and other != view
+            assert not (view == other)
+        assert view != tuple(records) and tuple(records) != view
+        assert view[:0] == [] and [] == view[:0]
 
 
 # Fuzzed sample-log bodies: valid rows and skipped lines, with at most one

@@ -11,9 +11,9 @@ from multiphoton.sampling import (
     OutcomeDistribution,
     SampleRecord,
     _distributions,
-    _read_events,
     distinguishable_distribution,
     exact_distribution,
+    read_sample_log,
     sample_outputs,
     scattershot_run,
     write_sample_log,
@@ -26,7 +26,6 @@ from multiphoton.validation import (
     _pooled_report,
     _rows,
     _similarity,
-    _validate_events,
     empirical_distribution,
     likelihood_ratio_test,
     scattershot_aggregate_validation,
@@ -320,7 +319,8 @@ class TestAgainstRecordReference:
         # the command-line path: the log read as an event table, no records
         log = tmp_path / "samples.csv"
         write_sample_log(log, records)
-        assert_same_report(_validate_events(_read_events(log), unitary, True, 5.0), reference)
+        assert_same_report(scattershot_aggregate_validation(read_sample_log(log), unitary),
+                           reference)
 
     @pytest.mark.parametrize("collisions", [True, False])
     def test_shuffled_records(self, collisions):
@@ -365,6 +365,32 @@ class TestAgainstRecordReference:
         for validate in (record_aggregate_reference, scattershot_aggregate_validation):
             with pytest.raises(DataError, match="^records mix pattern lengths"):
                 validate(records, u)
+
+
+def test_slicing_writing_and_validating_run_records_build_no_record(tmp_path, monkeypatch):
+    unitary = haar_random_unitary(6, 4)
+    run = scattershot_run(unitary, [SourceParams(epsilon=0.3)] * 6, 30_000, 3, seed=2)
+    cuts = [slice(2_000), slice(None, None, 3), slice(-500, None), slice(None, None, -1)]
+    assert len(run.records) > 2_000
+    reference = []
+    for cut in cuts:
+        records = list(run.records[cut])
+        write_sample_log(tmp_path / "list.csv", records)
+        reference.append((scattershot_aggregate_validation(records, unitary),
+                          (tmp_path / "list.csv").read_bytes()))
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a SampleRecord was built")
+
+    monkeypatch.setattr(SampleRecord, "__init__", no_record)
+    for cut, (report, log) in zip(cuts, reference):
+        view = run.records[cut]
+        write_sample_log(tmp_path / "view.csv", view)
+        assert (tmp_path / "view.csv").read_bytes() == log
+        assert_same_report(scattershot_aggregate_validation(view, unitary), report)
+        read = read_sample_log(tmp_path / "view.csv")
+        assert len(read) == len(view)
+        assert_same_report(scattershot_aggregate_validation(read[::1], unitary), report)
 
 
 class TestScattershotAggregateValidation:
@@ -433,7 +459,7 @@ class TestScattershotAggregateValidation:
         log = tmp_path / "samples.csv"
         write_sample_log(log, records)
         with pytest.raises(ContractError, match=message):
-            _validate_events(_read_events(log), u, True, 5.0)
+            scattershot_aggregate_validation(read_sample_log(log), u)
 
     def test_noise_floor_scaling(self):
         # multinomial sampling noise: distance roughly halves when the
