@@ -11,9 +11,12 @@ photons coincide.  A run draws only the candidate pulses, where exactly
 ``n_select`` sources herald a surviving signal and the rest stay silent:
 per batch a binomial count, their pulse offsets and each one's heralding
 set, a row of the ``n_select``-photon pattern table.  Over each round of
-batches, a first pass fires every batch, one engine call builds the inputs
-the run has not built yet into one matrix of cumulative sums, and a second
-pass draws the outputs.
+batches, a first pass fires every batch and a second draws the outputs.
+Below four photons, one engine call builds the inputs the run has not built
+yet into one matrix of cumulative sums, from which each output is drawn;
+from four photons, where a run meets many inputs for a few events each,
+each candidate's output is drawn on its own by Clifford & Clifford's
+algorithm B, at a cost per event rather than per input.
 
 Retained events live in one columnar table (pulse index and pattern ids,
 each distinct pattern held once) from the run, or from a read sample log,
@@ -25,6 +28,7 @@ record only when one is asked for.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -70,8 +74,20 @@ MAX_ENUMERATION = 1_000_000
 # so results do not depend on how a run is split up.
 _BATCH = 1 << 16
 # Batches are drawn in rounds of this many (2**22 pulses); each round's new
-# inputs are built in one engine call.  Results do not depend on it.
+# inputs are built in one engine call, or its outputs drawn in one per-event
+# call.  Results do not depend on it.
 _ROUND = 64
+# A run of at least this many photons draws each candidate's output on its
+# own (``_per_event_outputs``); below it, a run builds each input's output
+# table once and draws from it.  The photon number alone chooses, never the
+# run length.  On 2 cores the tables ran 1.6-2.6x faster at n=3 on runs of
+# 1e4-1e5 events at m=8 and m=12 (the per-event draw won only on faint or
+# m=16 runs), and the per-event draw 1.8-7x faster at n=4 on bright and
+# faint m=12 runs, losing (2.9x) only on a dense m=8 run of 34,000 events
+# over 70 inputs.
+_PER_EVENT_PHOTONS = 4
+# Events per chunk of the per-event draw, which bounds its working arrays.
+_EVENT_CHUNK = 2048
 
 
 class _Support(NamedTuple):
@@ -238,6 +254,69 @@ def _probabilities(u: np.ndarray, inputs: np.ndarray, collisions: bool,
                 raise ContractError("no probability mass on collision-free outputs")
             probs /= totals
     return table, out
+
+
+@functools.lru_cache(maxsize=None)  # one entry per photon number, at most 6
+def _subset_lattice(n: int) -> tuple:
+    """Per level k = 1..n-1, the k-subsets of n photons: their bit masks,
+    their members, and each mask without each member."""
+    levels = []
+    for k in range(1, n):
+        members = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+        masks = (1 << members).sum(axis=1)
+        level = (masks, members, masks[:, None] ^ (1 << members))
+        for array in level:  # shared by every caller
+            array.flags.writeable = False
+        levels.append(level)
+    return tuple(levels)
+
+
+def _per_event_outputs(u: np.ndarray, inputs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Each event's output by Clifford & Clifford's algorithm B ("The
+    classical complexity of boson sampling", arXiv:1706.01260), as its
+    ascending occupied modes.
+
+    ``inputs`` holds each event's n occupied input modes and ``uniforms``
+    its 2n numbers in [0, 1): the argsort of the first n orders the photons
+    uniformly at random, and number n + k draws the output mode r_k of
+    photon k in that order.  With s_l the input mode of photon l, mode i
+    has weight |sum_(l<=k) u[s_l, i] perm(M_l)|^2, where M_l holds modes
+    r_0..r_(k-1) against photons 0..k without photon l; r_k is the first
+    mode whose cumulative weight reaches (1 - number) times the total, so
+    it has positive weight.  Per event, the permanents of the k modes drawn
+    so far against every k-subset of the photons are kept, and grown by one
+    mode with a Laplace expansion along its row.  The events are drawn in
+    chunks of ``_EVENT_CHUNK``, each in elementwise operations alone, so an
+    event's output does not depend on the chunk it is drawn in.
+    """
+    events, n = inputs.shape
+    levels = _subset_lattice(n)
+    out = np.empty((n, events), dtype=np.intp)  # arrays run over events last
+    for lo in range(0, events, _EVENT_CHUNK):
+        chunk = uniforms[lo:lo + _EVENT_CHUNK]
+        order = np.argsort(chunk[:, :n], axis=1, kind="stable")
+        photons = np.take_along_axis(inputs[lo:lo + _EVENT_CHUNK], order, axis=1).T
+        rows = u.T[:, photons]  # rows[i, l, e]: photon l's amplitude to exit in mode i
+        perms = np.zeros((1 << n, len(chunk)), dtype=u.dtype)  # by subset bit mask
+        perms[0] = 1.0
+        drawn = out[:, lo:lo + len(chunk)]
+        for k in range(n):
+            first = (2 << k) - 1  # photons 0..k
+            amplitude = rows[:, 0] * perms[first ^ 1]
+            for l in range(1, k + 1):
+                amplitude += rows[:, l] * perms[first ^ (1 << l)]
+            cum = amplitude.real**2 + amplitude.imag**2
+            for i in range(1, len(cum)):  # 3x faster than np.cumsum along this axis
+                cum[i] += cum[i - 1]
+            drawn[k] = (cum < (1.0 - chunk[:, n + k]) * cum[-1]).sum(axis=0)
+            if k + 1 < n:
+                row = u[photons, drawn[k]]  # row[l, e]: u[s_l, r_k]
+                masks, members, parents = levels[k]
+                grown = row[members[:, 0]] * perms[parents[:, 0]]
+                for j in range(1, k + 1):
+                    grown += row[members[:, j]] * perms[parents[:, j]]
+                perms[masks] = grown
+    return np.sort(out.T, axis=1)
 
 
 def _distributions(u: np.ndarray, inputs: np.ndarray, collisions: bool,
@@ -476,9 +555,12 @@ def expected_rate(k: int, n: int, eps: float, eta: float, rep_rate: float = 80e6
         return rep_rate * p**n
     if _log_comb(k, n) < 309 * math.log(10):  # else C(k, n) is beyond the float range
         try:
-            return rep_rate * math.comb(k, n) * p**n * (1.0 - p) ** (k - n)
+            rate = rep_rate * math.comb(k, n) * p**n * (1.0 - p) ** (k - n)
         except OverflowError:
             pass
+        else:
+            if math.isfinite(rate):  # rep_rate * C(k, n) alone can overflow to inf
+                return rate
     if p in (0.0, 1.0):  # a zero factor, as 0 < n < k here
         return 0.0
     # C(k, n) itself only while str() could print it: beyond, it costs seconds or more.
@@ -554,6 +636,22 @@ def _candidate_draw(params: Sequence[SourceParams], n: int) -> _CandidateDraw:
                           _pattern_table(modes, n, True).rows(subsets))
 
 
+def _table_picks(cum: np.ndarray, built: dict, inputs: np.ndarray,
+                 draws: np.ndarray) -> np.ndarray:
+    """The output rows that uniform ``draws`` pick from the cumulative rows
+    ``cum[built[input]]``: one searchsorted per distinct input, on its
+    slice of the candidates sorted by input.  The last cumulative entry is
+    1.0, so every pick is a valid outcome row."""
+    order = np.argsort(inputs, kind="stable")
+    ranked = inputs[order]
+    cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(order)]
+    picks = np.empty(len(order), dtype=np.intp)
+    for lo, hi, row in zip(cuts, cuts[1:], ranked[cuts[:-1]].tolist()):
+        at = order[lo:hi]
+        picks[at] = np.searchsorted(cum[built[row]], draws[at], side="right")
+    return picks
+
+
 def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
                     n_select: int, seed: int) -> ScattershotResult:
     """Simulate a scattershot acquisition run.
@@ -573,17 +671,30 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     from its generator, the candidate count ~ Binomial(size, P_cand), their
     pulse offsets without replacement, each one's heralding set by one
     ``searchsorted`` on the cumulative subset weights, then the candidates'
-    output uniforms.  A batch with candidates is kept as pending: its first
-    pulse, the candidates' pulse offsets, their uniforms and input rows, and
-    its generator when a detector is lossy, as thinning draws from it
-    later.  One engine call then builds every input of the round that the
-    run has not built yet.  Their checked probabilities become cumulative
-    sums, in place, as new rows of the run's one cumulative matrix, which
-    holds a row per input built.  The second pass sorts each pending batch's candidates by input, draws each
-    input's outputs with one ``searchsorted`` on its row, and thins them.
+    output uniforms, one each below four photons and 2 * n_select from
+    four.  A batch with candidates is kept as pending: its first pulse, the
+    candidates' pulse offsets, their uniforms and input rows, and its
+    generator when a detector is lossy, as thinning draws from it later.
+    The second pass draws every pending candidate's output, by the output
+    table path below four photons or by the per-event path from four (the
+    photon number alone chooses), and thins each batch's outputs in turn.
+
+    * Output tables: one engine call builds every input of the round that
+      the run has not built yet.  Their checked probabilities become
+      cumulative sums, in place, as new rows of the run's one cumulative
+      matrix, which holds a row per input built; each pending batch's
+      candidates are sorted by input, and each input's outputs drawn with
+      one ``searchsorted`` on its row.  Cheapest where inputs repeat often.
+    * Per event: one call draws every pending candidate's output by
+      Clifford & Clifford's algorithm B (see ``_per_event_outputs``), in
+      chunks of a fixed number of events, with no table of probabilities.
+      Its cost grows with the events, not with the distinct inputs, which
+      from four photons is the cheaper side on every run but dense ones at
+      few modes.
+
     The pending batches are all the state a round holds, so the round size
-    bounds it, whatever the run length; the matrix grows only with the
-    number of distinct inputs.
+    bounds it, whatever the run length; the cumulative matrix grows only
+    with the number of distinct inputs.
 
     The events are kept as a columnar table; ``records`` on the result is
     a read-only view of it.  Deterministic given the seed, and the same for
@@ -608,7 +719,8 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     # Every candidate's trigger and drawn output hold n_select photons, so
     # events are stored as rows of that photon number's pattern table.
     table = _pattern_table(modes, n_select, True)
-    built: dict = {}  # input row -> its row of cum
+    per_event = n_select >= _PER_EVENT_PHOTONS
+    built: dict = {}  # input row -> its row of cum, on the table path
     cum = np.empty((0, len(table.cols)))
     pulse_parts = [np.empty(0, dtype=np.int64)]
     trigger_parts = [np.empty(0, dtype=np.intp)]
@@ -622,30 +734,29 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
             rng = derive_rng(seed, "scattershot", batch_index)
             candidates, trigger_rows = draw.fire(rng, size)
             if candidates.size:
-                pending.append((start, candidates, rng.random(candidates.size),
-                                trigger_rows, None if perfect_detectors else rng))
+                draws = rng.random((candidates.size, 2 * n_select) if per_event
+                                   else candidates.size)
+                pending.append((start, candidates, draws, trigger_rows,
+                                None if perfect_detectors else rng))
         if not pending:
             continue
-        inputs = np.unique(np.concatenate([rows for _, _, _, rows, _ in pending]))
-        new = [row for row in inputs.tolist() if row not in built]
-        if new:
-            _, block = _probabilities(u, table.occupations[new], True, True)
-            _check_probabilities(block)
-            np.cumsum(block, axis=1, out=block)
-            block[:, -1] = 1.0
-            built.update(zip(new, range(len(cum), len(cum) + len(new))))
-            cum = np.concatenate((cum, block)) if len(cum) else block
-        for start, candidates, draws, trigger_rows, rng in pending:
-            # One searchsorted per distinct input, on its slice of the
-            # candidates sorted by input; the last cumulative entry is 1.0,
-            # so every pick is a valid outcome row.
-            order = np.argsort(trigger_rows, kind="stable")
-            ranked = trigger_rows[order]
-            cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(order)]
-            picks = np.empty(len(order), dtype=np.intp)
-            for lo, hi, row in zip(cuts, cuts[1:], ranked[cuts[:-1]].tolist()):
-                at = order[lo:hi]
-                picks[at] = np.searchsorted(cum[built[row]], draws[at], side="right")
+        inputs = np.concatenate([rows for _, _, _, rows, _ in pending])
+        if per_event:
+            outputs = _per_event_outputs(u, table.cols[inputs],
+                                         np.concatenate([d for _, _, d, _, _ in pending]))
+            cuts = np.cumsum([len(rows) for _, _, _, rows, _ in pending])[:-1]
+            drawn = np.split(table.rows(outputs), cuts)
+        else:
+            new = [row for row in np.unique(inputs).tolist() if row not in built]
+            if new:
+                _, block = _probabilities(u, table.occupations[new], True, True)
+                _check_probabilities(block)
+                np.cumsum(block, axis=1, out=block)
+                block[:, -1] = 1.0
+                built.update(zip(new, range(len(cum), len(cum) + len(new))))
+                cum = np.concatenate((cum, block)) if len(cum) else block
+            drawn = [_table_picks(cum, built, rows, draws) for _, _, draws, rows, _ in pending]
+        for (start, candidates, _, trigger_rows, rng), picks in zip(pending, drawn):
             if rng is not None:
                 # Thinning keeps n_select photons only where it removes
                 # none, so a retained output is the pattern drawn for it.

@@ -106,6 +106,15 @@ class TestRatesCommand:
         assert f"\ncombinations: {math.comb(2000, 1000)}\n" in out
         assert out.endswith("\npredicted_rate_hz: 0.0\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["--k", "29898", "--n", "29792", "--epsilon", "0.1", "--eta", "0.1"],
+        ["--k", "1024", "--n", "512", "--epsilon", "1.0", "--eta", "0.5"],
+    ], ids=["nan-product", "inf-product"])
+    def test_rate_of_an_overflowing_product_is_finite(self, capsys, argv):
+        assert main(["rates", *argv]) == 0
+        rate = capsys.readouterr().out.rsplit("predicted_rate_hz: ", 1)[1]
+        assert math.isfinite(float(rate))
+
     def test_binomial_beyond_the_digits_str_converts(self, capsys):
         assert main(["rates", "--k", "20000", "--n", "10000"]) == 4
         captured = capsys.readouterr()

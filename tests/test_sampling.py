@@ -157,17 +157,17 @@ class TestExactDistribution:
             distinguishable_distribution(0.5 * np.ones((4, 4)), (1, 1, 0, 0))
 
 
-def ryser_reference(unitary, occ, collisions, interfering, precise=True):
+def ryser_reference(unitary, occ, collisions, interfering):
     """Unnormalised output weights of one input by Ryser's formula, per input.
 
     This is the per-input builder the batched Glynn engine replaced: 2^n - 1
     subset row sums ``v_R`` and ``sum_R (-1)^(n-|R|) prod_(j in T) v_R[j]``
-    for every output T.  ``precise`` evaluates it in 80-bit long double, so
-    that its own rounding (up to 7e-15 in double for bunched inputs at small
-    m) stays far below the 1e-15 the engine is held to.  Returns the
-    outcomes and the weights before any collision-free renormalisation.
+    for every output T, evaluated in 80-bit long double, so that its own
+    rounding (up to 7e-15 in double for bunched inputs at small m) stays
+    far below the 1e-15 the engine is held to.  Returns the outcomes and
+    the weights before any collision-free renormalisation.
     """
-    real = np.longdouble if precise else np.float64
+    real = np.longdouble
     u = np.asarray(unitary, dtype=complex)
     modes, n = u.shape[0], sum(occ)
     outcomes = enumerate_patterns(modes, n, collisions)
@@ -188,12 +188,6 @@ def ryser_reference(unitary, occ, collisions, interfering, precise=True):
     else:
         weights = np.clip(amps.real, 0, None) / factors
     return outcomes, weights
-
-
-def reference_distribution(unitary, occ, collisions=True, interfering=True, precise=True):
-    outcomes, weights = ryser_reference(unitary, occ, collisions, interfering, precise)
-    return OutcomeDistribution(outcomes, (weights / weights.sum() if not collisions
-                                          else weights).astype(float))
 
 
 def _spread_and_bunched(modes, n):
@@ -415,15 +409,18 @@ class TestExpectedRate:
     @staticmethod
     def exact_log_rate_reference(k, n, eps, eta, rep_rate=80e6):
         """The rate by the exact integer C(k, n): the float product while it
-        fits, else the sum of logarithms."""
+        is finite, else the sum of logarithms."""
         p = eps * eta
         try:
-            return rep_rate * math.comb(k, n) * p**n * (1.0 - p) ** (k - n)
+            rate = rep_rate * math.comb(k, n) * p**n * (1.0 - p) ** (k - n)
         except OverflowError:
-            if p in (0.0, 1.0):
-                return 0.0
-            return math.exp(math.log(rep_rate) + math.log(math.comb(k, n)) + n * math.log(p)
-                            + (k - n) * math.log1p(-p))
+            rate = math.inf
+        if math.isfinite(rate):
+            return rate
+        if p in (0.0, 1.0):
+            return 0.0
+        return math.exp(math.log(rep_rate) + math.log(math.comb(k, n)) + n * math.log(p)
+                        + (k - n) * math.log1p(-p))
 
     def test_log_binomial_estimate(self):
         rng = np.random.default_rng(4)
@@ -449,9 +446,17 @@ class TestExpectedRate:
             got = expected_rate(k, n, eps, eta)
             want = self.exact_log_rate_reference(k, n, eps, eta)
             if digits <= sys.get_int_max_str_digits():
-                assert got == want or (math.isnan(got) and math.isnan(want))
-            elif math.isfinite(want):
+                assert got == want
+            else:
                 assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+    def test_product_overflowing_the_float_range_is_summed_in_logs(self):
+        # rep_rate * C(k, n) overflows to inf although C(k, n) fits a float:
+        # the direct product read inf * 0 = nan here, and inf in the second case
+        assert math.isfinite(expected_rate(29898, 29792, 0.1, 0.1))
+        exact = 80_000_000 * math.comb(1024, 512) * Fraction(1, 2) ** 1024
+        assert float(exact) == pytest.approx(1994224.47, abs=0.005)
+        assert expected_rate(1024, 512, 1.0, 0.5) == pytest.approx(float(exact), rel=1e-9, abs=0)
 
     def test_binomial_of_ten_billion_takes_no_big_integer(self):
         start = time.perf_counter()
@@ -514,8 +519,68 @@ def dense_scattershot_reference(u, params, pulses, n_select, seed, build=exact_d
     return records
 
 
+def per_event_scattershot_reference(u, params, pulses, n_select, seed):
+    """The run's candidates with Clifford & Clifford's algorithm B, one
+    candidate at a time.
+
+    Candidates come from the run's own firing, as in
+    ``dense_scattershot_reference``, and each draws 2n uniforms: the stable
+    order of the first n is the order of its photons, and number n + k
+    draws photon k's output mode.  Mode i has weight
+    |sum_(l<=k) u[s_l, i] perm(M_l)|^2, M_l holding the modes drawn so far
+    against photons 0..k without photon l, each minor's permanent by
+    ``permanent_naive``; the mode drawn is the first whose cumulative
+    weight reaches (1 - number) times the total.  Detector thinning follows,
+    in pulse order.
+    """
+    draw = sampling._candidate_draw(params, n_select)
+    patterns = enumerate_patterns(len(params), n_select)
+    detect_prob = np.array([p.eta_detect for p in params])
+    lossy = bool(np.any(detect_prob < 1.0))
+    records = []
+    for batch, start in enumerate(range(0, pulses, _BATCH)):
+        size = min(_BATCH, pulses - start)
+        rng = derive_rng(seed, "scattershot", batch)
+        candidates, rows = draw.fire(rng, size)
+        if candidates.size == 0:
+            continue
+        uniforms = rng.random((candidates.size, 2 * n_select))
+        for numbers, offset, row in zip(uniforms.tolist(), candidates.tolist(), rows.tolist()):
+            key = patterns[row]
+            modes = [mode for mode, count in enumerate(key) for _ in range(count)]
+            photons = [modes[l] for l in sorted(range(n_select), key=numbers.__getitem__)]
+            drawn = []
+            for k in range(n_select):
+                minors = []
+                for l in range(k + 1):
+                    cols = [photons[b] for b in range(k + 1) if b != l]
+                    minor = np.array([[u[c, r] for c in cols] for r in drawn], dtype=complex)
+                    minors.append(permanent_naive(minor.reshape(k, k)))
+                weights = [abs(sum(u[photons[l], i] * minors[l] for l in range(k + 1))) ** 2
+                           for i in range(len(key))]
+                threshold = (1.0 - numbers[n_select + k]) * sum(weights)
+                total = 0.0
+                for i, weight in enumerate(weights):
+                    total += weight
+                    if total >= threshold:
+                        break
+                drawn.append(i)
+            output = np.bincount(drawn, minlength=len(key))
+            if lossy:
+                output = rng.binomial(output, detect_prob)
+                if output.sum() != n_select:
+                    continue
+            records.append(SampleRecord(trigger=key, input=key,
+                                        output=tuple(int(x) for x in output),
+                                        pulse_index=start + offset))
+    return records
+
+
+_BRIGHT = SourceParams.from_lumped_efficiency(0.3, 0.81)
 _FAINT_LOSSY = [SourceParams(0.03, eta_herald=0.9, eta_detect=d)
                 for d in (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)]
+_FOUR_LOSSY = [SourceParams(0.1, eta_herald=0.9, eta_detect=d)
+               for d in (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)]
 _FAINT_PULSES = 3 * _BATCH + 100
 
 
@@ -640,8 +705,6 @@ class TestScattershotRun:
         (5, [SourceParams(e) for e in (0.05, 0.1, 0.2, 0.3, 0.1)], 20_000, 3, 1),
         # lossy detectors and heralds, crossing a batch boundary
         (6, [SourceParams(0.4, eta_herald=0.9, eta_detect=0.7)] * 6, 70_000, 2, 2),
-        # bright sources, four photons
-        (8, [SourceParams.from_lumped_efficiency(0.3, 0.81)] * 8, 5_000, 4, 3),
         # faint sources, unequal detectors: four batches, the last partial
         # and without a candidate (see test_round_size_does_not_change_the_run)
         (8, _FAINT_LOSSY, _FAINT_PULSES, 3, 5),
@@ -656,23 +719,31 @@ class TestScattershotRun:
         assert len(reference) > 0
         assert result.records == reference
 
-    @pytest.mark.parametrize("n, pulses", [(4, 4_000), (5, 2_500)])
-    def test_matches_per_input_ryser_run(self, n, pulses):
-        # bright criterion-3 sources; every input's distribution is built on
-        # its own by the per-input Ryser reference in double precision
-        u = haar_random_unitary(12, 44)
-        params = [SourceParams.from_lumped_efficiency(0.3, 0.81)] * 12
-        result = scattershot_run(u, params, pulses, n, seed=n)
-        reference = dense_scattershot_reference(
-            u, params, pulses, n, n, lambda u, occ: reference_distribution(u, occ, precise=False))
-        assert len(reference) > 100
+    @pytest.mark.parametrize("modes, params, pulses, n, seed", [
+        # bright sources, four photons
+        (8, [_BRIGHT] * 8, 5_000, 4, 3),
+        # bright criterion-3 sources at four and five photons
+        (12, [_BRIGHT] * 12, 4_000, 4, 4),
+        (12, [_BRIGHT] * 12, 2_500, 5, 5),
+        # lossy detectors and heralds, crossing a batch boundary
+        (8, _FOUR_LOSSY, 70_000, 4, 6),
+        # six photons
+        (8, [_BRIGHT] * 8, 8_000, 6, 7),
+    ])
+    def test_matches_per_event_reference(self, modes, params, pulses, n, seed):
+        # from four photons the run draws each output on its own
+        u = haar_random_unitary(modes, 40 + modes)
+        result = scattershot_run(u, params, pulses, n, seed)
+        reference = per_event_scattershot_reference(u, params, pulses, n, seed)
+        assert len(reference) > 20
         assert result.records == reference
 
-    @pytest.mark.parametrize("round_batches", [1, 2])
-    def test_round_size_does_not_change_the_run(self, round_batches, monkeypatch):
+    @pytest.mark.parametrize("round_batches, chunk", [(1, 1), (2, 7)])
+    def test_round_size_does_not_change_the_run(self, round_batches, chunk, monkeypatch):
         # A later batch brings an input no earlier batch drew, so a smaller
         # round builds in several engine calls, and the last, partial batch
-        # has no candidate, so a one-batch round holds nothing.
+        # has no candidate, so a one-batch round holds nothing.  At four
+        # photons the outputs are drawn per event, in chunks of ``chunk``.
         draw = sampling._candidate_draw(_FAINT_LOSSY, 3)
         rows = [set(draw.fire(derive_rng(5, "scattershot", batch),
                               min(_BATCH, _FAINT_PULSES - start))[1].tolist())
@@ -680,12 +751,28 @@ class TestScattershotRun:
         assert len(rows) == 4 and not rows[-1]
         assert any(later - set().union(*rows[:b]) for b, later in enumerate(rows) if b)
         u = haar_random_unitary(8, 48)
-        default = scattershot_run(u, _FAINT_LOSSY, _FAINT_PULSES, 3, 5)
+        cases = [(_FAINT_LOSSY, 3), (_FOUR_LOSSY, 4)]
+        default = [scattershot_run(u, params, _FAINT_PULSES, n, 5) for params, n in cases]
         monkeypatch.setattr(sampling, "_ROUND", round_batches)
-        run = scattershot_run(u, _FAINT_LOSSY, _FAINT_PULSES, 3, 5)
-        assert run.report == default.report
-        assert run.records == default.records
-        assert len(run.records) > 0
+        monkeypatch.setattr(sampling, "_EVENT_CHUNK", chunk)
+        for (params, n), want in zip(cases, default):
+            run = scattershot_run(u, params, _FAINT_PULSES, n, 5)
+            assert run.report == want.report
+            assert run.records == want.records
+            assert len({r.pulse_index // _BATCH for r in run.records}) > 1
+
+    def test_sparse_bright_run_stays_small(self):
+        # The run meets 4,093 of the 4,368 inputs, about 3 events each: a
+        # table of cumulative sums per input met would alone take 508 MB.
+        u = haar_random_unitary(16, 12)
+        tracemalloc.start()
+        try:
+            run = scattershot_run(u, [_BRIGHT] * 16, 100_000, 5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len({r.trigger for r in run.records}) > 4_000
+        assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_deterministic_sources_retain_every_pulse(self):
         u = haar_random_unitary(3, 27)
@@ -801,6 +888,64 @@ class TestScattershotRun:
         assert all(r.trigger is r.input for r in records)
         patterns = [p for r in records for p in (r.trigger, r.output)]
         assert len({id(p) for p in patterns}) == len(set(patterns))
+
+
+def goodness_of_fit(counts, probs):
+    """The chi-square p-value of ``counts`` against ``probs``, over the bins
+    expecting at least 5 draws and one bin pooling the rest; their total
+    variation distance; and an ideal sampler's, the mean over 5 seeded
+    multinomial draws of the same size."""
+    from scipy import stats
+    draws = counts.sum()
+    expected = probs * draws
+    small = expected < 5
+    observed = np.append(counts[~small], counts[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    pvalue = stats.chisquare(observed, expected * draws / expected.sum()).pvalue
+    rng = np.random.default_rng(0)
+    ideal = np.mean([np.abs(rng.multinomial(draws, probs) / draws - probs).sum() / 2
+                     for _ in range(5)])
+    return pvalue, np.abs(counts / draws - probs).sum() / 2, ideal
+
+
+class TestPerEventDraw:
+    """The per-event output draw against ``exact_distribution``, at fixed seeds."""
+
+    @pytest.mark.parametrize("modes, n", [(8, 4), (12, 5), (8, 6)])
+    def test_draws_follow_the_exact_distribution(self, modes, n):
+        u = haar_random_unitary(modes, 50 + n)
+        occupied = np.sort(np.random.default_rng(n).choice(modes, n, replace=False))
+        draws = 100_000
+        uniforms = np.random.default_rng(modes + n).random((draws, 2 * n))
+        outputs = sampling._per_event_outputs(u, np.tile(occupied, (draws, 1)), uniforms)
+        table = linalg._pattern_table(modes, n, True)
+        counts = np.bincount(table.rows(outputs), minlength=len(table.cols))
+        probs = exact_distribution(u, np.bincount(occupied, minlength=modes)).probabilities
+        pvalue, tv, ideal = goodness_of_fit(counts, probs)
+        assert pvalue > 1e-3
+        assert tv <= 1.1 * ideal
+
+    def test_lossy_run_follows_the_thinned_distribution(self):
+        # Sources 0-3 herald on every pulse and the others never, so every
+        # event's input is (1, 1, 1, 1, 0, 0, 0, 0); the lossy detectors keep
+        # output T with probability prod_j eta_j^t_j.
+        eta = np.array([1.0] * 4 + [0.5, 0.6, 0.7, 0.8])
+        params = [SourceParams(float(i < 4), eta_detect=d) for i, d in enumerate(eta.tolist())]
+        u = haar_random_unitary(8, 57)
+        pulses = 100_000
+        run = scattershot_run(u, params, pulses, 4, seed=9)
+        table = linalg._pattern_table(8, 4, True)
+        kept = (exact_distribution(u, (1,) * 4 + (0,) * 4).probabilities
+                * (eta ** table.occupations).prod(axis=1))
+        retained = kept.sum()
+        sigma = math.sqrt(pulses * retained * (1.0 - retained))
+        assert abs(len(run.records) - pulses * retained) <= 5 * sigma
+        assert {r.input for r in run.records} == {(1,) * 4 + (0,) * 4}
+        tally = Counter(r.output for r in run.records)
+        counts = np.array([tally[pattern] for pattern in table.outcomes])
+        pvalue, tv, ideal = goodness_of_fit(counts, kept / retained)
+        assert pvalue > 1e-3
+        assert tv <= 1.1 * ideal
 
 
 LOG_COLUMNS = "pulse_index,trigger_pattern,input_pattern,output_pattern"
