@@ -74,8 +74,8 @@ MAX_ENUMERATION = 1_000_000
 # so results do not depend on how a run is split up.
 _BATCH = 1 << 16
 # Batches are drawn in rounds of this many (2**22 pulses); each round's new
-# inputs are built in one engine call, or its outputs drawn in one per-event
-# call.  Results do not depend on it.
+# inputs are built in one engine call on the table path.  Results do not
+# depend on it.
 _ROUND = 64
 # A run of at least this many photons draws each candidate's output on its
 # own (``_per_event_outputs``); below it, a run builds each input's output
@@ -675,7 +675,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     four.  A batch with candidates is kept as pending: its first pulse, the
     candidates' pulse offsets, their uniforms and input rows, and its
     generator when a detector is lossy, as thinning draws from it later.
-    The second pass draws every pending candidate's output, by the output
+    The second pass draws the pending candidates' outputs, by the output
     table path below four photons or by the per-event path from four (the
     photon number alone chooses), and thins each batch's outputs in turn.
 
@@ -685,8 +685,8 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
       matrix, which holds a row per input built; each pending batch's
       candidates are sorted by input, and each input's outputs drawn with
       one ``searchsorted`` on its row.  Cheapest where inputs repeat often.
-    * Per event: one call draws every pending candidate's output by
-      Clifford & Clifford's algorithm B (see ``_per_event_outputs``), in
+    * Per event: one call per pending batch draws its candidates' outputs
+      by Clifford & Clifford's algorithm B (see ``_per_event_outputs``), in
       chunks of a fixed number of events, with no table of probabilities.
       Its cost grows with the events, not with the distinct inputs, which
       from four photons is the cheaper side on every run but dense ones at
@@ -740,13 +740,11 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
                                 None if perfect_detectors else rng))
         if not pending:
             continue
-        inputs = np.concatenate([rows for _, _, _, rows, _ in pending])
         if per_event:
-            outputs = _per_event_outputs(u, table.cols[inputs],
-                                         np.concatenate([d for _, _, d, _, _ in pending]))
-            cuts = np.cumsum([len(rows) for _, _, _, rows, _ in pending])[:-1]
-            drawn = np.split(table.rows(outputs), cuts)
+            drawn = [table.rows(_per_event_outputs(u, table.cols[rows], draws))
+                     for _, _, draws, rows, _ in pending]
         else:
+            inputs = np.concatenate([rows for _, _, _, rows, _ in pending])
             new = [row for row in np.unique(inputs).tolist() if row not in built]
             if new:
                 _, block = _probabilities(u, table.occupations[new], True, True)

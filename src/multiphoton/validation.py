@@ -273,22 +273,6 @@ def likelihood_ratio_test(samples, q_model, p_model, threshold: float = 5.0) -> 
                           threshold, lambda t: (inputs[block[t]], outputs[oid[t]]))
 
 
-def _pattern_rows(patterns: tuple, ids: np.ndarray, pulse: np.ndarray) -> np.ndarray:
-    """``(len(patterns), modes)`` int64 array holding the patterns named in ``ids``
-    as rows; the rows of other patterns are zero.  ``pulse`` names the events."""
-    used = np.unique(ids)
-    try:
-        rows = np.array([patterns[i] for i in used.tolist()], dtype=np.int64)
-    except ValueError as exc:  # the patterns differ in length
-        size = np.fromiter(map(len, patterns), np.intp, len(patterns))[ids]
-        e = (size != size[0]).argmax()
-        raise DataError(f"records mix pattern lengths {size[0]} and {size[e]}: the first "
-                        f"record of length {size[e]} is at pulse {pulse[e]}") from exc
-    table = np.zeros((len(patterns), rows.shape[1]), dtype=np.int64)
-    table[used] = rows
-    return table
-
-
 def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
                                      collisions: bool = True,
                                      threshold: float = 5.0) -> AggregateValidationReport:
@@ -305,10 +289,11 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     their given order within a trigger group.
 
     The records are validated as an event table: a view's own (from a run or
-    a read log, with no record built), or one made from a record list.  Every
-    step works on the table's columns; per-pattern work (photon counts, group
-    order, each output's row in its model's outcome table) runs once per
-    distinct pattern, not once per event.
+    a read log, with no record built), or one made from a record list.  Work
+    on patterns (lengths, photon numbers, the collision filter, the group
+    order, each output's row in its model) runs once per distinct pattern,
+    on the tuple the table holds; the one occupation array built holds the
+    group triggers, for the model engine.
     """
     events = _events_from_records(records)
     if not len(events.pulse):
@@ -323,8 +308,13 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
             f"record at pulse {events.pulse[e]} has input {patterns[events.input[e]]} "
             f"but trigger {patterns[tid[e]]}; validation needs them equal"
         )
-    triggers, outputs = (_pattern_rows(patterns, ids, events.pulse) for ids in (tid, oid))
-    photons = [sum(pattern) for pattern in patterns]  # ints: int64 row sums can wrap
+    size = np.fromiter(map(len, patterns), np.intp, len(patterns))
+    for lengths in (size[tid], size[oid]):
+        e = (lengths != lengths[0]).argmax()
+        if e:
+            raise DataError(f"records mix pattern lengths {lengths[0]} and {lengths[e]}: the first "
+                            f"record of length {lengths[e]} is at pulse {events.pulse[e]}")
+    photons = [sum(pattern) for pattern in patterns]  # Python ints, which cannot wrap
     level = np.unique(np.array(photons, dtype=object), return_inverse=True)[1]
     unmatched = np.flatnonzero(level[tid] != level[oid])
     if unmatched.size:
@@ -334,21 +324,21 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
             f"{photons[tid[e]]} triggers vs {photons[oid[e]]} detected photons"
         )
     if not collisions:
-        kept = outputs.max(axis=1)[oid] <= 1
+        kept = np.array([max(pattern, default=0) <= 1 for pattern in patterns])[oid]
         tid, oid = tid[kept], oid[kept]
         if not len(tid):
             raise ContractError("no records left after removing collision outputs")
-    if triggers.shape[1] != u.shape[0]:  # the check exact_distribution makes on its input
-        raise DimensionError(f"occupation has {triggers.shape[1]} modes, expected {u.shape[0]}")
-    # Groups in sorted trigger order, events within a group in table order.
-    present = np.unique(tid)
-    present = present[np.lexsort(triggers[present].T[::-1])]
+    if size[tid[0]] != u.shape[0]:  # the check exact_distribution makes on its input
+        raise DimensionError(f"occupation has {size[tid[0]]} modes, expected {u.shape[0]}")
+    # Groups in sorted trigger tuple order, events within a group in table order.
+    present = sorted(set(tid.tolist()), key=patterns.__getitem__)
     group_of = np.empty(len(patterns), dtype=np.intp)
     group_of[present] = np.arange(len(present))
     order = np.argsort(group_of[tid], kind="stable")
     block, oid = group_of[tid[order]], oid[order]
-    q_dists = _distributions(u, triggers[present], collisions, True)
-    p_dists = _distributions(u, triggers[present], collisions, False)
+    triggers = np.array([patterns[i] for i in present], dtype=np.int64)
+    q_dists, p_dists = (_distributions(u, triggers, collisions, interfering)
+                        for interfering in (True, False))
     rows, q_val, p_val = _evaluate(block, oid, patterns, q_dists, p_dists)
     if (rows < 0).any():
         raise DataError(f"sample {patterns[oid[np.argmin(rows)]]} lies outside the outcome support")

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from multiphoton.errors import ContractError, DataError
+from multiphoton.errors import ContractError, DataError, DimensionError
 from multiphoton.linalg import _require_unitary, as_occupation, haar_random_unitary
 from multiphoton.sampling import (
     OutcomeDistribution,
@@ -357,6 +357,27 @@ class TestAgainstRecordReference:
             record_aggregate_reference(records, u, collisions)
         with pytest.raises(type(reference.value), match=f"^{re.escape(str(reference.value))}$"):
             scattershot_aggregate_validation(records, u, collisions)
+
+    @pytest.mark.parametrize("collisions", [True, False])
+    def test_group_order_across_photon_numbers(self, collisions):
+        # 1-, 2- and 3-photon triggers whose tuples interleave in sorted order
+        u = haar_random_unitary(4, 5)
+        triggers = [(0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, 0),
+                    (1, 0, 1, 1), (1, 1, 0, 0)]
+        pairs = [(occ, out) for k, occ in enumerate(triggers)
+                 for out in sample_outputs(exact_distribution(u, occ), 300, seed=k)]
+        np.random.default_rng(3).shuffle(pairs)
+        records = [SampleRecord(occ, occ, out, i) for i, (occ, out) in enumerate(pairs)]
+        report = scattershot_aggregate_validation(records, u, collisions)
+        assert [g.trigger for g in report.groups] == triggers
+        assert_same_report(report, record_aggregate_reference(records, u, collisions))
+
+    @pytest.mark.parametrize("collisions", [True, False])
+    def test_empty_patterns_are_dimension_errors(self, collisions):
+        # asserted directly: the record reference fails in numpy on this input
+        u = haar_random_unitary(3, 2)
+        with pytest.raises(DimensionError, match="^occupation has 0 modes, expected 3$"):
+            scattershot_aggregate_validation([SampleRecord((), (), (), 0)], u, collisions)
 
     def test_mixed_pattern_lengths_are_data_errors(self):
         records = [SampleRecord((1, 1, 0), (1, 1, 0), (0, 1, 1), 0),
