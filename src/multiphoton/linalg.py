@@ -59,7 +59,11 @@ def check_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
     DimensionError
         If the matrix is not square.
     """
-    u = as_complex_matrix(matrix)
+    return _is_unitary(as_complex_matrix(matrix), tol)
+
+
+def _is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    """:func:`check_unitary` of a matrix :func:`as_complex_matrix` has checked."""
     rows, cols = u.shape
     if rows != cols:
         raise DimensionError(f"unitarity check needs a square matrix, got {rows}x{cols}")
@@ -71,7 +75,7 @@ def check_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
 def _require_unitary(matrix, caller: str) -> np.ndarray:
     """``matrix`` as a complex array; ContractError unless :func:`check_unitary` passes."""
     u = as_complex_matrix(matrix)
-    if not check_unitary(u):
+    if not _is_unitary(u):
         raise ContractError(f"{caller} needs a unitary matrix")
     return u
 

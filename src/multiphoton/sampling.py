@@ -512,17 +512,14 @@ class ScattershotResult:
     report: RateReport
 
 
-def _exactly_n_probability(selected: np.ndarray, idle: np.ndarray, n: int) -> float:
+def _exactly_n_probability(selected: Sequence[float], idle: Sequence[float], n: int) -> float:
     # Mass of exactly n sources selected, source i contributing weight
-    # selected[i] when selected and idle[i] otherwise, by direct convolution.
-    # Reduces to C(k, n) a^n b^(k-n) when all weights are equal.
-    coeff = np.zeros(n + 1)
-    coeff[0] = 1.0
+    # selected[i] when selected and idle[i] otherwise, by direct convolution
+    # on Python floats.  Reduces to C(k, n) a^n b^(k-n) when all weights are equal.
+    coeff = [1.0] + [0.0] * n
     for a, b in zip(selected, idle):
-        upper = coeff[1:] * b + coeff[:-1] * a
-        coeff[0] *= b
-        coeff[1:] = upper
-    return float(coeff[n])
+        coeff = [coeff[0] * b] + [hi * b + lo * a for lo, hi in zip(coeff, coeff[1:])]
+    return coeff[n]
 
 
 def _common_rep_rate(params: Sequence[SourceParams]) -> float:
@@ -578,8 +575,8 @@ def _predicted_run_rate(params: Sequence[SourceParams], n_select: int) -> float:
     are equal; otherwise output detection depends on where the photons
     exit, which this product does not see.
     """
-    useful = np.array([p.epsilon * p.lumped_efficiency for p in params])
-    idle = np.array([1.0 - p.herald_probability for p in params])
+    useful = [p.epsilon * p.lumped_efficiency for p in params]
+    idle = [1.0 - p.herald_probability for p in params]
     return _common_rep_rate(params) * _exactly_n_probability(useful, idle, n_select)
 
 
@@ -621,11 +618,14 @@ def _candidate_draw(params: Sequence[SourceParams], n: int) -> _CandidateDraw:
     # segment[a, b] is the product of silent[a:b], so a subset's weight is
     # the products over the gaps between its sorted columns times its good
     # entries, in O(C n) memory and exact where some silent entry is 0.
-    segment = np.ones((modes + 1, modes + 1))
-    for a in range(modes):
-        segment[a, a + 1:] = np.cumprod(silent[a:])
-    gaps = segment[np.pad(subsets + 1, ((0, 0), (1, 0))),
-                   np.pad(subsets, ((0, 0), (0, 1)), constant_values=modes)]
+    # Row a's products run over 1s then silent[a:], so they are the same
+    # floats as a product over silent[a:] alone.
+    factors = np.ones((modes + 1, modes + 1))
+    factors[:, 1:] = np.where(np.arange(modes) >= np.arange(modes + 1)[:, None], silent, 1.0)
+    segment = np.cumprod(factors, axis=1)
+    starts, ends = np.zeros((2, len(subsets), n + 1), dtype=np.intp)
+    starts[:, 1:], ends[:, :-1], ends[:, -1] = subsets + 1, subsets, modes
+    gaps = segment[starts, ends]
     weights = gaps.prod(axis=1) * good[subsets].prod(axis=1)
     cumulative = np.cumsum(weights)
     if cumulative[-1] > 0.0:
@@ -636,13 +636,20 @@ def _candidate_draw(params: Sequence[SourceParams], n: int) -> _CandidateDraw:
                           _pattern_table(modes, n, True).rows(subsets))
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of integer keys in [0, bound], on
+    the smallest unsigned dtype that holds ``bound``: numpy radix-sorts keys
+    of 16 bits or fewer."""
+    return np.argsort(keys.astype(np.min_scalar_type(bound)), kind="stable")
+
+
 def _table_picks(cum: np.ndarray, built: dict, inputs: np.ndarray,
                  draws: np.ndarray) -> np.ndarray:
     """The output rows that uniform ``draws`` pick from the cumulative rows
     ``cum[built[input]]``: one searchsorted per distinct input, on its
     slice of the candidates sorted by input.  The last cumulative entry is
     1.0, so every pick is a valid outcome row."""
-    order = np.argsort(inputs, kind="stable")
+    order = _stable_order(inputs, cum.shape[1])  # inputs are rows of cum's table
     ranked = inputs[order]
     cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(order)]
     picks = np.empty(len(order), dtype=np.intp)

@@ -4,7 +4,7 @@ Implements the Bhattacharyya similarity S = sum(sqrt(p_i q_i)), the total
 variation distance D = (1/2) sum|p_i - q_i|, a cumulative log
 likelihood-ratio test between the indistinguishable and distinguishable
 photon hypotheses, and the per-trigger-group aggregation used to validate
-scattershot runs.
+scattershot runs, on one probability matrix per model and photon number.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ from .linalg import _require_unitary
 from .sampling import (
     OutcomeDistribution,
     SampleRecord,
-    _distributions,
+    _check_probabilities,
     _events_from_records,
     _numbered_patterns,
+    _probabilities,
+    _stable_order,
 )
 
 __all__ = [
@@ -127,10 +129,6 @@ def _similarity(pa: np.ndarray, qa: np.ndarray) -> float:
     return math.fsum(np.sqrt(pa * qa).tolist())
 
 
-def _distance(pa: np.ndarray, qa: np.ndarray) -> float:
-    return 0.5 * math.fsum(np.abs(pa - qa).tolist())
-
-
 def similarity(p, q) -> float:
     """Bhattacharyya similarity S = sum(sqrt(p_i q_i)) over a common support.
 
@@ -142,7 +140,8 @@ def similarity(p, q) -> float:
 
 def tv_distance(p, q) -> float:
     """Total variation distance D = (1/2) sum|p_i - q_i| over a common support."""
-    return _distance(*_aligned(p, q))
+    pa, qa = _aligned(p, q)
+    return 0.5 * math.fsum(np.abs(pa - qa).tolist())
 
 
 def _rows(index: dict, patterns) -> np.ndarray:
@@ -186,17 +185,15 @@ def _evaluate(block, oid, outputs, q_dists, p_dists) -> tuple:
     """Evaluate both hypotheses on every sample of a stream split into input blocks.
 
     Sample t has output ``outputs[oid[t]]`` and the models ``q_dists[block[t]]``
-    and ``p_dists[block[t]]``.  Returns each sample's row in its q
+    and ``p_dists[block[t]]``.  Returns the offsets and the probabilities of
+    the q distributions laid end to end, then each sample's row in its q
     distribution (-1 outside its support) and its probability under q and p.
     Each distinct output is looked up once in each outcome table that
     evaluates it, however many samples hold it.
     """
-    number: dict = {}  # each distinct outcome table -> its position in indexes
-    indexes = []
-    for d in (*q_dists, *p_dists):
-        if id(d._support) not in number:
-            number[id(d._support)] = len(indexes)
-            indexes.append(d._support.index)
+    tables = {id(d._support): d._support.index for d in (*q_dists, *p_dists)}
+    number = dict(zip(tables, range(len(tables))))  # each distinct outcome table's position
+    indexes = list(tables.values())
 
     def evaluate(dists):
         table = np.array([number[id(d._support)] for d in dists], dtype=np.intp)[block]
@@ -204,16 +201,22 @@ def _evaluate(block, oid, outputs, q_dists, p_dists) -> tuple:
         rows = np.array([indexes[k // len(outputs)].get(outputs[k % len(outputs)], -1)
                          for k in pairs.tolist()], dtype=np.intp)[at]
         flat = np.concatenate([d.probabilities for d in dists])
-        starts = np.cumsum([0] + [d.probabilities.size for d in dists[:-1]])
-        return rows, np.where(rows >= 0, flat[starts[block] + rows], 0.0)
+        starts = np.cumsum([0] + [d.probabilities.size for d in dists])
+        return starts, flat, rows, np.where(rows >= 0, flat[starts[block] + rows], 0.0)
 
-    (rows, q_val), (_, p_val) = evaluate(q_dists), evaluate(p_dists)
-    return rows, q_val, p_val
+    return (*evaluate(q_dists), evaluate(p_dists)[-1])
 
 
-def _pooled_report(block, q_dists, rows, q_val, p_val, threshold, sample_at) -> ValidationReport:
+def _check_threshold(threshold) -> None:
+    if not threshold > 0:  # a NaN fails it too
+        raise ContractError(f"threshold must be positive, got {threshold}")
+
+
+def _pooled_report(block, offsets, q_flat, rows, q_val, p_val, threshold,
+                   sample_at) -> ValidationReport:
     """Cumulative LR test and joint statistics over an evaluated sample stream.
 
+    Sample t's q distribution is ``q_flat[offsets[block[t]]:offsets[block[t] + 1]]``.
     The first sample with a zero probability ends the test.  The joint
     similarity/distance compare the empirical (input, output) frequencies
     of the consumed samples with the model joint q_hat(i, o) = p_hat(i) * q(o | i).
@@ -230,18 +233,16 @@ def _pooled_report(block, q_dists, rows, q_val, p_val, threshold, sample_at) -> 
     verdict = ("indistinguishable" if level > threshold
                else "distinguishable" if level < -threshold else "inconclusive")
     total = len(trajectory)
-    block, rows = block[:total], rows[:total]
-    inside = rows >= 0
-    weights = np.bincount(block, minlength=len(q_dists)) / total
-    q_hat = np.concatenate([w * q.probabilities for w, q in zip(weights, q_dists)])
-    offsets = np.cumsum([0] + [q.probabilities.size for q in q_dists[:-1]])
-    p_hat = np.bincount(offsets[block[inside]] + rows[inside], minlength=q_hat.size) / total
     # Only the deciding sample can lie outside its q support; its joint
     # frequency 1/total adds to the distance alone.
-    outside = [np.count_nonzero(~inside) / total]
+    inside = total - int(rows[total - 1] < 0)
+    weights = np.bincount(block[:total], minlength=len(offsets) - 1) / total
+    q_hat = np.repeat(weights, np.diff(offsets)) * q_flat
+    hits = np.bincount(offsets[block[:inside]] + rows[:inside], minlength=q_hat.size)
+    p_hat, seen = hits / total, hits > 0  # unseen outcomes add exact zeros to the similarity
     return ValidationReport(
-        similarity=_similarity(p_hat, q_hat),
-        distance=0.5 * math.fsum(np.abs(p_hat - q_hat).tolist() + outside),
+        similarity=_similarity(p_hat[seen], q_hat[seen]),
+        distance=0.5 * math.fsum(np.abs(p_hat - q_hat).tolist() + [(total - inside) / total]),
         lr_trajectory=trajectory,
         verdict=verdict,
         samples_used=total,
@@ -262,15 +263,14 @@ def likelihood_ratio_test(samples, q_model, p_model, threshold: float = 5.0) -> 
     zero under exactly one hypothesis decides immediately for the other;
     zero under both is an impossible event and raises DataError.
     """
-    if not threshold > 0:
-        raise ContractError(f"threshold must be positive, got {threshold}")
+    _check_threshold(threshold)
     pairs = [(inp, out) for inp, out in samples]
     if not pairs:
         raise ContractError("no samples supplied")
     (block, inputs), (oid, outputs) = map(_numbered_patterns, zip(*pairs))
     q_dists, p_dists = zip(*[(_model(q_model, inp), _model(p_model, inp)) for inp in inputs])
-    return _pooled_report(block, q_dists, *_evaluate(block, oid, outputs, q_dists, p_dists),
-                          threshold, lambda t: (inputs[block[t]], outputs[oid[t]]))
+    return _pooled_report(block, *_evaluate(block, oid, outputs, q_dists, p_dists), threshold,
+                          lambda t: (inputs[block[t]], outputs[oid[t]]))
 
 
 def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
@@ -288,13 +288,12 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     its ``lr_trajectory`` take the records by sorted trigger pattern, and in
     their given order within a trigger group.
 
-    The records are validated as an event table: a view's own (from a run or
-    a read log, with no record built), or one made from a record list.  Work
-    on patterns (lengths, photon numbers, the collision filter, the group
-    order, each output's row in its model) runs once per distinct pattern,
-    on the tuple the table holds; the one occupation array built holds the
-    group triggers, for the model engine.
+    Each distinct pattern of the event table is checked once; per photon
+    number, each model is one (groups, outcomes) matrix from one engine
+    call, and the samples' probabilities and the groups' output counts are
+    read from those matrices laid end to end in group order.
     """
+    _check_threshold(threshold)
     events = _events_from_records(records)
     if not len(events.pulse):
         raise ContractError("empty record set")
@@ -306,8 +305,7 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
         e = differ.argmax()
         raise ContractError(
             f"record at pulse {events.pulse[e]} has input {patterns[events.input[e]]} "
-            f"but trigger {patterns[tid[e]]}; validation needs them equal"
-        )
+            f"but trigger {patterns[tid[e]]}; validation needs them equal")
     size = np.fromiter(map(len, patterns), np.intp, len(patterns))
     for lengths in (size[tid], size[oid]):
         e = (lengths != lengths[0]).argmax()
@@ -321,8 +319,7 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
         e = unmatched[0]
         raise ContractError(
             f"record at pulse {events.pulse[e]} is not post-selected: "
-            f"{photons[tid[e]]} triggers vs {photons[oid[e]]} detected photons"
-        )
+            f"{photons[tid[e]]} triggers vs {photons[oid[e]]} detected photons")
     if not collisions:
         kept = np.array([max(pattern, default=0) <= 1 for pattern in patterns])[oid]
         tid, oid = tid[kept], oid[kept]
@@ -331,38 +328,41 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     if size[tid[0]] != u.shape[0]:  # the check exact_distribution makes on its input
         raise DimensionError(f"occupation has {size[tid[0]]} modes, expected {u.shape[0]}")
     # Groups in sorted trigger tuple order, events within a group in table order.
-    present = sorted(set(tid.tolist()), key=patterns.__getitem__)
+    tally = np.bincount(tid, minlength=len(patterns))
+    present = sorted(np.flatnonzero(tally).tolist(), key=patterns.__getitem__)
     group_of = np.empty(len(patterns), dtype=np.intp)
     group_of[present] = np.arange(len(present))
-    order = np.argsort(group_of[tid], kind="stable")
-    block, oid = group_of[tid[order]], oid[order]
+    oid, counts = oid[_stable_order(group_of[tid], len(present))], tally[present]
+    block = np.repeat(np.arange(len(present)), counts)
     triggers = np.array([patterns[i] for i in present], dtype=np.int64)
-    q_dists, p_dists = (_distributions(u, triggers, collisions, interfering)
-                        for interfering in (True, False))
-    rows, q_val, p_val = _evaluate(block, oid, patterns, q_dists, p_dists)
+    # Per photon number, one (groups, outcomes) matrix per model, whose rows
+    # are laid end to end in group order; each pattern's row in its table.
+    photon_groups, model_rows, index = triggers.sum(axis=1), {}, {}
+    for n in sorted(set(photon_groups.tolist())):
+        at = np.flatnonzero(photon_groups == n).tolist()
+        (table, q), (_, p) = (_probabilities(u, triggers[at], collisions, interfering)
+                              for interfering in (True, False))
+        model_rows.update(zip(at, zip(_check_probabilities(q), _check_probabilities(p))))
+        index[n] = table.index
+    q_flat, p_flat = map(np.concatenate, zip(*map(model_rows.get, range(len(present)))))
+    offsets = np.cumsum([0] + [model_rows[g][0].size for g in range(len(present))])
+    rows = np.fromiter((index.get(n, {}).get(pattern, -1) for n, pattern in zip(photons, patterns)),
+                       np.intp, len(patterns))[oid]
     if (rows < 0).any():
         raise DataError(f"sample {patterns[oid[np.argmin(rows)]]} lies outside the outcome support")
-    # Each group's output counts, laid end to end like its model.
-    starts = np.cumsum([0] + [q.probabilities.size for q in q_dists])
-    hits = np.bincount(starts[block] + rows, minlength=starts[-1])
-    groups = []
-    for g, (q, count) in enumerate(zip(q_dists, np.bincount(block).tolist())):
-        freq = hits[starts[g] : starts[g + 1]] / count
-        groups.append(GroupValidation(trigger=patterns[present[g]], samples=count,
-                                      similarity=_similarity(freq, q.probabilities),
-                                      distance=_distance(freq, q.probabilities)))
-    sims = np.array([g.similarity for g in groups])
-    dists = np.array([g.distance for g in groups])
-    spread = (
-        (float(sims.std(ddof=1)), float(dists.std(ddof=1))) if len(groups) > 1 else (0.0, 0.0)
-    )
-    pooled = _pooled_report(block, q_dists, rows, q_val, p_val, threshold,
+    cells = offsets[block] + rows
+    pooled = _pooled_report(block, offsets, q_flat, rows, q_flat[cells], p_flat[cells], threshold,
                             lambda t: (patterns[present[block[t]]], patterns[oid[t]]))
+    hits = np.bincount(cells, minlength=offsets[-1])
+    freq = hits / np.repeat(counts, np.diff(offsets))
+    seen = np.flatnonzero(hits)  # unseen outcomes add exact zeros to a similarity
+    roots, gaps = np.sqrt(freq[seen] * q_flat[seen]), np.abs(freq - q_flat)
+    cuts, bounds = np.searchsorted(seen, offsets).tolist(), offsets.tolist()
+    sims = np.array([math.fsum(roots[a:b].tolist()) for a, b in zip(cuts, cuts[1:])])
+    dists = 0.5 * np.array([math.fsum(gaps[a:b].tolist()) for a, b in zip(bounds, bounds[1:])])
+    groups = tuple(map(GroupValidation, map(patterns.__getitem__, present), counts.tolist(),
+                       sims.tolist(), dists.tolist()))
+    spread = (float(sims.std(ddof=1)), float(dists.std(ddof=1))) if len(groups) > 1 else (0.0, 0.0)
     return AggregateValidationReport(
-        groups=tuple(groups),
-        mean_similarity=float(sims.mean()),
-        similarity_std=spread[0],
-        mean_distance=float(dists.mean()),
-        distance_std=spread[1],
-        pooled=pooled,
-    )
+        groups=groups, mean_similarity=float(sims.mean()), similarity_std=spread[0],
+        mean_distance=float(dists.mean()), distance_std=spread[1], pooled=pooled)

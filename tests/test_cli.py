@@ -453,6 +453,17 @@ class TestValidateCommand:
         assert lines[1:] == [f"{t},{v!r}"
                              for t, v in enumerate(report.pooled.lr_trajectory.tolist(), 1)]
 
+    @pytest.mark.parametrize("threshold", ["-1", "nan", "0"])
+    def test_threshold_must_be_positive(self, tmp_path, capsys, threshold):
+        unitary, log = tmp_path / "u.json", tmp_path / "samples.csv"
+        save_matrix(unitary, haar_random_unitary(4, 5))
+        assert main(["sample", "--unitary", str(unitary), "--input", "1100",
+                     "--shots", "200", "--seed", "2", "--out", str(log)]) == 0
+        code = main(["validate", "--samples", str(log), "--unitary", str(unitary),
+                     "--threshold", threshold])
+        assert code == EXIT_CONTRACT
+        assert capsys.readouterr().err.startswith("error: threshold must be positive")
+
     def test_input_that_differs_from_its_trigger_exit_code(self, tmp_path, capsys):
         unitary, log = tmp_path / "u.json", tmp_path / "samples.csv"
         save_matrix(unitary, haar_random_unitary(4, 3))

@@ -624,6 +624,37 @@ def _candidate_draw_candidates(params, n, seed, batches, size):
     return np.array(counts), subsets
 
 
+def padded_candidate_draw_reference(params, n):
+    """The candidate draw's probability, cumulative weights and rows, with
+    the segment table built one row at a time and the gap bounds padded."""
+    heralded = np.array([p.herald_probability for p in params])
+    good, silent = heralded * np.array([p.eta_herald for p in params]), 1.0 - heralded
+    modes = len(params)
+    subsets = linalg._pattern_table(modes, n, False).cols
+    segment = np.ones((modes + 1, modes + 1))
+    for a in range(modes):
+        segment[a, a + 1:] = np.cumprod(silent[a:])
+    gaps = segment[np.pad(subsets + 1, ((0, 0), (1, 0))),
+                   np.pad(subsets, ((0, 0), (0, 1)), constant_values=modes)]
+    weights = gaps.prod(axis=1) * good[subsets].prod(axis=1)
+    cumulative = np.cumsum(weights)
+    if cumulative[-1] > 0.0:
+        cumulative /= cumulative[-1]
+    return (min(float(weights.sum()), 1.0), cumulative,
+            linalg._pattern_table(modes, n, True).rows(subsets))
+
+
+def array_exactly_n_reference(selected, idle, n):
+    """The exactly-n convolution on a numpy coefficient array."""
+    coeff = np.zeros(n + 1)
+    coeff[0] = 1.0
+    for a, b in zip(selected, idle):
+        upper = coeff[1:] * b + coeff[:-1] * a
+        coeff[0] *= b
+        coeff[1:] = upper
+    return float(coeff[n])
+
+
 _FIRING_CASES = {
     "equal": ([SourceParams(0.2, eta_herald=0.9)] * 6, 2),
     "unequal": ([SourceParams(e) for e in (0.05, 0.1, 0.2, 0.3, 0.15)], 3),
@@ -668,6 +699,29 @@ class TestCandidateDraw:
             want = sampling._exactly_n_probability(good, silent, n)
             got = sampling._candidate_draw(params, n).probability
             assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_segment_table_matches_the_padded_reference(self, n):
+        # heterogeneous sources with a silent factor of exactly 1 (epsilon = 0)
+        # and exactly 0 (epsilon * eta_herald * eta_detect = 1)
+        rng = np.random.default_rng(41)
+        params = [SourceParams(*rng.uniform(0.05, 1.0, 3).tolist()) for _ in range(7)]
+        params[2], params[5] = SourceParams(0.0, 0.8, 0.9), SourceParams(1.0)
+        for case in (params, params[:2] + params[3:5], params[::-1]):
+            draw = sampling._candidate_draw(case, min(n, len(case)))
+            probability, cumulative, rows = padded_candidate_draw_reference(
+                case, min(n, len(case)))
+            assert draw.probability == probability
+            assert np.array_equal(draw.cumulative, cumulative)
+            assert np.array_equal(draw.rows, rows)
+
+    def test_exactly_n_convolution_matches_the_array_reference(self):
+        rng = np.random.default_rng(43)
+        for modes in (1, 4, 12):
+            selected, idle = rng.random(modes).tolist(), rng.random(modes).tolist()
+            for n in range(modes + 1):
+                assert (sampling._exactly_n_probability(selected, idle, n)
+                        == array_exactly_n_reference(selected, idle, n))
 
     def test_a_certain_source_heralds_every_candidate(self):
         # epsilon = eta = 1 makes source 0 never silent: a candidate without

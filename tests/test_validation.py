@@ -1,12 +1,15 @@
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from multiphoton import cli, validation
 from multiphoton.errors import ContractError, DataError, DimensionError
-from multiphoton.linalg import _require_unitary, as_occupation, haar_random_unitary
+from multiphoton.linalg import (_require_unitary, as_occupation, haar_random_unitary, load_matrix,
+                                save_matrix)
 from multiphoton.sampling import (
     OutcomeDistribution,
     SampleRecord,
@@ -22,10 +25,8 @@ from multiphoton.sources import SourceParams
 from multiphoton.validation import (
     AggregateValidationReport,
     GroupValidation,
-    _distance,
-    _pooled_report,
+    ValidationReport,
     _rows,
-    _similarity,
     empirical_distribution,
     likelihood_ratio_test,
     scattershot_aggregate_validation,
@@ -205,7 +206,8 @@ class TestLikelihoodRatioTest:
         q_dists = [q_model(inp) for inp in ids]
         evaluated = per_event_evaluate_reference(block, [out for _, out in samples], q_dists,
                                                  [p_model(inp) for inp in ids])
-        reference = _pooled_report(block, q_dists, *evaluated, 5.0, samples.__getitem__)
+        reference = pooled_report_reference(block, q_dists, *evaluated, 5.0,
+                                            samples.__getitem__)
         assert np.array_equal(report.lr_trajectory, reference.lr_trajectory)
         assert (report.similarity, report.distance, report.verdict, report.samples_used) == (
             reference.similarity, reference.distance, reference.verdict, reference.samples_used)
@@ -238,6 +240,46 @@ def per_event_evaluate_reference(block, outputs, q_dists, p_dists):
         q_val[at] = np.where(q_rows >= 0, q.probabilities[q_rows], 0.0)
         p_val[at] = np.where(p_rows >= 0, p.probabilities[p_rows], 0.0)
     return rows, q_val, p_val
+
+
+def similarity_reference(pa, qa):
+    return math.fsum(np.sqrt(pa * qa).tolist())
+
+
+def distance_reference(pa, qa):
+    return 0.5 * math.fsum(np.abs(pa - qa).tolist())
+
+
+def pooled_report_reference(block, q_dists, rows, q_val, p_val, threshold, sample_at):
+    """The pooled report over one q distribution per input block."""
+    zeros = np.flatnonzero((q_val == 0.0) | (p_val == 0.0))
+    end = int(zeros[0]) if zeros.size else len(q_val)
+    trajectory = np.cumsum(np.log(q_val[:end] / p_val[:end]))
+    if zeros.size:
+        if q_val[end] == 0.0 and p_val[end] == 0.0:
+            inp, out = sample_at(end)
+            raise DataError(f"sample {out} for input {inp} is impossible under both hypotheses")
+        trajectory = np.append(trajectory, math.inf if p_val[end] == 0.0 else -math.inf)
+    level = trajectory[-1]
+    verdict = ("indistinguishable" if level > threshold
+               else "distinguishable" if level < -threshold else "inconclusive")
+    total = len(trajectory)
+    block, rows = block[:total], rows[:total]
+    inside = rows >= 0
+    weights = np.bincount(block, minlength=len(q_dists)) / total
+    q_hat = np.concatenate([w * q.probabilities for w, q in zip(weights, q_dists)])
+    offsets = np.cumsum([0] + [q.probabilities.size for q in q_dists[:-1]])
+    p_hat = np.bincount(offsets[block[inside]] + rows[inside], minlength=q_hat.size) / total
+    # Only the deciding sample can lie outside its q support; its joint
+    # frequency 1/total adds to the distance alone.
+    outside = [np.count_nonzero(~inside) / total]
+    return ValidationReport(
+        similarity=similarity_reference(p_hat, q_hat),
+        distance=0.5 * math.fsum(np.abs(p_hat - q_hat).tolist() + outside),
+        lr_trajectory=trajectory,
+        verdict=verdict,
+        samples_used=total,
+    )
 
 
 def record_aggregate_reference(records, unitary, collisions=True, threshold=5.0):
@@ -279,15 +321,15 @@ def record_aggregate_reference(records, unitary, collisions=True, threshold=5.0)
         group_rows = rows[bounds[g] : bounds[g + 1]]
         freq = np.bincount(group_rows, minlength=q.probabilities.size) / len(group_rows)
         groups.append(GroupValidation(trigger=inputs[g], samples=len(group_rows),
-                                      similarity=_similarity(freq, q.probabilities),
-                                      distance=_distance(freq, q.probabilities)))
+                                      similarity=similarity_reference(freq, q.probabilities),
+                                      distance=distance_reference(freq, q.probabilities)))
     sims = np.array([g.similarity for g in groups])
     dists = np.array([g.distance for g in groups])
     spread = (
         (float(sims.std(ddof=1)), float(dists.std(ddof=1))) if len(groups) > 1 else (0.0, 0.0)
     )
-    pooled = _pooled_report(block, q_dists, rows, q_val, p_val, threshold,
-                            lambda t: (inputs[block[t]], outputs[t]))
+    pooled = pooled_report_reference(block, q_dists, rows, q_val, p_val, threshold,
+                                     lambda t: (inputs[block[t]], outputs[t]))
     return AggregateValidationReport(
         groups=tuple(groups),
         mean_similarity=float(sims.mean()),
@@ -309,18 +351,49 @@ def assert_same_report(ours, reference):
     assert np.array_equal(ours.pooled.lr_trajectory, reference.pooled.lr_trajectory)
 
 
+@pytest.fixture(scope="module")
+def criterion_5_records():
+    unitary = haar_random_unitary(12, 2)
+    run = scattershot_run(unitary, [SourceParams(epsilon=0.25)] * 12, 450_000, 3, seed=5)
+    return unitary, run.records[:100_000]
+
+
+def mixed_photon_records():
+    """1-, 2- and 3-photon triggers whose tuples interleave in sorted order."""
+    u = haar_random_unitary(4, 5)
+    triggers = [(0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, 0),
+                (1, 0, 1, 1), (1, 1, 0, 0)]
+    pairs = [(occ, out) for k, occ in enumerate(triggers)
+             for out in sample_outputs(exact_distribution(u, occ), 300, seed=k)]
+    np.random.default_rng(3).shuffle(pairs)
+    return u, triggers, [SampleRecord(occ, occ, out, i) for i, (occ, out) in enumerate(pairs)]
+
+
 class TestAgainstRecordReference:
-    def test_criterion_5_data(self, tmp_path):
-        unitary = haar_random_unitary(12, 2)
-        run = scattershot_run(unitary, [SourceParams(epsilon=0.25)] * 12, 450_000, 3, seed=5)
-        records = run.records[:100_000]
-        reference = record_aggregate_reference(records, unitary)
-        assert_same_report(scattershot_aggregate_validation(records, unitary), reference)
-        # the command-line path: the log read as an event table, no records
+    def test_criterion_5_data(self, tmp_path, criterion_5_records):
+        unitary, records = criterion_5_records
         log = tmp_path / "samples.csv"
         write_sample_log(log, records)
-        assert_same_report(scattershot_aggregate_validation(read_sample_log(log), unitary),
-                           reference)
+        for collisions in (True, False):
+            reference = record_aggregate_reference(records, unitary, collisions)
+            assert_same_report(scattershot_aggregate_validation(records, unitary, collisions),
+                               reference)
+            # the command-line path: the log read as an event table, no records
+            assert_same_report(
+                scattershot_aggregate_validation(read_sample_log(log), unitary, collisions),
+                reference)
+
+    def test_bunched_trigger_sample_log(self, tmp_path):
+        # a 4-photon input with two photons in one mode, written by the CLI
+        unitary, log = tmp_path / "u.json", tmp_path / "samples.csv"
+        save_matrix(unitary, haar_random_unitary(8, 3))
+        assert cli.main(["sample", "--unitary", str(unitary), "--input", "21100000",
+                         "--shots", "20000", "--seed", "3", "--out", str(log)]) == 0
+        u, records = load_matrix(unitary), read_sample_log(log)
+        assert any(max(r.output) > 1 for r in records)
+        for collisions in (True, False):
+            assert_same_report(scattershot_aggregate_validation(records, u, collisions),
+                               record_aggregate_reference(list(records), u, collisions))
 
     @pytest.mark.parametrize("collisions", [True, False])
     def test_shuffled_records(self, collisions):
@@ -360,14 +433,7 @@ class TestAgainstRecordReference:
 
     @pytest.mark.parametrize("collisions", [True, False])
     def test_group_order_across_photon_numbers(self, collisions):
-        # 1-, 2- and 3-photon triggers whose tuples interleave in sorted order
-        u = haar_random_unitary(4, 5)
-        triggers = [(0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, 0),
-                    (1, 0, 1, 1), (1, 1, 0, 0)]
-        pairs = [(occ, out) for k, occ in enumerate(triggers)
-                 for out in sample_outputs(exact_distribution(u, occ), 300, seed=k)]
-        np.random.default_rng(3).shuffle(pairs)
-        records = [SampleRecord(occ, occ, out, i) for i, (occ, out) in enumerate(pairs)]
+        u, triggers, records = mixed_photon_records()
         report = scattershot_aggregate_validation(records, u, collisions)
         assert [g.trigger for g in report.groups] == triggers
         assert_same_report(report, record_aggregate_reference(records, u, collisions))
@@ -453,6 +519,36 @@ class TestScattershotAggregateValidation:
         bad = SampleRecord((1, 1, 0), (1, 1, 0), (1, 0, 0), 0)
         with pytest.raises(ContractError):
             scattershot_aggregate_validation([bad], u)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+    def test_threshold_must_be_positive(self, threshold):
+        u, records = self.run_records(pulses=2_000)
+        with pytest.raises(ContractError, match="^threshold must be positive"):
+            scattershot_aggregate_validation(records, u, threshold=threshold)
+
+    def test_engine_runs_once_per_model_and_photon_number(self, monkeypatch):
+        calls = Counter()
+        engine = validation._probabilities
+
+        def counted(u, inputs, collisions, interfering):
+            calls[int(inputs[0].sum()), interfering] += 1
+            return engine(u, inputs, collisions, interfering)
+
+        monkeypatch.setattr(validation, "_probabilities", counted)
+        u, _, records = mixed_photon_records()
+        scattershot_aggregate_validation(records, u)
+        assert calls == {(n, interfering): 1 for n in (1, 2, 3) for interfering in (True, False)}
+
+    def test_criterion_5_memory(self, criterion_5_records):
+        unitary, records = criterion_5_records
+        scattershot_aggregate_validation(records, unitary)  # fills the pattern-table caches
+        tracemalloc.start()
+        try:
+            scattershot_aggregate_validation(records, unitary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("trigger, output, counts", [
         ((2**62, 2**62, 0), (0, 0, 0), "9223372036854775808 triggers vs 0"),
