@@ -10,13 +10,13 @@ retained when exactly ``n_select`` heralds and ``n_select`` detected output
 photons coincide.  A run draws only the candidate pulses, where exactly
 ``n_select`` sources herald a surviving signal and the rest stay silent:
 per batch a binomial count, their pulse offsets and each one's heralding
-set, a row of the ``n_select``-photon pattern table.  Over each round of
-batches, a first pass fires every batch and a second draws the outputs.
-Below four photons, one engine call builds the inputs the run has not built
-yet into one matrix of cumulative sums, from which each output is drawn;
-from four photons, where a run meets many inputs for a few events each,
-each candidate's output is drawn on its own by Clifford & Clifford's
-algorithm B, at a cost per event rather than per input.
+set, a row of the ``n_select``-photon pattern table.  Each batch is drawn
+in one pass, its outputs right after its candidates.  Below four photons,
+one engine call per batch builds the inputs the run has not built yet into
+one matrix of cumulative sums, from which each output is drawn; from four
+photons, where a run meets many inputs for a few events each, each
+candidate's output is drawn on its own by Clifford & Clifford's algorithm
+B, at a cost per event rather than per input.
 
 Retained events live in one columnar table (pulse index and pattern ids,
 each distinct pattern held once) from the run, or from a read sample log,
@@ -50,7 +50,7 @@ from .linalg import (
     occupation_to_string,
 )
 from .permanent import _low_table
-from .rng import derive_rng
+from .rng import _require_integer, derive_rng
 from .sources import SourceParams
 
 __all__ = [
@@ -71,12 +71,13 @@ MAX_EXACT_PHOTONS = 6
 MAX_ENUMERATION = 1_000_000
 
 # Pulses are processed in fixed-size batches with one RNG stream per batch,
-# so results do not depend on how a run is split up.
-_BATCH = 1 << 16
-# Batches are drawn in rounds of this many (2**22 pulses); each round's new
-# inputs are built in one engine call on the table path.  Results do not
-# depend on it.
-_ROUND = 64
+# so results do not depend on how a run is split up.  A batch costs one
+# generator derivation (about 16 us) and five generator calls whatever its
+# size, which long, mostly empty runs pay per batch; its memory is its
+# candidates plus, once they exceed 1/50 of the batch, the index that
+# ``Generator.choice`` shuffles, 8 B per pulse.  2**20 pulses amortise the
+# derivation yet cap that index at 8 MiB.
+_BATCH = 1 << 20
 # A run of at least this many photons draws each candidate's output on its
 # own (``_per_event_outputs``); below it, a run builds each input's output
 # table once and draws from it.  The photon number alone chooses, never the
@@ -478,8 +479,7 @@ def _pulse_column(pulses: list) -> np.ndarray:
     one is an integer, not a bool, in [0, 2**63)."""
     if not set(map(type, pulses)) <= {int}:
         for value in pulses:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ContractError(f"pulse index must be an integer, got {value!r}")
+            _require_integer("pulse index", value)
         pulses = list(map(int, pulses))  # numpy integers compare exactly as ints
     if pulses and not 0 <= min(pulses) <= max(pulses) < 2**63:
         value = min(pulses) if min(pulses) < 0 else max(pulses)
@@ -673,40 +673,40 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     needs every heralded signal to survive, so only such candidate pulses
     are drawn, never the pairs (see :func:`_candidate_draw`).
 
-    Pulses come in batches of 2**16, each with its own generator, and the
-    batches in rounds of 64.  The first pass over a round fires each batch:
-    from its generator, the candidate count ~ Binomial(size, P_cand), their
-    pulse offsets without replacement, each one's heralding set by one
+    Pulses come in batches of 2**20, each drawn in one pass from its own
+    generator: the candidate count ~ Binomial(size, P_cand), their pulse
+    offsets without replacement, each one's heralding set by one
     ``searchsorted`` on the cumulative subset weights, then the candidates'
     output uniforms, one each below four photons and 2 * n_select from
-    four.  A batch with candidates is kept as pending: its first pulse, the
-    candidates' pulse offsets, their uniforms and input rows, and its
-    generator when a detector is lossy, as thinning draws from it later.
-    The second pass draws the pending candidates' outputs, by the output
-    table path below four photons or by the per-event path from four (the
-    photon number alone chooses), and thins each batch's outputs in turn.
+    four.  The batch's outputs are drawn next, by the output table path
+    below four photons or by the per-event path from four (the photon
+    number alone chooses), and thinned by the same generator when a
+    detector is lossy.
 
-    * Output tables: one engine call builds every input of the round that
+    * Output tables: one engine call builds every input of the batch that
       the run has not built yet.  Their checked probabilities become
       cumulative sums, in place, as new rows of the run's one cumulative
-      matrix, which holds a row per input built; each pending batch's
-      candidates are sorted by input, and each input's outputs drawn with
-      one ``searchsorted`` on its row.  Cheapest where inputs repeat often.
-    * Per event: one call per pending batch draws its candidates' outputs
-      by Clifford & Clifford's algorithm B (see ``_per_event_outputs``), in
+      matrix, which holds a row per input built; the batch's candidates
+      are sorted by input, and each input's outputs drawn with one
+      ``searchsorted`` on its row.  Cheapest where inputs repeat often.
+    * Per event: one call per batch draws its candidates' outputs by
+      Clifford & Clifford's algorithm B (see ``_per_event_outputs``), in
       chunks of a fixed number of events, with no table of probabilities.
       Its cost grows with the events, not with the distinct inputs, which
       from four photons is the cheaper side on every run but dense ones at
       few modes.
 
-    The pending batches are all the state a round holds, so the round size
-    bounds it, whatever the run length; the cumulative matrix grows only
-    with the number of distinct inputs.
+    A batch's candidates are all the working state a run holds besides its
+    events, so the batch size bounds it, whatever the run length; the
+    cumulative matrix grows only with the number of distinct inputs.
 
     The events are kept as a columnar table; ``records`` on the result is
     a read-only view of it.  Deterministic given the seed, and the same for
-    any batch or round processing order.
+    any batch processing order.  ``pulses`` and ``n_select`` must be ints
+    or numpy integers, not bools.
     """
+    _require_integer("pulses", pulses)
+    _require_integer("n_select", n_select)
     u = _require_unitary(unitary, "scattershot_run")
     modes = u.shape[0]
     if len(params) != modes:
@@ -732,27 +732,16 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     pulse_parts = [np.empty(0, dtype=np.int64)]
     trigger_parts = [np.empty(0, dtype=np.intp)]
     output_parts = [np.empty(0, dtype=np.intp)]
-    batches = range(0, pulses, _BATCH)
-    for first in range(0, len(batches), _ROUND):
-        pending = []
-        for batch_index in range(first, min(first + _ROUND, len(batches))):
-            start = batches[batch_index]
-            size = min(_BATCH, pulses - start)
-            rng = derive_rng(seed, "scattershot", batch_index)
-            candidates, trigger_rows = draw.fire(rng, size)
-            if candidates.size:
-                draws = rng.random((candidates.size, 2 * n_select) if per_event
-                                   else candidates.size)
-                pending.append((start, candidates, draws, trigger_rows,
-                                None if perfect_detectors else rng))
-        if not pending:
+    for batch_index, start in enumerate(range(0, pulses, _BATCH)):
+        rng = derive_rng(seed, "scattershot", batch_index)
+        candidates, trigger_rows = draw.fire(rng, min(_BATCH, pulses - start))
+        if not candidates.size:
             continue
+        draws = rng.random((candidates.size, 2 * n_select) if per_event else candidates.size)
         if per_event:
-            drawn = [table.rows(_per_event_outputs(u, table.cols[rows], draws))
-                     for _, _, draws, rows, _ in pending]
+            picks = table.rows(_per_event_outputs(u, table.cols[trigger_rows], draws))
         else:
-            inputs = np.concatenate([rows for _, _, _, rows, _ in pending])
-            new = [row for row in np.unique(inputs).tolist() if row not in built]
+            new = [row for row in np.unique(trigger_rows).tolist() if row not in built]
             if new:
                 _, block = _probabilities(u, table.occupations[new], True, True)
                 _check_probabilities(block)
@@ -760,18 +749,17 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
                 block[:, -1] = 1.0
                 built.update(zip(new, range(len(cum), len(cum) + len(new))))
                 cum = np.concatenate((cum, block)) if len(cum) else block
-            drawn = [_table_picks(cum, built, rows, draws) for _, _, draws, rows, _ in pending]
-        for (start, candidates, _, trigger_rows, rng), picks in zip(pending, drawn):
-            if rng is not None:
-                # Thinning keeps n_select photons only where it removes
-                # none, so a retained output is the pattern drawn for it.
-                thinned = rng.binomial(table.occupations[picks], detect_prob)
-                detected = thinned.sum(axis=1) == n_select
-                candidates, trigger_rows, picks = (
-                    candidates[detected], trigger_rows[detected], picks[detected])
-            pulse_parts.append(start + candidates)
-            trigger_parts.append(trigger_rows)
-            output_parts.append(picks)
+            picks = _table_picks(cum, built, trigger_rows, draws)
+        if not perfect_detectors:
+            # Thinning keeps n_select photons only where it removes none,
+            # so a retained output is the pattern drawn for it.
+            thinned = rng.binomial(table.occupations[picks], detect_prob)
+            detected = thinned.sum(axis=1) == n_select
+            candidates, trigger_rows, picks = (
+                candidates[detected], trigger_rows[detected], picks[detected])
+        pulse_parts.append(start + candidates)
+        trigger_parts.append(trigger_rows)
+        output_parts.append(picks)
     # Only the patterns the events use are kept, renumbered in table order.
     used, ids = np.unique(np.concatenate(trigger_parts + output_parts), return_inverse=True)
     trigger, output = ids.reshape(2, -1)

@@ -116,6 +116,11 @@ class TestSimulateCounts:
         with pytest.raises(ContractError):
             simulate_counts(GhzModel(4, 1.0, 1.0), "hv", shots, seed=0)
 
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            simulate_counts(GhzModel(4, 1.0, 1.0), "hv", 10, seed=seed)
+
     def test_determinism(self):
         a = simulate_counts(GhzModel(4, 0.7, 0.5), "theta", 500, seed=3, theta=0.1)
         b = simulate_counts(GhzModel(4, 0.7, 0.5), "theta", 500, seed=3, theta=0.1)

@@ -58,6 +58,11 @@ class TestHaarRandomUnitary:
         with pytest.raises(DimensionError):
             haar_random_unitary(0, 1)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            haar_random_unitary(4, seed)
+
 
 class TestTransitionSubmatrix:
     def test_identity_routing(self):

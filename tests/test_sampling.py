@@ -28,7 +28,6 @@ from multiphoton.linalg import (
 from multiphoton.permanent import permanent_naive, permanent_ryser
 from multiphoton.rng import derive_rng
 from multiphoton.sampling import (
-    _BATCH,
     _distributions,
     OutcomeDistribution,
     SampleRecord,
@@ -492,8 +491,9 @@ def dense_scattershot_reference(u, params, pulses, n_select, seed, build=exact_d
     lossy = bool(np.any(detect_prob < 1.0))
     dists = {}
     records = []
-    for batch, start in enumerate(range(0, pulses, _BATCH)):
-        size = min(_BATCH, pulses - start)
+    batch_size = sampling._BATCH
+    for batch, start in enumerate(range(0, pulses, batch_size)):
+        size = min(batch_size, pulses - start)
         rng = derive_rng(seed, "scattershot", batch)
         candidates, rows = draw.fire(rng, size)
         if candidates.size == 0:
@@ -538,8 +538,9 @@ def per_event_scattershot_reference(u, params, pulses, n_select, seed):
     detect_prob = np.array([p.eta_detect for p in params])
     lossy = bool(np.any(detect_prob < 1.0))
     records = []
-    for batch, start in enumerate(range(0, pulses, _BATCH)):
-        size = min(_BATCH, pulses - start)
+    batch_size = sampling._BATCH
+    for batch, start in enumerate(range(0, pulses, batch_size)):
+        size = min(batch_size, pulses - start)
         rng = derive_rng(seed, "scattershot", batch)
         candidates, rows = draw.fire(rng, size)
         if candidates.size == 0:
@@ -581,7 +582,16 @@ _FAINT_LOSSY = [SourceParams(0.03, eta_herald=0.9, eta_detect=d)
                 for d in (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)]
 _FOUR_LOSSY = [SourceParams(0.1, eta_herald=0.9, eta_detect=d)
                for d in (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)]
-_FAINT_PULSES = 3 * _BATCH + 100
+# The batch size the boundary tests patch in (see ``small_batch``): runs of a
+# few times this many pulses cross internal batch boundaries.
+_TEST_BATCH = 1 << 16
+_FAINT_PULSES = 3 * _TEST_BATCH + 100
+
+
+@pytest.fixture
+def small_batch(monkeypatch):
+    """Runs fire in batches of ``_TEST_BATCH`` pulses."""
+    monkeypatch.setattr(sampling, "_BATCH", _TEST_BATCH)
 
 
 def _good_and_silent(params):
@@ -728,7 +738,7 @@ class TestCandidateDraw:
         # it has weight exactly 0
         params = [SourceParams(1.0)] + [SourceParams(0.05, eta_herald=0.9)] * 5
         draw = sampling._candidate_draw(params, 2)
-        offsets, rows = draw.fire(derive_rng(0, "scattershot", 0), _BATCH)
+        offsets, rows = draw.fire(derive_rng(0, "scattershot", 0), _TEST_BATCH)
         assert offsets.size > 1000
         assert all(enumerate_patterns(6, 2)[row][0] == 1 for row in rows.tolist())
         result = scattershot_run(haar_random_unitary(6, 36), params, 20_000, 2, seed=2)
@@ -738,7 +748,7 @@ class TestCandidateDraw:
     def test_idle_sources_draw_nothing_and_divide_by_nothing(self):
         with np.errstate(all="raise"):
             draw = sampling._candidate_draw([SourceParams(0.0)] * 4, 2)
-            offsets, rows = draw.fire(derive_rng(0, "scattershot", 0), _BATCH)
+            offsets, rows = draw.fire(derive_rng(0, "scattershot", 0), _TEST_BATCH)
         assert draw.probability == 0.0
         assert offsets.size == rows.size == 0
         assert np.all(draw.cumulative == 0.0)
@@ -760,13 +770,14 @@ class TestScattershotRun:
         # lossy detectors and heralds, crossing a batch boundary
         (6, [SourceParams(0.4, eta_herald=0.9, eta_detect=0.7)] * 6, 70_000, 2, 2),
         # faint sources, unequal detectors: four batches, the last partial
-        # and without a candidate (see test_round_size_does_not_change_the_run)
+        # and without a candidate (see test_event_chunk_does_not_change_the_run)
         (8, _FAINT_LOSSY, _FAINT_PULSES, 3, 5),
         # one photon per event
         (5, [SourceParams(0.2, eta_herald=0.8, eta_detect=d) for d in (0.5, 0.7, 0.8, 0.9, 1.0)],
          5_000, 1, 4),
     ])
-    def test_matches_dense_per_event_reference(self, modes, params, pulses, n, seed):
+    def test_matches_dense_per_event_reference(self, modes, params, pulses, n, seed,
+                                               small_batch):
         u = haar_random_unitary(modes, 40 + modes)
         result = scattershot_run(u, params, pulses, n, seed)
         reference = dense_scattershot_reference(u, params, pulses, n, seed)
@@ -784,7 +795,7 @@ class TestScattershotRun:
         # six photons
         (8, [_BRIGHT] * 8, 8_000, 6, 7),
     ])
-    def test_matches_per_event_reference(self, modes, params, pulses, n, seed):
+    def test_matches_per_event_reference(self, modes, params, pulses, n, seed, small_batch):
         # from four photons the run draws each output on its own
         u = haar_random_unitary(modes, 40 + modes)
         result = scattershot_run(u, params, pulses, n, seed)
@@ -792,28 +803,40 @@ class TestScattershotRun:
         assert len(reference) > 20
         assert result.records == reference
 
-    @pytest.mark.parametrize("round_batches, chunk", [(1, 1), (2, 7)])
-    def test_round_size_does_not_change_the_run(self, round_batches, chunk, monkeypatch):
-        # A later batch brings an input no earlier batch drew, so a smaller
-        # round builds in several engine calls, and the last, partial batch
-        # has no candidate, so a one-batch round holds nothing.  At four
-        # photons the outputs are drawn per event, in chunks of ``chunk``.
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_event_chunk_does_not_change_the_run(self, chunk, small_batch, monkeypatch):
+        # A later batch brings an input no earlier batch drew, so the table
+        # path builds in several engine calls, and the last, partial batch
+        # has no candidate.  At four photons the outputs are drawn per
+        # event, in chunks of ``chunk``.
         draw = sampling._candidate_draw(_FAINT_LOSSY, 3)
         rows = [set(draw.fire(derive_rng(5, "scattershot", batch),
-                              min(_BATCH, _FAINT_PULSES - start))[1].tolist())
-                for batch, start in enumerate(range(0, _FAINT_PULSES, _BATCH))]
+                              min(_TEST_BATCH, _FAINT_PULSES - start))[1].tolist())
+                for batch, start in enumerate(range(0, _FAINT_PULSES, _TEST_BATCH))]
         assert len(rows) == 4 and not rows[-1]
         assert any(later - set().union(*rows[:b]) for b, later in enumerate(rows) if b)
         u = haar_random_unitary(8, 48)
         cases = [(_FAINT_LOSSY, 3), (_FOUR_LOSSY, 4)]
         default = [scattershot_run(u, params, _FAINT_PULSES, n, 5) for params, n in cases]
-        monkeypatch.setattr(sampling, "_ROUND", round_batches)
         monkeypatch.setattr(sampling, "_EVENT_CHUNK", chunk)
         for (params, n), want in zip(cases, default):
             run = scattershot_run(u, params, _FAINT_PULSES, n, 5)
             assert run.report == want.report
             assert run.records == want.records
-            assert len({r.pulse_index // _BATCH for r in run.records}) > 1
+            assert len({r.pulse_index // _TEST_BATCH for r in run.records}) > 1
+
+    @pytest.mark.parametrize("params, n", [(_FAINT_LOSSY, 3), (_FOUR_LOSSY, 4)],
+                             ids=["tables", "per-event"])
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, params, n, small_batch):
+        # Whole batches draw the same events whatever follows them, on both
+        # output paths and with lossy detectors.
+        u = haar_random_unitary(8, 48)
+        short = scattershot_run(u, params, 2 * _TEST_BATCH, n, 9)
+        long = scattershot_run(u, params, 3 * _TEST_BATCH, n, 9)
+        prefix = [r for r in long.records if r.pulse_index < 2 * _TEST_BATCH]
+        assert len(prefix) < len(long.records)
+        assert len({r.pulse_index // _TEST_BATCH for r in prefix}) == 2
+        assert short.records == prefix
 
     def test_sparse_bright_run_stays_small(self):
         # The run meets 4,093 of the 4,368 inputs, about 3 events each: a
@@ -852,6 +875,27 @@ class TestScattershotRun:
         u = haar_random_unitary(4, 29)
         with pytest.raises(ContractError):
             scattershot_run(u, [SourceParams(epsilon=0.5)] * 3, 10, 2, seed=0)
+
+    @pytest.mark.parametrize("pulses, n_select", [(1e4, 2), (True, 2), (10, 2.0), (10, True)])
+    def test_pulses_and_n_select_must_be_integers(self, pulses, n_select, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the run checked its unitary first")
+
+        monkeypatch.setattr(sampling, "_require_unitary", refuse)
+        with pytest.raises(ContractError, match="must be an integer"):
+            scattershot_run(np.eye(4), [SourceParams(0.5)] * 4, pulses, n_select, seed=0)
+
+    def test_seed_must_be_an_integer(self):
+        u = haar_random_unitary(4, 29)
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            scattershot_run(u, [SourceParams(0.5)] * 4, 10, 2, seed=1.5)
+
+    def test_numpy_integer_counts_and_seed(self):
+        u = haar_random_unitary(4, 29)
+        params = [SourceParams(0.5)] * 4
+        want = scattershot_run(u, params, 2_000, 2, seed=1)
+        got = scattershot_run(u, params, np.int64(2_000), np.int32(2), seed=np.uint8(1))
+        assert got.records == want.records and len(want.records) > 0
 
     def test_photon_limit(self):
         u = haar_random_unitary(8, 30)
@@ -921,7 +965,7 @@ class TestScattershotRun:
         sigma = math.sqrt(pulses * prob * (1.0 - prob))
         assert abs(result.report.retained_events - pulses * prob) <= 5 * sigma
 
-    def test_batched_runs_are_reproducible(self):
+    def test_batched_runs_are_reproducible(self, small_batch):
         u = haar_random_unitary(3, 33)
         params = [SourceParams(epsilon=0.5)] * 3
         a = scattershot_run(u, params, 70_000, 2, seed=11)
@@ -930,7 +974,7 @@ class TestScattershotRun:
         idx = [r.pulse_index for r in a.records]
         assert idx == sorted(idx)
         # events land on both sides of an internal batch boundary
-        assert idx[-1] >= 65_536
+        assert idx[0] < _TEST_BATCH <= idx[-1]
 
     def test_records_share_equal_patterns(self):
         u = haar_random_unitary(4, 35)
