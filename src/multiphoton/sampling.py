@@ -199,12 +199,11 @@ def _probabilities(u: np.ndarray, inputs: np.ndarray, collisions: bool,
     ``inputs`` are rows of an occupation array that all hold the same
     photon number n, and ``u`` must be a checked unitary.  Returns the
     n-photon pattern table and an unchecked (inputs, outcomes) float64
-    matrix, one row per input over the table's rows.
+    matrix, one row per input over the table's rows.  The rows are raw: with
+    ``collisions=False`` a caller divides them by their sums to normalise.
 
-    With r_i the rows of the source matrix (``u``, or ``|u|^2`` for
-    distinguishable photons) picked by the input's photons, every output
-    T's permanent is 2^-(n-1) sum_d (prod d) prod_(j in T) w_d[j] over the
-    sign vectors d with d_0 = +1, where w_d = sum_i d_i r_i.  For T its
+    Every output T's permanent is 2^-(n-1) sum_d (prod d) prod_(j in T)
+    w_d[j], with w_d the input's sign sums (:func:`_sign_sums`).  For T its
     (n-1)-photon parent p plus mode c, the sum is cell (p, c) of one product
     per input, [(prod d) prefix_d[p]] (parents, signs) @ [w_d[c]] (signs,
     modes); the prefixes grow along the prefix tree per block of sign vectors.
@@ -228,11 +227,7 @@ def _probabilities(u: np.ndarray, inputs: np.ndarray, collisions: bool,
     out = np.empty((len(inputs), len(table.cols)))
     for lo in range(0, len(inputs), chunk):
         occ = inputs[lo:lo + chunk]
-        rows = source[np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel())]
-        rows = rows.reshape(len(occ), n, modes).transpose(2, 0, 1)  # (mode, input, photon)
-        sums, plus = _low_table(rows[:, :, 1:].reshape(modes * len(occ), n - 1))
-        sums += rows[:, :, :1].reshape(-1, 1)
-        sums = sums.reshape(modes, len(occ), signs)
+        sums, plus = _sign_sums(source, occ)
         grid = np.zeros((len(occ), parents, modes), dtype=source.dtype)
         for d in range(0, signs, block):
             w = sums[:, :, d:d + block]
@@ -249,12 +244,57 @@ def _probabilities(u: np.ndarray, inputs: np.ndarray, collisions: bool,
         weights = perms.real**2 + perms.imag**2 if interfering else np.clip(perms, 0.0, None)
         norms = [math.prod(map(math.factorial, row)) if interfering else 1 for row in occ.tolist()]
         probs[...] = weights / (table.factors * np.array(norms)[:, None])
-        if not collisions:
-            totals = probs.sum(axis=1, keepdims=True)
-            if (totals <= 0).any():
-                raise ContractError("no probability mass on collision-free outputs")
-            probs /= totals
     return table, out
+
+
+def _sign_sums(source: np.ndarray, occ: np.ndarray) -> tuple[np.ndarray, int]:
+    """Glynn's sums w_d = sum_i d_i r_i of inputs of n photons, with r_i the
+    rows of ``source`` (``u``, or ``|u|^2`` for distinguishable photons) that
+    an input's photons pick, as (modes, inputs, signs) over the 2^(n-1) sign
+    vectors d with d_0 = +1; the first ``plus`` of them have prod d = +1."""
+    modes, n = source.shape[0], int(occ[0].sum())
+    rows = source[np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel())]
+    rows = rows.reshape(len(occ), n, modes).transpose(2, 0, 1)  # (mode, input, photon)
+    sums, plus = _low_table(rows[:, :, 1:].reshape(modes * len(occ), n - 1))
+    sums += rows[:, :, :1].reshape(-1, 1)
+    return sums.reshape(modes, len(occ), -1), plus
+
+
+def _pair_probabilities(u: np.ndarray, inputs: np.ndarray, outputs: np.ndarray, pair_input,
+                        pair_output) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities q for indistinguishable and p for distinguishable
+    photons of each pair k of input S = ``inputs[pair_input[k]]`` and output
+    T = ``outputs[pair_output[k]]``, occupation rows of n photons each:
+    q = |perm(U_ST)|^2 / (prod s! prod t!) and p = perm(|U|^2_ST) / prod t!.
+    Each permanent is 2^-(n-1) sum_d (prod d) prod_(j in T) w_d[j] on the
+    input's sign sums, multiplied out elementwise with the pairs last, in
+    chunks of pairs, so no (inputs, outcomes) array is built."""
+    used_in, used_out = np.zeros(len(inputs), dtype=bool), np.zeros(len(outputs), dtype=bool)
+    used_in[pair_input] = used_out[pair_output] = True  # rows no pair names may hold any n
+    pair_input = (np.cumsum(used_in) - 1)[pair_input]
+    pair_output = (np.cumsum(used_out) - 1)[pair_output]
+    inputs, outputs, modes = inputs[used_in], outputs[used_out], u.shape[0]
+    n = int(inputs[0].sum())
+    cols = np.repeat(np.tile(np.arange(modes), len(outputs)), outputs.ravel()).reshape(-1, n)
+    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    t_factors = factorials[outputs].prod(axis=1)[pair_output]
+    perms = [np.empty(len(pair_input), dtype=complex), np.empty(len(pair_input))]
+    for perm, source in zip(perms, (u, u.real**2 + u.imag**2)):  # as in _probabilities
+        sums, plus = _sign_sums(source, inputs)
+        signs = sums.shape[2]
+        sums = np.ascontiguousarray(sums.transpose(2, 0, 1)).reshape(signs, -1)
+        prod_d = np.where(np.arange(signs) < plus, 1.0, -1.0)[:, None]
+        step = max(1, _CHUNK_BYTES // (signs * source.itemsize))
+        for lo in range(0, len(perm), step):  # sums[d, c * inputs + i] is w_d[c] of input i
+            at = cols[pair_output[lo:lo + step]] * len(inputs) + pair_input[lo:lo + step, None]
+            terms = prod_d * np.take(sums, at[:, 0], axis=1)
+            for j in range(1, n):
+                terms *= np.take(sums, at[:, j], axis=1)
+            # a running sum, which unlike sum() adds in one order for any chunk size
+            perm[lo:lo + step] = np.cumsum(terms, axis=0, out=terms)[-1] / signs
+    s_factors = factorials[inputs].prod(axis=1)[pair_input]
+    return ((perms[0].real**2 + perms[0].imag**2) / (t_factors * s_factors),
+            np.clip(perms[1], 0.0, None) / t_factors)
 
 
 @functools.lru_cache(maxsize=None)  # one entry per photon number, at most 6
@@ -324,12 +364,17 @@ def _distributions(u: np.ndarray, inputs: np.ndarray, collisions: bool,
                    interfering: bool) -> list:
     """One OutcomeDistribution per input (rows of an occupation array, any
     photon numbers), built by :func:`_probabilities` one photon number at a
-    time."""
+    time; with ``collisions=False`` each row is divided by its sum."""
     photons = inputs.sum(axis=1)
     dists = [None] * len(inputs)
     for n in sorted(set(photons.tolist())):
         at = np.flatnonzero(photons == n)
         table, probs = _probabilities(u, inputs[at], collisions, interfering)
+        if not collisions:
+            totals = probs.sum(axis=1, keepdims=True)
+            if (totals <= 0).any():
+                raise ContractError("no probability mass on collision-free outputs")
+            probs /= totals
         for i, dist in zip(at, OutcomeDistribution._rows(table, probs)):
             dists[i] = dist
     return dists

@@ -4,7 +4,8 @@ Implements the Bhattacharyya similarity S = sum(sqrt(p_i q_i)), the total
 variation distance D = (1/2) sum|p_i - q_i|, a cumulative log
 likelihood-ratio test between the indistinguishable and distinguishable
 photon hypotheses, and the per-trigger-group aggregation used to validate
-scattershot runs, on one probability matrix per model and photon number.
+scattershot runs, which evaluates both models only at the observed
+(trigger group, output) pairs.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, DataError, DimensionError
-from .linalg import _require_unitary
+from .linalg import _require_unitary, count_patterns
 from .sampling import (
+    _CHUNK_BYTES,
     OutcomeDistribution,
     SampleRecord,
-    _check_probabilities,
     _events_from_records,
+    _guard_enumeration,
     _numbered_patterns,
+    _pair_probabilities,
     _probabilities,
     _stable_order,
 )
@@ -125,17 +128,14 @@ def _aligned(p, q) -> tuple:
     return pa, qa
 
 
-def _similarity(pa: np.ndarray, qa: np.ndarray) -> float:
-    return math.fsum(np.sqrt(pa * qa).tolist())
-
-
 def similarity(p, q) -> float:
     """Bhattacharyya similarity S = sum(sqrt(p_i q_i)) over a common support.
 
     Equals 1 exactly when the distributions coincide and 0 when their
     supports are disjoint.
     """
-    return _similarity(*_aligned(p, q))
+    pa, qa = _aligned(p, q)
+    return math.fsum(np.sqrt(pa * qa).tolist())
 
 
 def tv_distance(p, q) -> float:
@@ -181,30 +181,38 @@ def _model(model, input_pattern) -> OutcomeDistribution:
     return dist
 
 
+def _numbered_pairs(block, oid, outputs: int) -> tuple:
+    """Number the distinct (block, output) pairs of a sample stream in block
+    order: each sample's pair, then each pair's block and output id."""
+    pairs, pair = np.unique(block * outputs + oid, return_inverse=True)
+    return (pair, *np.divmod(pairs, outputs))
+
+
 def _evaluate(block, oid, outputs, q_dists, p_dists) -> tuple:
-    """Evaluate both hypotheses on every sample of a stream split into input blocks.
+    """Each sample's pair (:func:`_numbered_pairs`) of input block
+    ``block[t]`` and output ``outputs[oid[t]]``, each pair's block, and its
+    probability in its block's q and p distributions, looked up once each
+    (0.0 outside a support)."""
+    pair, group, output = _numbered_pairs(block, oid, len(outputs))
+    keys = list(zip(group.tolist(), map(outputs.__getitem__, output.tolist())))
 
-    Sample t has output ``outputs[oid[t]]`` and the models ``q_dists[block[t]]``
-    and ``p_dists[block[t]]``.  Returns the offsets and the probabilities of
-    the q distributions laid end to end, then each sample's row in its q
-    distribution (-1 outside its support) and its probability under q and p.
-    Each distinct output is looked up once in each outcome table that
-    evaluates it, however many samples hold it.
-    """
-    tables = {id(d._support): d._support.index for d in (*q_dists, *p_dists)}
-    number = dict(zip(tables, range(len(tables))))  # each distinct outcome table's position
-    indexes = list(tables.values())
+    def look_up(dists):
+        rows = [dists[g]._support.index.get(out) for g, out in keys]
+        return np.array([0.0 if row is None else dists[g].probabilities[row]
+                         for (g, _), row in zip(keys, rows)])
 
-    def evaluate(dists):
-        table = np.array([number[id(d._support)] for d in dists], dtype=np.intp)[block]
-        pairs, at = np.unique(table * len(outputs) + oid, return_inverse=True)
-        rows = np.array([indexes[k // len(outputs)].get(outputs[k % len(outputs)], -1)
-                         for k in pairs.tolist()], dtype=np.intp)[at]
-        flat = np.concatenate([d.probabilities for d in dists])
-        starts = np.cumsum([0] + [d.probabilities.size for d in dists])
-        return starts, flat, rows, np.where(rows >= 0, flat[starts[block] + rows], 0.0)
+    return pair, group, look_up(q_dists), look_up(p_dists)
 
-    return (*evaluate(q_dists), evaluate(p_dists)[-1])
+
+def _statistics(f, q, cuts) -> tuple[list, list]:
+    """Similarity and distance of frequencies ``f`` against probabilities
+    ``q`` given at the observed outcomes alone, per segment cuts[i]:cuts[i+1]:
+    unobserved outcomes add exact zeros to S = sum sqrt(f q) and their q to
+    D, so D = (1 + sum (|f - q| - q)) / 2 = (1 + sum max(f - 2q, -f)) / 2."""
+    roots, terms = np.sqrt(f * q).tolist(), np.maximum(f - 2 * q, -f).tolist()
+    bounds = list(zip(cuts, cuts[1:]))
+    return ([math.fsum(roots[a:b]) for a, b in bounds],
+            [0.5 * math.fsum([1.0, *terms[a:b]]) for a, b in bounds])
 
 
 def _check_threshold(threshold) -> None:
@@ -212,15 +220,16 @@ def _check_threshold(threshold) -> None:
         raise ContractError(f"threshold must be positive, got {threshold}")
 
 
-def _pooled_report(block, offsets, q_flat, rows, q_val, p_val, threshold,
-                   sample_at) -> ValidationReport:
+def _pooled_report(pair, group, q, p, threshold, sample_at) -> ValidationReport:
     """Cumulative LR test and joint statistics over an evaluated sample stream.
 
-    Sample t's q distribution is ``q_flat[offsets[block[t]]:offsets[block[t] + 1]]``.
-    The first sample with a zero probability ends the test.  The joint
-    similarity/distance compare the empirical (input, output) frequencies
-    of the consumed samples with the model joint q_hat(i, o) = p_hat(i) * q(o | i).
+    Sample t is pair ``pair[t]``; pair k has block ``group[k]`` and the
+    probabilities ``q[k]`` and ``p[k]``.  The first sample with a zero
+    probability ends the test.  The joint similarity/distance compare the
+    empirical (input, output) frequencies of the consumed samples with the
+    model joint q_hat(i, o) = p_hat(i) * q(o | i).
     """
+    q_val, p_val = q[pair], p[pair]
     zeros = np.flatnonzero((q_val == 0.0) | (p_val == 0.0))
     end = int(zeros[0]) if zeros.size else len(q_val)
     trajectory = np.cumsum(np.log(q_val[:end] / p_val[:end]))
@@ -233,20 +242,14 @@ def _pooled_report(block, offsets, q_flat, rows, q_val, p_val, threshold,
     verdict = ("indistinguishable" if level > threshold
                else "distinguishable" if level < -threshold else "inconclusive")
     total = len(trajectory)
-    # Only the deciding sample can lie outside its q support; its joint
-    # frequency 1/total adds to the distance alone.
-    inside = total - int(rows[total - 1] < 0)
-    weights = np.bincount(block[:total], minlength=len(offsets) - 1) / total
-    q_hat = np.repeat(weights, np.diff(offsets)) * q_flat
-    hits = np.bincount(offsets[block[:inside]] + rows[:inside], minlength=q_hat.size)
-    p_hat, seen = hits / total, hits > 0  # unseen outcomes add exact zeros to the similarity
-    return ValidationReport(
-        similarity=_similarity(p_hat[seen], q_hat[seen]),
-        distance=0.5 * math.fsum(np.abs(p_hat - q_hat).tolist() + [(total - inside) / total]),
-        lr_trajectory=trajectory,
-        verdict=verdict,
-        samples_used=total,
-    )
+    hits = np.bincount(pair[:total], minlength=len(q))
+    seen = np.flatnonzero(hits)
+    weights = np.bincount(group[seen], hits[seen]) / total  # each block's share of the samples
+    # A deciding sample outside its q support has q = 0 and adds its frequency alone.
+    (sim,), (dist,) = _statistics(hits[seen] / total, weights[group[seen]] * q[seen],
+                                  [0, len(seen)])
+    return ValidationReport(similarity=sim, distance=dist, lr_trajectory=trajectory,
+                            verdict=verdict, samples_used=total)
 
 
 def likelihood_ratio_test(samples, q_model, p_model, threshold: float = 5.0) -> ValidationReport:
@@ -269,7 +272,7 @@ def likelihood_ratio_test(samples, q_model, p_model, threshold: float = 5.0) -> 
         raise ContractError("no samples supplied")
     (block, inputs), (oid, outputs) = map(_numbered_patterns, zip(*pairs))
     q_dists, p_dists = zip(*[(_model(q_model, inp), _model(p_model, inp)) for inp in inputs])
-    return _pooled_report(block, *_evaluate(block, oid, outputs, q_dists, p_dists), threshold,
+    return _pooled_report(*_evaluate(block, oid, outputs, q_dists, p_dists), threshold,
                           lambda t: (inputs[block[t]], outputs[oid[t]]))
 
 
@@ -288,16 +291,20 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     its ``lr_trajectory`` take the records by sorted trigger pattern, and in
     their given order within a trigger group.
 
-    Each distinct pattern of the event table is checked once; per photon
-    number, each model is one (groups, outcomes) matrix from one engine
-    call, and the samples' probabilities and the groups' output counts are
-    read from those matrices laid end to end in group order.
+    Each distinct pattern of the event table is checked once, and both
+    models are evaluated only at the distinct (group, output) pairs the
+    records hold (``sampling._pair_probabilities``), so memory and time grow
+    with the pairs observed, not with the groups times the outcomes.  With
+    ``collisions=False`` each group's probabilities are divided by its
+    collision-free masses, summed from the engine's rows a chunk of groups
+    at a time.
     """
     _check_threshold(threshold)
     events = _events_from_records(records)
     if not len(events.pulse):
         raise ContractError("empty record set")
     u = _require_unitary(unitary, "scattershot_aggregate_validation")
+    modes = u.shape[0]
     tid, oid, patterns = events.trigger, events.output, events.patterns
     # Equal patterns share one id, so an input differs from its trigger iff its id does.
     differ = events.input != tid
@@ -313,7 +320,7 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
             raise DataError(f"records mix pattern lengths {lengths[0]} and {lengths[e]}: the first "
                             f"record of length {lengths[e]} is at pulse {events.pulse[e]}")
     photons = [sum(pattern) for pattern in patterns]  # Python ints, which cannot wrap
-    level = np.unique(np.array(photons, dtype=object), return_inverse=True)[1]
+    numbers, level = np.unique(np.array(photons, dtype=object), return_inverse=True)
     unmatched = np.flatnonzero(level[tid] != level[oid])
     if unmatched.size:
         e = unmatched[0]
@@ -325,41 +332,44 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
         tid, oid = tid[kept], oid[kept]
         if not len(tid):
             raise ContractError("no records left after removing collision outputs")
-    if size[tid[0]] != u.shape[0]:  # the check exact_distribution makes on its input
-        raise DimensionError(f"occupation has {size[tid[0]]} modes, expected {u.shape[0]}")
+    if size[tid[0]] != modes:  # the check exact_distribution makes on its input
+        raise DimensionError(f"occupation has {size[tid[0]]} modes, expected {modes}")
     # Groups in sorted trigger tuple order, events within a group in table order.
     tally = np.bincount(tid, minlength=len(patterns))
     present = sorted(np.flatnonzero(tally).tolist(), key=patterns.__getitem__)
     group_of = np.empty(len(patterns), dtype=np.intp)
     group_of[present] = np.arange(len(present))
     oid, counts = oid[_stable_order(group_of[tid], len(present))], tally[present]
+    if size[oid[0]] != modes:  # an n-photon output over the modes lies in the support
+        raise DataError(f"sample {patterns[oid[0]]} lies outside the outcome support")
+    group_level = level[present]
+    levels = np.unique(group_level).tolist()
+    for k in levels:  # every limit is refused before any pair is evaluated
+        _guard_enumeration(modes, numbers[k], collisions, "exact_distribution")
     block = np.repeat(np.arange(len(present)), counts)
-    triggers = np.array([patterns[i] for i in present], dtype=np.int64)
-    # Per photon number, one (groups, outcomes) matrix per model, whose rows
-    # are laid end to end in group order; each pattern's row in its table.
-    photon_groups, model_rows, index = triggers.sum(axis=1), {}, {}
-    for n in sorted(set(photon_groups.tolist())):
-        at = np.flatnonzero(photon_groups == n).tolist()
-        (table, q), (_, p) = (_probabilities(u, triggers[at], collisions, interfering)
-                              for interfering in (True, False))
-        model_rows.update(zip(at, zip(_check_probabilities(q), _check_probabilities(p))))
-        index[n] = table.index
-    q_flat, p_flat = map(np.concatenate, zip(*map(model_rows.get, range(len(present)))))
-    offsets = np.cumsum([0] + [model_rows[g][0].size for g in range(len(present))])
-    rows = np.fromiter((index.get(n, {}).get(pattern, -1) for n, pattern in zip(photons, patterns)),
-                       np.intp, len(patterns))[oid]
-    if (rows < 0).any():
-        raise DataError(f"sample {patterns[oid[np.argmin(rows)]]} lies outside the outcome support")
-    cells = offsets[block] + rows
-    pooled = _pooled_report(block, offsets, q_flat, rows, q_flat[cells], p_flat[cells], threshold,
+    pair, group, output = _numbered_pairs(block, oid, len(patterns))
+    occupations = np.array(patterns, dtype=np.intp)
+    triggers, q, p = occupations[present], np.empty(len(group)), np.empty(len(group))
+    for k in levels:
+        at = np.flatnonzero(group_level[group] == k)
+        q[at], p[at] = _pair_probabilities(u, triggers, occupations, group[at], output[at])
+    if not collisions:  # divided by each group's collision-free masses, a chunk at a time
+        for values, interfering in ((q, True), (p, False)):
+            mass = np.empty(len(present))
+            for k in levels:
+                groups = np.flatnonzero(group_level == k)
+                step = max(1, _CHUNK_BYTES // (8 * count_patterns(modes, numbers[k], False)))
+                for chunk in np.split(groups, range(step, len(groups), step)):
+                    mass[chunk] = _probabilities(u, triggers[chunk], False,
+                                                 interfering)[1].sum(axis=1)
+            if not (mass > 0).all():
+                raise ContractError("no probability mass on collision-free outputs")
+            values /= mass[group]
+    pooled = _pooled_report(pair, group, q, p, threshold,
                             lambda t: (patterns[present[block[t]]], patterns[oid[t]]))
-    hits = np.bincount(cells, minlength=offsets[-1])
-    freq = hits / np.repeat(counts, np.diff(offsets))
-    seen = np.flatnonzero(hits)  # unseen outcomes add exact zeros to a similarity
-    roots, gaps = np.sqrt(freq[seen] * q_flat[seen]), np.abs(freq - q_flat)
-    cuts, bounds = np.searchsorted(seen, offsets).tolist(), offsets.tolist()
-    sims = np.array([math.fsum(roots[a:b].tolist()) for a, b in zip(cuts, cuts[1:])])
-    dists = 0.5 * np.array([math.fsum(gaps[a:b].tolist()) for a, b in zip(bounds, bounds[1:])])
+    freq = np.bincount(pair, minlength=len(group)) / counts[group]
+    cuts = np.searchsorted(group, np.arange(len(present) + 1)).tolist()
+    sims, dists = map(np.array, _statistics(freq, q, cuts))
     groups = tuple(map(GroupValidation, map(patterns.__getitem__, present), counts.tolist(),
                        sims.tolist(), dists.tolist()))
     spread = (float(sims.std(ddof=1)), float(dists.std(ddof=1))) if len(groups) > 1 else (0.0, 0.0)

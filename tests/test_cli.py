@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -429,7 +430,36 @@ class TestJsaCommand:
         assert main(["jsa", "--sigma-pump", "1.0", "--sigma-pm", "0.6"]) == 4
 
 
+# sha256 of the report's and the trajectory's non-"#" lines of the seeded
+# round trip in TestValidateCommand.test_validate_bytes_are_pinned, per
+# collision setting.  Floats differ in their last digits between numpy
+# versions, so the digests hold for the one they were made with.
+VALIDATE_DIGESTS_NUMPY = "2.4.6"
+VALIDATE_DIGESTS = {
+    True: "74755efc525219f010516c20e0439f6a9f05a4d63059bc01d04983e21afafcc4",
+    False: "11f650318c17f83763695755f1f7f4d6d16f6ae75f521cfa5671a667f072241c",
+}
+
+
 class TestValidateCommand:
+    @pytest.mark.parametrize("collisions", [True, False])
+    def test_validate_bytes_are_pinned(self, tmp_path, collisions):
+        assert np.__version__ == VALIDATE_DIGESTS_NUMPY, (
+            f"the validate digests were made with numpy {VALIDATE_DIGESTS_NUMPY}; "
+            f"this is numpy {np.__version__}")
+        unitary, log = tmp_path / "u.json", tmp_path / "samples.csv"
+        report, trajectory = tmp_path / "report.txt", tmp_path / "lr.csv"
+        save_matrix(unitary, haar_random_unitary(8, 3))
+        assert main(["sample", "--unitary", str(unitary), "--input", "21100000",
+                     "--shots", "20000", "--seed", "3", "--out", str(log)]) == 0
+        assert main(["validate", "--samples", str(log), "--unitary", str(unitary),
+                     "--out", str(report), "--trajectory", str(trajectory)]
+                    + ([] if collisions else ["--no-collisions"])) == 0
+        body = b"".join(line for path in (report, trajectory)
+                        for line in path.read_bytes().splitlines(keepends=True)
+                        if not line.startswith(b"#"))
+        assert hashlib.sha256(body).hexdigest() == VALIDATE_DIGESTS[collisions]
+
     def test_sample_then_validate_round_trip(self, tmp_path, capsys):
         unitary = tmp_path / "u.json"
         save_matrix(unitary, haar_random_unitary(4, 5))

@@ -302,6 +302,53 @@ class TestGlynnEngine:
             assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+class TestPairProbabilities:
+    """Validation's pair kernel against the permutation sum and the engine's rows."""
+
+    @staticmethod
+    def pairs(modes, n):
+        """A spread and a bunched input of n photons, an unused input of n + 1
+        photons, 12 outputs (bunched ones among them) and every (input, output)
+        pair of the n-photon rows, shuffled."""
+        inputs = np.array(_spread_and_bunched(modes, n)
+                          + [_spread_and_bunched(modes, n + 1)[-1]])
+        outcomes = enumerate_patterns(modes, n)
+        outputs = np.array(outcomes)[np.unique(np.linspace(0, len(outcomes) - 1, 12).astype(int))]
+        assert n == 1 or outputs.max() > 1 and inputs[-2].max() > 1
+        pair_input, pair_output = np.divmod(np.arange((len(inputs) - 1) * len(outputs)),
+                                            len(outputs))
+        order = np.random.default_rng(n).permutation(len(pair_input))
+        return inputs, outputs, pair_input[order], pair_output[order]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_naive_permanents_and_engine_rows(self, n):
+        modes = 6
+        u = haar_random_unitary(modes, 600 + n)
+        inputs, outputs, pair_input, pair_output = self.pairs(modes, n)
+        q, p = sampling._pair_probabilities(u, inputs, outputs, pair_input, pair_output)
+        for k, (i, o) in enumerate(zip(pair_input.tolist(), pair_output.tolist())):
+            occ, out = tuple(inputs[i].tolist()), tuple(outputs[o].tolist())
+            amp = permanent_naive(transition_submatrix(u, occ, out))
+            weight = permanent_naive(transition_submatrix(np.abs(u) ** 2, occ, out)).real
+            t_factor = math.prod(map(math.factorial, out))
+            assert q[k] == pytest.approx(
+                abs(amp) ** 2 / (math.prod(map(math.factorial, occ)) * t_factor), abs=1e-15)
+            assert p[k] == pytest.approx(weight / t_factor, abs=1e-15)
+            assert q[k] == pytest.approx(exact_distribution(u, occ).prob(out), abs=1e-15)
+            assert p[k] == pytest.approx(distinguishable_distribution(u, occ).prob(out),
+                                         abs=1e-15)
+
+    def test_each_pair_independent_of_the_others(self, monkeypatch):
+        u = haar_random_unitary(6, 605)
+        inputs, outputs, pair_input, pair_output = self.pairs(6, 5)
+        together = sampling._pair_probabilities(u, inputs, outputs, pair_input, pair_output)
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES", 1)  # one pair per chunk
+        for k in (0, 7, len(pair_input) - 1):
+            alone = sampling._pair_probabilities(u, inputs, outputs, pair_input[k:k + 1],
+                                                 pair_output[k:k + 1])
+            assert (alone[0][0], alone[1][0]) == (together[0][k], together[1][k])
+
+
 class TestDistinguishableDistribution:
     def test_identity_is_point_mass(self):
         dist = distinguishable_distribution(np.eye(3), (1, 0, 1))

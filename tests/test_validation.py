@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from multiphoton import cli, validation
-from multiphoton.errors import ContractError, DataError, DimensionError
+from multiphoton.errors import ContractError, DataError, DimensionError, ResourceLimitError
 from multiphoton.linalg import (_require_unitary, as_occupation, haar_random_unitary, load_matrix,
                                 save_matrix)
 from multiphoton.sampling import (
@@ -208,9 +208,13 @@ class TestLikelihoodRatioTest:
                                                  [p_model(inp) for inp in ids])
         reference = pooled_report_reference(block, q_dists, *evaluated, 5.0,
                                             samples.__getitem__)
+        # each sample reads the same probabilities: the trajectory is bit-identical, while
+        # the joint distance sums the unobserved model mass as 1 - sum of the observed
         assert np.array_equal(report.lr_trajectory, reference.lr_trajectory)
-        assert (report.similarity, report.distance, report.verdict, report.samples_used) == (
-            reference.similarity, reference.distance, reference.verdict, reference.samples_used)
+        assert (report.verdict, report.samples_used) == (reference.verdict,
+                                                         reference.samples_used)
+        assert report.similarity == pytest.approx(reference.similarity, rel=0, abs=1e-12)
+        assert report.distance == pytest.approx(reference.distance, rel=0, abs=1e-12)
 
     def test_impossible_under_both_rejected(self):
         dist = OutcomeDistribution(((1, 0), (0, 1)), np.array([0.5, 0.5]))
@@ -341,14 +345,29 @@ def record_aggregate_reference(records, unitary, collisions=True, threshold=5.0)
 
 
 def assert_same_report(ours, reference):
-    assert ours.groups == reference.groups
-    assert (ours.mean_similarity, ours.similarity_std, ours.mean_distance, ours.distance_std) == (
-        reference.mean_similarity, reference.similarity_std, reference.mean_distance,
-        reference.distance_std)
-    assert ours.pooled.similarity == reference.pooled.similarity
-    assert ours.pooled.distance == reference.pooled.distance
-    assert ours.pooled.verdict == reference.pooled.verdict
-    assert np.array_equal(ours.pooled.lr_trajectory, reference.pooled.lr_trajectory)
+    """Triggers, sample counts, verdict and trajectory length exact; every
+    statistic within 1e-12 absolute, each finite trajectory entry within
+    1e-12 of the reference's largest |L|, and the infinite ones exact.
+
+    Validation evaluates both models at the observed pairs alone, where the
+    reference reads full distributions, so the two round differently."""
+    assert [(g.trigger, g.samples) for g in ours.groups] == [
+        (g.trigger, g.samples) for g in reference.groups]
+
+    def statistics(report):
+        return ([g.similarity for g in report.groups] + [g.distance for g in report.groups]
+                + [report.mean_similarity, report.similarity_std, report.mean_distance,
+                   report.distance_std, report.pooled.similarity, report.pooled.distance])
+
+    assert np.abs(np.subtract(statistics(ours), statistics(reference))).max() <= 1e-12
+    assert (ours.pooled.verdict, ours.pooled.samples_used) == (reference.pooled.verdict,
+                                                               reference.pooled.samples_used)
+    got, want = ours.pooled.lr_trajectory, reference.pooled.lr_trajectory
+    assert len(got) == len(want)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    scale = np.abs(want[finite]).max(initial=0.0)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale)
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +388,15 @@ def mixed_photon_records():
     return u, triggers, [SampleRecord(occ, occ, out, i) for i, (occ, out) in enumerate(pairs)]
 
 
+@pytest.fixture(scope="module")
+def sparse_records():
+    """A bright m=12, n=5 run: 14,926 events over 792 groups, its observed
+    (group, output) pairs 0.4% of the groups times the outcomes."""
+    unitary = haar_random_unitary(12, 7)
+    params = [SourceParams.from_lumped_efficiency(0.3, 0.81)] * 12
+    return unitary, scattershot_run(unitary, params, 200_000, 5, seed=1).records
+
+
 class TestAgainstRecordReference:
     def test_criterion_5_data(self, tmp_path, criterion_5_records):
         unitary, records = criterion_5_records
@@ -382,6 +410,14 @@ class TestAgainstRecordReference:
             assert_same_report(
                 scattershot_aggregate_validation(read_sample_log(log), unitary, collisions),
                 reference)
+
+    @pytest.mark.parametrize("collisions", [True, False])
+    def test_sparse_run(self, sparse_records, collisions):
+        unitary, records = sparse_records
+        report = scattershot_aggregate_validation(records, unitary, collisions)
+        if collisions:
+            assert (len(records), report.group_count) == (14_926, 792)
+        assert_same_report(report, record_aggregate_reference(records, unitary, collisions))
 
     def test_bunched_trigger_sample_log(self, tmp_path):
         # a 4-photon input with two photons in one mode, written by the CLI
@@ -526,18 +562,23 @@ class TestScattershotAggregateValidation:
         with pytest.raises(ContractError, match="^threshold must be positive"):
             scattershot_aggregate_validation(records, u, threshold=threshold)
 
-    def test_engine_runs_once_per_model_and_photon_number(self, monkeypatch):
+    @pytest.mark.parametrize("collisions", [True, False])
+    def test_engine_runs_only_for_collision_free_masses(self, monkeypatch, collisions):
+        # the pairs are evaluated on their own; the engine's full rows are
+        # built only to sum each group's collision-free masses
         calls = Counter()
         engine = validation._probabilities
 
         def counted(u, inputs, collisions, interfering):
-            calls[int(inputs[0].sum()), interfering] += 1
+            calls[int(inputs[0].sum()), collisions, interfering] += 1
             return engine(u, inputs, collisions, interfering)
 
         monkeypatch.setattr(validation, "_probabilities", counted)
         u, _, records = mixed_photon_records()
-        scattershot_aggregate_validation(records, u)
-        assert calls == {(n, interfering): 1 for n in (1, 2, 3) for interfering in (True, False)}
+        scattershot_aggregate_validation(records, u, collisions)
+        assert calls == ({} if collisions else
+                         {(n, False, interfering): 1 for n in (1, 2, 3)
+                          for interfering in (True, False)})
 
     def test_criterion_5_memory(self, criterion_5_records):
         unitary, records = criterion_5_records
@@ -549,6 +590,47 @@ class TestScattershotAggregateValidation:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_sparse_memory(self, sparse_records):
+        # no (groups, outcomes) matrix: 792 x 4368 cells would take 26 MiB per model
+        unitary, records = sparse_records
+        scattershot_aggregate_validation(records, unitary)  # fills the pattern-table caches
+        tracemalloc.start()
+        try:
+            scattershot_aggregate_validation(records, unitary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_no_collision_free_mass_is_refused(self):
+        # Hong-Ou-Mandel: two photons on a balanced beam splitter never leave apart
+        splitter = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        message = "^no probability mass on collision-free outputs$"
+        with pytest.raises(ContractError, match=message):
+            exact_distribution(splitter, (1, 1), collisions=False)
+        record = SampleRecord((1, 1), (1, 1), (1, 1), 0)
+        with pytest.raises(ContractError, match=message):
+            scattershot_aggregate_validation([record], splitter, collisions=False)
+
+    @pytest.mark.parametrize("collisions", [True, False])
+    @pytest.mark.parametrize("modes, n", [(8, 7), (60, 6)])
+    def test_limits_refused_before_any_pair(self, monkeypatch, collisions, modes, n):
+        def no_pairs(*args):
+            raise AssertionError("a pair was evaluated")
+
+        monkeypatch.setattr(validation, "_pair_probabilities", no_pairs, raising=False)
+        trigger = (1,) * n + (0,) * (modes - n)
+        records = [SampleRecord((1, 1) + (0,) * (modes - 2), (1, 1) + (0,) * (modes - 2),
+                                (0, 1, 1) + (0,) * (modes - 3), 0),
+                   SampleRecord(trigger, trigger, trigger, 1)]
+        size = math.comb(modes + n - 1, n) if collisions else math.comb(modes, n)
+        message = (f"exact_distribution handles at most 6 photons, got {n}; use sampled "
+                   "estimates for larger systems" if n > 6 else
+                   f"enumerating {size} output patterns exceeds the 1000000 limit; use "
+                   "sampled estimates instead")
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
+            scattershot_aggregate_validation(records, haar_random_unitary(modes, 1), collisions)
 
     @pytest.mark.parametrize("trigger, output, counts", [
         ((2**62, 2**62, 0), (0, 0, 0), "9223372036854775808 triggers vs 0"),
