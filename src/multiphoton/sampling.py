@@ -11,10 +11,10 @@ photons coincide.  A run draws only the candidate pulses, where exactly
 ``n_select`` sources herald a surviving signal and the rest stay silent:
 per batch a binomial count, their pulse offsets and each one's heralding
 set, a row of the ``n_select``-photon pattern table.  Each batch is drawn
-in one pass, its outputs right after its candidates.  Below four photons,
-one engine call per batch builds the inputs the run has not built yet into
-one matrix of cumulative sums, from which each output is drawn; from four
-photons, where a run meets many inputs for a few events each, each
+in one pass, its outputs right after its candidates.  Where a batch expects
+many candidates per input, one engine call per batch builds the inputs the
+run has not built yet into one matrix of cumulative sums, from which each
+output is drawn; where a run meets many inputs for a few events each, each
 candidate's output is drawn on its own by Clifford & Clifford's algorithm
 B, at a cost per event rather than per input.
 
@@ -78,15 +78,18 @@ MAX_ENUMERATION = 1_000_000
 # ``Generator.choice`` shuffles, 8 B per pulse.  2**20 pulses amortise the
 # derivation yet cap that index at 8 MiB.
 _BATCH = 1 << 20
-# A run of at least this many photons draws each candidate's output on its
-# own (``_per_event_outputs``); below it, a run builds each input's output
-# table once and draws from it.  The photon number alone chooses, never the
-# run length.  On 2 cores the tables ran 1.6-2.6x faster at n=3 on runs of
-# 1e4-1e5 events at m=8 and m=12 (the per-event draw won only on faint or
-# m=16 runs), and the per-event draw 1.8-7x faster at n=4 on bright and
-# faint m=12 runs, losing (2.9x) only on a dense m=8 run of 34,000 events
-# over 70 inputs.
-_PER_EVENT_PHOTONS = 4
+# A run builds output tables when a batch expects each input it may meet to
+# draw e candidates with K / e <= _OUTCOMES_PER_EVENT, K the outcome count, so
+# that a table costs at most that many outcomes per event; otherwise it draws
+# each candidate's output on its own (``_per_event_path``).  On 2 cores the
+# paths cross near K/e = 20, and 16 caps the cumulative matrix at 128 MiB:
+#   median ms                        tables  per event    K/e
+#   dense m=8, n=4, 2e5 pulses         19.7       69.2    0.4
+#   bright m=16, n=3, 2e5 pulses       36.6       41.3     17
+#   bright m=15, n=3, 1e5 pulses       23.4       24.4     21
+#   bright m=11, n=4, 1e5 pulses       33.8       25.9     26
+#   faint m=12, n=3, 1e6 pulses        1.00       0.39   3104
+_OUTCOMES_PER_EVENT = 16
 # Events per chunk of the per-event draw, which bounds its working arrays.
 _EVENT_CHUNK = 2048
 
@@ -681,6 +684,15 @@ def _candidate_draw(params: Sequence[SourceParams], n: int) -> _CandidateDraw:
                           _pattern_table(modes, n, True).rows(subsets))
 
 
+def _per_event_path(draw: _CandidateDraw, modes: int, n: int, pulses: int) -> bool:
+    """Whether a run of ``pulses`` draws its outputs per event: when e * T < K,
+    with e = P_cand * min(pulses, _BATCH) / C(modes, n) the expected
+    candidates per input in a batch, T = ``_OUTCOMES_PER_EVENT`` and K the
+    outcome count.  It reads no random number, so every batch takes one path."""
+    events = draw.probability * min(pulses, _BATCH) / math.comb(modes, n)
+    return events * _OUTCOMES_PER_EVENT < math.comb(modes + n - 1, n)
+
+
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` of integer keys in [0, bound], on
     the smallest unsigned dtype that holds ``bound``: numpy radix-sorts keys
@@ -722,11 +734,12 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     generator: the candidate count ~ Binomial(size, P_cand), their pulse
     offsets without replacement, each one's heralding set by one
     ``searchsorted`` on the cumulative subset weights, then the candidates'
-    output uniforms, one each below four photons and 2 * n_select from
-    four.  The batch's outputs are drawn next, by the output table path
-    below four photons or by the per-event path from four (the photon
-    number alone chooses), and thinned by the same generator when a
-    detector is lossy.
+    output uniforms, one each for tables and 2 * n_select per event.  The
+    batch's outputs are drawn next, and thinned by the same generator when
+    a detector is lossy.  The run takes one path throughout, chosen from
+    the sources, m, n and min(pulses, 2**20) alone (``_per_event_path``):
+    tables where a batch expects each input to draw at least K/16
+    candidates, K the outcome count, and the per-event draw otherwise.
 
     * Output tables: one engine call builds every input of the batch that
       the run has not built yet.  Their checked probabilities become
@@ -734,12 +747,11 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
       matrix, which holds a row per input built; the batch's candidates
       are sorted by input, and each input's outputs drawn with one
       ``searchsorted`` on its row.  Cheapest where inputs repeat often.
+      The rule caps the matrix, C(m, n) rows of K at most, at 128 MiB.
     * Per event: one call per batch draws its candidates' outputs by
       Clifford & Clifford's algorithm B (see ``_per_event_outputs``), in
       chunks of a fixed number of events, with no table of probabilities.
-      Its cost grows with the events, not with the distinct inputs, which
-      from four photons is the cheaper side on every run but dense ones at
-      few modes.
+      Its cost grows with the events, not with the distinct inputs.
 
     A batch's candidates are all the working state a run holds besides its
     events, so the batch size bounds it, whatever the run length; the
@@ -771,7 +783,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     # Every candidate's trigger and drawn output hold n_select photons, so
     # events are stored as rows of that photon number's pattern table.
     table = _pattern_table(modes, n_select, True)
-    per_event = n_select >= _PER_EVENT_PHOTONS
+    per_event = _per_event_path(draw, modes, n_select, pulses)
     built: dict = {}  # input row -> its row of cum, on the table path
     cum = np.empty((0, len(table.cols)))
     pulse_parts = [np.empty(0, dtype=np.int64)]

@@ -38,6 +38,45 @@ def write_ones_matrix(path):
     return str(path)
 
 
+# sha256 of the report's and the trajectory's non-"#" lines of the seeded
+# round trip in TestValidateCommand.test_validate_bytes_are_pinned, per
+# collision setting.  Floats differ in their last digits between numpy
+# versions, so the digests hold for the one they were made with.
+VALIDATE_DIGESTS_NUMPY = "2.4.6"
+VALIDATE_DIGESTS = {
+    True: "74755efc525219f010516c20e0439f6a9f05a4d63059bc01d04983e21afafcc4",
+    False: "11f650318c17f83763695755f1f7f4d6d16f6ae75f521cfa5671a667f072241c",
+}
+# sha256 of the log's and the report's non-"#" lines of seeded scattershot
+# runs (TestScattershotCommand.test_scattershot_bytes_are_pinned), made with
+# numpy VALIDATE_DIGESTS_NUMPY.  The dense runs at m=8 draw their outputs
+# from tables, the bright and the faint (three batches) runs at m=12 per event.
+SCATTERSHOT_DIGESTS = {
+    "dense-3": ("--modes 8 --epsilon 0.25 --eta 1.0 --n 3 --pulses 60000 --seed 5",
+                "0e85ff30b1ec6d27c1498f1e50f54ffb8e2525affc97498ed2828666f4534f5e"),
+    "bright-4": ("--modes 12 --epsilon 0.3 --eta 0.81 --n 4 --pulses 20000 --seed 7",
+                 "8df059644267850b1e972b380bad821748c7e55089d0c41591d25666d981fec2"),
+    "faint-3": ("--modes 12 --epsilon 0.01 --eta 0.5 --n 3 --pulses 2100000 --seed 4",
+                "7c438cb9f3eb70711b2afff90c2d00b15a63b1e1164cf50bd0a7073c683c671c"),
+    "dense-4": ("--modes 8 --epsilon 0.5 --eta 1.0 --n 4 --pulses 50000 --seed 3",
+                "005a54f83e7828ca6cb8f8133280289a2ec06dde44dc84486b63ea5747320712"),
+}
+
+
+def _require_digest_numpy():
+    assert np.__version__ == VALIDATE_DIGESTS_NUMPY, (
+        f"the digests were made with numpy {VALIDATE_DIGESTS_NUMPY}; "
+        f"this is numpy {np.__version__}")
+
+
+def _body_digest(*paths):
+    """sha256 of the files' lines that do not start with "#"."""
+    body = b"".join(line for path in paths
+                    for line in path.read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b"#"))
+    return hashlib.sha256(body).hexdigest()
+
+
 class TestPermanentCommand:
     def test_prints_value_and_walltime(self, tmp_path, capsys):
         path = write_ones_matrix(tmp_path / "ones.json")
@@ -277,6 +316,15 @@ class TestScattershotCommand:
         per_record_log_reference(reference, records, header)
         assert ours.read_bytes() == reference.read_bytes()
 
+    @pytest.mark.parametrize("case", SCATTERSHOT_DIGESTS)
+    def test_scattershot_bytes_are_pinned(self, tmp_path, case):
+        _require_digest_numpy()
+        args, digest = SCATTERSHOT_DIGESTS[case]
+        log, report = tmp_path / "events.csv", tmp_path / "rates.txt"
+        assert main(["scattershot", *args.split(), "--out", str(log),
+                     "--report", str(report)]) == 0
+        assert _body_digest(log, report) == digest
+
     def test_source_file_must_match_modes(self, tmp_path):
         config = tmp_path / "sources.json"
         config.write_text(json.dumps({"sources": [{"epsilon": 0.1}] * 3}))
@@ -430,23 +478,10 @@ class TestJsaCommand:
         assert main(["jsa", "--sigma-pump", "1.0", "--sigma-pm", "0.6"]) == 4
 
 
-# sha256 of the report's and the trajectory's non-"#" lines of the seeded
-# round trip in TestValidateCommand.test_validate_bytes_are_pinned, per
-# collision setting.  Floats differ in their last digits between numpy
-# versions, so the digests hold for the one they were made with.
-VALIDATE_DIGESTS_NUMPY = "2.4.6"
-VALIDATE_DIGESTS = {
-    True: "74755efc525219f010516c20e0439f6a9f05a4d63059bc01d04983e21afafcc4",
-    False: "11f650318c17f83763695755f1f7f4d6d16f6ae75f521cfa5671a667f072241c",
-}
-
-
 class TestValidateCommand:
     @pytest.mark.parametrize("collisions", [True, False])
     def test_validate_bytes_are_pinned(self, tmp_path, collisions):
-        assert np.__version__ == VALIDATE_DIGESTS_NUMPY, (
-            f"the validate digests were made with numpy {VALIDATE_DIGESTS_NUMPY}; "
-            f"this is numpy {np.__version__}")
+        _require_digest_numpy()
         unitary, log = tmp_path / "u.json", tmp_path / "samples.csv"
         report, trajectory = tmp_path / "report.txt", tmp_path / "lr.csv"
         save_matrix(unitary, haar_random_unitary(8, 3))
@@ -455,10 +490,7 @@ class TestValidateCommand:
         assert main(["validate", "--samples", str(log), "--unitary", str(unitary),
                      "--out", str(report), "--trajectory", str(trajectory)]
                     + ([] if collisions else ["--no-collisions"])) == 0
-        body = b"".join(line for path in (report, trajectory)
-                        for line in path.read_bytes().splitlines(keepends=True)
-                        if not line.startswith(b"#"))
-        assert hashlib.sha256(body).hexdigest() == VALIDATE_DIGESTS[collisions]
+        assert _body_digest(report, trajectory) == VALIDATE_DIGESTS[collisions]
 
     def test_sample_then_validate_round_trip(self, tmp_path, capsys):
         unitary = tmp_path / "u.json"

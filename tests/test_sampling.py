@@ -629,6 +629,11 @@ _FAINT_LOSSY = [SourceParams(0.03, eta_herald=0.9, eta_detect=d)
                 for d in (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)]
 _FOUR_LOSSY = [SourceParams(0.1, eta_herald=0.9, eta_detect=d)
                for d in (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)]
+# Seven bright sources and a faint one: inputs without the faint source
+# repeat often enough for runs at three and four photons to build tables,
+# yet later batches bring inputs with it that earlier ones lacked.
+_SKEWED_LOSSY = [SourceParams(0.4 if d < 1.0 else 0.004, eta_herald=0.9, eta_detect=d)
+                 for d in (0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)]
 # The batch size the boundary tests patch in (see ``small_batch``): runs of a
 # few times this many pulses cross internal batch boundaries.
 _TEST_BATCH = 1 << 16
@@ -639,6 +644,20 @@ _FAINT_PULSES = 3 * _TEST_BATCH + 100
 def small_batch(monkeypatch):
     """Runs fire in batches of ``_TEST_BATCH`` pulses."""
     monkeypatch.setattr(sampling, "_BATCH", _TEST_BATCH)
+
+
+def _per_event_rule(params, n, pulses):
+    """Whether a run of these sources draws its outputs per event."""
+    draw = sampling._candidate_draw(params, n)
+    return sampling._per_event_path(draw, len(params), n, pulses)
+
+
+def _batch_inputs(params, n, seed, pulses):
+    """The set of input rows each batch of a run draws."""
+    draw = sampling._candidate_draw(params, n)
+    return [set(draw.fire(derive_rng(seed, "scattershot", batch),
+                          min(sampling._BATCH, pulses - start))[1].tolist())
+            for batch, start in enumerate(range(0, pulses, sampling._BATCH))]
 
 
 def _good_and_silent(params):
@@ -816,15 +835,19 @@ class TestScattershotRun:
         (5, [SourceParams(e) for e in (0.05, 0.1, 0.2, 0.3, 0.1)], 20_000, 3, 1),
         # lossy detectors and heralds, crossing a batch boundary
         (6, [SourceParams(0.4, eta_herald=0.9, eta_detect=0.7)] * 6, 70_000, 2, 2),
-        # faint sources, unequal detectors: four batches, the last partial
-        # and without a candidate (see test_event_chunk_does_not_change_the_run)
-        (8, _FAINT_LOSSY, _FAINT_PULSES, 3, 5),
+        # skewed sources, unequal detectors: four batches, later ones bringing
+        # new inputs, so the tables are built in several engine calls (see
+        # test_event_chunk_does_not_change_the_run), at three and four photons
+        (8, _SKEWED_LOSSY, _FAINT_PULSES, 3, 5),
+        (8, _SKEWED_LOSSY, _FAINT_PULSES, 4, 5),
         # one photon per event
         (5, [SourceParams(0.2, eta_herald=0.8, eta_detect=d) for d in (0.5, 0.7, 0.8, 0.9, 1.0)],
          5_000, 1, 4),
     ])
     def test_matches_dense_per_event_reference(self, modes, params, pulses, n, seed,
                                                small_batch):
+        # inputs repeat often enough that the run builds output tables
+        assert not _per_event_rule(params, n, pulses)
         u = haar_random_unitary(modes, 40 + modes)
         result = scattershot_run(u, params, pulses, n, seed)
         reference = dense_scattershot_reference(u, params, pulses, n, seed)
@@ -832,6 +855,9 @@ class TestScattershotRun:
         assert result.records == reference
 
     @pytest.mark.parametrize("modes, params, pulses, n, seed", [
+        # faint sources, unequal detectors, three photons: four batches, the
+        # last partial and without a candidate
+        (8, _FAINT_LOSSY, _FAINT_PULSES, 3, 5),
         # bright sources, four photons
         (8, [_BRIGHT] * 8, 5_000, 4, 3),
         # bright criterion-3 sources at four and five photons
@@ -843,7 +869,8 @@ class TestScattershotRun:
         (8, [_BRIGHT] * 8, 8_000, 6, 7),
     ])
     def test_matches_per_event_reference(self, modes, params, pulses, n, seed, small_batch):
-        # from four photons the run draws each output on its own
+        # inputs repeat too rarely for tables: the run draws each output on its own
+        assert _per_event_rule(params, n, pulses)
         u = haar_random_unitary(modes, 40 + modes)
         result = scattershot_run(u, params, pulses, n, seed)
         reference = per_event_scattershot_reference(u, params, pulses, n, seed)
@@ -852,31 +879,37 @@ class TestScattershotRun:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_event_chunk_does_not_change_the_run(self, chunk, small_batch, monkeypatch):
-        # A later batch brings an input no earlier batch drew, so the table
-        # path builds in several engine calls, and the last, partial batch
-        # has no candidate.  At four photons the outputs are drawn per
-        # event, in chunks of ``chunk``.
-        draw = sampling._candidate_draw(_FAINT_LOSSY, 3)
-        rows = [set(draw.fire(derive_rng(5, "scattershot", batch),
-                              min(_TEST_BATCH, _FAINT_PULSES - start))[1].tolist())
-                for batch, start in enumerate(range(0, _FAINT_PULSES, _TEST_BATCH))]
-        assert len(rows) == 4 and not rows[-1]
-        assert any(later - set().union(*rows[:b]) for b, later in enumerate(rows) if b)
+        # Both paths at three and four photons.  On the table path a later
+        # batch brings an input no earlier batch drew, so the tables are
+        # built in several engine calls; the per-event path draws in chunks
+        # of ``chunk``, and the faint run's last, partial batch has no
+        # candidate.
+        cases = [(_SKEWED_LOSSY, 3, False), (_SKEWED_LOSSY, 4, False),
+                 (_FAINT_LOSSY, 3, True), (_FOUR_LOSSY, 4, True)]
+        for params, n, per_event in cases:
+            assert _per_event_rule(params, n, _FAINT_PULSES) == per_event
+            rows = _batch_inputs(params, n, 5, _FAINT_PULSES)
+            assert len(rows) == 4
+            assert any(later - set().union(*rows[:b]) for b, later in enumerate(rows) if b)
+        assert not _batch_inputs(_FAINT_LOSSY, 3, 5, _FAINT_PULSES)[-1]
         u = haar_random_unitary(8, 48)
-        cases = [(_FAINT_LOSSY, 3), (_FOUR_LOSSY, 4)]
-        default = [scattershot_run(u, params, _FAINT_PULSES, n, 5) for params, n in cases]
+        default = [scattershot_run(u, params, _FAINT_PULSES, n, 5) for params, n, _ in cases]
         monkeypatch.setattr(sampling, "_EVENT_CHUNK", chunk)
-        for (params, n), want in zip(cases, default):
+        for (params, n, _), want in zip(cases, default):
             run = scattershot_run(u, params, _FAINT_PULSES, n, 5)
             assert run.report == want.report
             assert run.records == want.records
             assert len({r.pulse_index // _TEST_BATCH for r in run.records}) > 1
 
-    @pytest.mark.parametrize("params, n", [(_FAINT_LOSSY, 3), (_FOUR_LOSSY, 4)],
-                             ids=["tables", "per-event"])
-    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, params, n, small_batch):
+    @pytest.mark.parametrize("params, n, per_event", [
+        (_SKEWED_LOSSY, 3, False), (_SKEWED_LOSSY, 4, False),
+        (_FAINT_LOSSY, 3, True), (_FOUR_LOSSY, 4, True),
+    ], ids=["tables-3", "tables-4", "per-event-3", "per-event-4"])
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, params, n, per_event, small_batch):
         # Whole batches draw the same events whatever follows them, on both
         # output paths and with lossy detectors.
+        assert _per_event_rule(params, n, 2 * _TEST_BATCH) == per_event
+        assert _per_event_rule(params, n, 3 * _TEST_BATCH) == per_event
         u = haar_random_unitary(8, 48)
         short = scattershot_run(u, params, 2 * _TEST_BATCH, n, 9)
         long = scattershot_run(u, params, 3 * _TEST_BATCH, n, 9)
@@ -897,6 +930,36 @@ class TestScattershotRun:
             tracemalloc.stop()
         assert len({r.trigger for r in run.records}) > 4_000
         assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_tables_only_where_the_run_matrix_is_bounded(self):
+        # The table path's cumulative matrix holds a row of K outcomes per
+        # input met, C(m, n) at most; the rule takes tables only where that
+        # fits _OUTCOMES_PER_EVENT * _BATCH float64 entries (128 MiB).
+        budget = sampling._OUTCOMES_PER_EVENT * sampling._BATCH * 8
+        paths = set()
+        for modes, n in [(8, 3), (60, 3), (30, 4), (16, 5)]:
+            matrix = math.comb(modes, n) * math.comb(modes + n - 1, n) * 8
+            for source in (_BRIGHT, SourceParams.from_lumped_efficiency(0.01, 0.5)):
+                for pulses in (1, 1_000, 100_000, sampling._BATCH, 10 * sampling._BATCH):
+                    per_event = _per_event_rule([source] * modes, n, pulses)
+                    assert per_event or matrix <= budget, (modes, n, pulses)
+                    paths.add(per_event)
+        assert paths == {False, True}
+
+    def test_sparse_faint_run_at_sixty_modes_stays_small(self):
+        # The run meets 868 of the 34,220 inputs, about one event each: a
+        # table of their 37,820 outcomes per input met would take 260 MB.
+        params = [SourceParams.from_lumped_efficiency(0.01, 0.5)] * 60
+        u = haar_random_unitary(60, 13)
+        assert _per_event_rule(params, 3, 300_000)
+        tracemalloc.start()
+        try:
+            run = scattershot_run(u, params, 300_000, 3, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len({r.trigger for r in run.records}) > 800
+        assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_deterministic_sources_retain_every_pulse(self):
         u = haar_random_unitary(3, 27)
@@ -1056,7 +1119,10 @@ def goodness_of_fit(counts, probs):
 class TestPerEventDraw:
     """The per-event output draw against ``exact_distribution``, at fixed seeds."""
 
-    @pytest.mark.parametrize("modes, n", [(8, 4), (12, 5), (8, 6)])
+    # Every case has a few hundred outcomes or more: over a handful the TV
+    # distance does not concentrate, and an exact multinomial sampler fails
+    # the TV bound at 5 outcomes in 18 of 40 seeds.
+    @pytest.mark.parametrize("modes, n", [(200, 1), (24, 2), (12, 3), (8, 4), (12, 5), (8, 6)])
     def test_draws_follow_the_exact_distribution(self, modes, n):
         u = haar_random_unitary(modes, 50 + n)
         occupied = np.sort(np.random.default_rng(n).choice(modes, n, replace=False))
