@@ -5,12 +5,19 @@ detection losses, the joint spectral amplitude of a pair in the Gaussian
 phase-matching approximation, spectral purity via Schmidt decomposition,
 and the two-photon interference dip predicted between independent heralded
 photons.
+
+The Gaussian grid's Gram matrix is Toeplitz times Hankel, ``D[l - l'] *
+H[l + l']``, so the correlation-angle tuner reads a grid's purity from the
+2N - 1 sums ``H`` and the N-point band ``D``, not from an N x N spectrum
+and its N^3 Gram product.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
@@ -49,6 +56,8 @@ def _as_float(name: str, value) -> float:
         return float(value)
     except OverflowError as exc:  # an integer too large for a float
         raise ContractError(f"{name} must be a number in the float range") from exc
+    except TypeError as exc:  # None, or another object float() does not take
+        raise ContractError(f"{name} must be a number, got {value!r}") from exc
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -159,6 +168,28 @@ def normalized_joint_spectrum(amplitudes, nu_step: float, span: float | None = N
                          truncation_warning)
 
 
+def _check_width(name: str, value) -> float:
+    value = _as_float(name, value)
+    if not (value > 0 and sys.float_info.min <= value * value < math.inf):  # NaN fails too
+        raise ContractError(f"{name} must be positive with a square in the float range, "
+                            f"got {value!r}")
+    return value
+
+
+def _check_jsa_grid(sigma_pump, sigma_pm, grid_size, span) -> tuple[float, float, int, float]:
+    """Checked widths, size and span (by default 4 times the wider width) of a JSA grid."""
+    sigma_pump = _check_width("sigma_pump", sigma_pump)
+    sigma_pm = _check_width("sigma_pm", sigma_pm)
+    try:
+        grid_size = operator.index(grid_size)  # a bool passes, but fails the bound
+    except TypeError:
+        raise ContractError(f"grid_size must be an integer, got {grid_size!r}") from None
+    if grid_size < 16:
+        raise ContractError(f"grid_size must be at least 16, got {grid_size}")
+    span = 4.0 * max(sigma_pump, sigma_pm) if span is None else _check_width("span", span)
+    return sigma_pump, sigma_pm, grid_size, span
+
+
 def gaussian_jsa(sigma_pump: float, sigma_pm: float, correlation_angle: float,
                  grid_size: int = 256, span: float | None = None) -> JointSpectrum:
     """Joint spectral amplitude in the Gaussian phase-matching approximation.
@@ -174,23 +205,19 @@ def gaussian_jsa(sigma_pump: float, sigma_pm: float, correlation_angle: float,
     ----------
     sigma_pump, sigma_pm : float
         Widths of the pump and phase-matching envelopes (same units as the
-        detuning axis).
+        detuning axis), positive with squares in the float range.
     correlation_angle : float
         Orientation of the phase-matching envelope, in radians.
     grid_size : int
         Points per axis, at least 16.
     span : float, optional
-        Half-width of the detuning grid.  Defaults to four times the wider
-        envelope width.
+        Half-width of the detuning grid, checked as the widths are.  Defaults
+        to four times the wider envelope width.
     """
-    if sigma_pump <= 0 or sigma_pm <= 0:
-        raise ContractError("envelope widths must be positive")
-    if grid_size < 16:
-        raise ContractError(f"grid_size must be at least 16, got {grid_size}")
-    if span is None:
-        span = 4.0 * max(sigma_pump, sigma_pm)
-    if span <= 0:
-        raise ContractError("span must be positive")
+    sigma_pump, sigma_pm, grid_size, span = _check_jsa_grid(sigma_pump, sigma_pm, grid_size,
+                                                            span)
+    if not math.isfinite(_as_float("correlation_angle", correlation_angle)):
+        raise ContractError(f"correlation_angle must be finite, got {correlation_angle!r}")
     nu = np.linspace(-span, span, grid_size)
     nu_step = nu[1] - nu[0]
     nu_s = nu[:, None]
@@ -244,27 +271,72 @@ def hom_dip(visibility: float, sigma: float, tau: float) -> float:
     return 0.5 * (1.0 - visibility * math.exp(-exponent))
 
 
+def _gram_terms(sigma_pump: float, sigma_pm: float, grid_size: int, span: float) -> tuple:
+    """The angle-free terms of :func:`_gram_purity`: the grid ``nu``, the
+    first N points ``mu`` of the half-step grid and the pump exponents."""
+    nu = np.linspace(-span, span, grid_size)
+    mu = np.linspace(-span, span, 2 * grid_size - 1)[:grid_size]
+    # Each exponent scales a finite sum and squares it, so none is NaN.
+    pump = -((np.add.outer(nu, mu) * (1.0 / (math.sqrt(2.0) * sigma_pump))) ** 2)
+    return nu, mu, pump, sigma_pump, sigma_pm
+
+
+def _gram_purity(terms: tuple, angle: float) -> float:
+    """``schmidt_purity(gaussian_jsa(...))`` at one angle, from the Hankel
+    sums ``H`` and the Toeplitz band ``D`` of the grid's Gram matrix."""
+    nu, mu, pump, sigma_pump, sigma_pm = terms
+    sa = math.sin(angle)
+    grid = np.add.outer(nu * math.cos(angle), mu * sa)
+    grid *= 1.0 / (math.sqrt(2.0) * sigma_pm)
+    np.square(grid, out=grid)
+    np.subtract(pump, grid, out=grid)
+    half = np.exp(grid, out=grid).sum(axis=0)  # H[m] = H[2N - 2 - m]: Q and the grid are even
+    hankel = np.concatenate((half, half[-2::-1]))
+    trace = hankel[0::2].sum()
+    if not trace > 0:
+        raise ContractError("joint spectrum grid is identically zero")
+    # band[r] = S[r], the sum of D[|v|]^2 over |v| <= r with v = r (mod 2):
+    # D[d]^2 twice for d > 0 (+d and -d), summed per parity.
+    lags = (nu[1] - nu[0]) * np.arange(nu.size)
+    band = np.exp(-((lags * (0.5 / sigma_pump)) ** 2 + ((sa * lags) * (0.5 / sigma_pm)) ** 2))
+    band[1:] *= 2.0
+    band[0::2] = np.cumsum(band[0::2])
+    band[1::2] = np.cumsum(band[1::2])
+    u = np.arange(hankel.size)
+    return float(np.dot((hankel / trace) ** 2, band[np.minimum(u, u[::-1])]))
+
+
 def tune_correlation_angle(sigma_pump: float, sigma_pm: float, target_purity: float,
                            grid_size: int = 256, span: float | None = None) -> float:
     """Find a correlation angle whose discretized spectrum has the target purity.
 
     Starts from the factorable angle (where the pump and phase-matching
     envelopes separate and purity is maximal) and bisects toward larger
-    correlation until the grid purity is within 1e-4 of ``target_purity``.
+    correlation until the grid purity, ``schmidt_purity(gaussian_jsa(...))``,
+    is within 1e-4 of ``target_purity``.
+
+    A step reads that purity off the Gram matrix.  With ``A[k, l] =
+    exp(-Q(nu_k, nu_l))`` on the grid ``nu`` of step ``dnu``, ``G = A^T A``
+    is Toeplitz times Hankel, ``G[l, l'] = D[l - l'] * H[l + l']``, with
+    ``H[m] = sum_k exp(-2 Q(nu_k, mu_m))`` on ``mu = linspace(-span, span,
+    2N - 1)``, ``D[d] = exp(-g (d dnu)^2 / 2)`` and ``g = 1 / (4 sigma_pump^2)
+    + sin(a)^2 / (4 sigma_pm^2)``.  So ``tr G = sum_l H[2l]`` and
+    ``||G||_F^2 = sum_u H[u]^2 S[u]``, ``S[u]`` the sum of ``D[|v|]^2`` over
+    ``|v| <= min(u, 2N - 2 - u)``, ``v = u (mod 2)``.  ``Q`` is even, so
+    ``H[2N - 2 - m] = H[m]``: a step costs N x N exponentials and O(N) sums.
     """
     target_purity = _check_unit_interval("target_purity", target_purity)
+    sigma_pump, sigma_pm, grid_size, span = _check_jsa_grid(sigma_pump, sigma_pm, grid_size,
+                                                            span)
     ratio = 2.0 * sigma_pm**2 / sigma_pump**2
     if ratio > 1.0:
         raise ContractError(
             "no factorable point exists for these widths (need 2*sigma_pm^2 <= sigma_pump^2)"
         )
-
-    def purity_at(angle: float) -> float:
-        return schmidt_purity(gaussian_jsa(sigma_pump, sigma_pm, angle, grid_size, span))
-
+    terms = _gram_terms(sigma_pump, sigma_pm, grid_size, span)
     factorable = -0.5 * math.asin(ratio)
     lo = factorable
-    p_lo = purity_at(lo)
+    p_lo = _gram_purity(terms, lo)
     if p_lo < target_purity - _PURITY_TOL:
         raise ContractError(
             f"target purity {target_purity} exceeds the grid maximum {p_lo:.6f}"
@@ -274,14 +346,14 @@ def tune_correlation_angle(sigma_pump: float, sigma_pm: float, target_purity: fl
     hi = lo
     while step < math.pi:
         hi = lo + step
-        if purity_at(hi) < target_purity:
+        if _gram_purity(terms, hi) < target_purity:
             break
         step *= 2.0
     else:
         raise ContractError(f"target purity {target_purity} not bracketed by the angle sweep")
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        p_mid = purity_at(mid)
+        p_mid = _gram_purity(terms, mid)
         if abs(p_mid - target_purity) <= _PURITY_TOL:
             return mid
         if p_mid > target_purity:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 import warnings
@@ -47,20 +48,38 @@ VALIDATE_DIGESTS = {
     True: "74755efc525219f010516c20e0439f6a9f05a4d63059bc01d04983e21afafcc4",
     False: "11f650318c17f83763695755f1f7f4d6d16f6ae75f521cfa5671a667f072241c",
 }
-# sha256 of the log's and the report's non-"#" lines of seeded scattershot
-# runs (TestScattershotCommand.test_scattershot_bytes_are_pinned), made with
-# numpy VALIDATE_DIGESTS_NUMPY.  The dense runs at m=8 draw their outputs
-# from tables, the bright and the faint (three batches) runs at m=12 per event.
-SCATTERSHOT_DIGESTS = {
-    "dense-3": ("--modes 8 --epsilon 0.25 --eta 1.0 --n 3 --pulses 60000 --seed 5",
-                "0e85ff30b1ec6d27c1498f1e50f54ffb8e2525affc97498ed2828666f4534f5e"),
-    "bright-4": ("--modes 12 --epsilon 0.3 --eta 0.81 --n 4 --pulses 20000 --seed 7",
-                 "8df059644267850b1e972b380bad821748c7e55089d0c41591d25666d981fec2"),
-    "faint-3": ("--modes 12 --epsilon 0.01 --eta 0.5 --n 3 --pulses 2100000 --seed 4",
-                "7c438cb9f3eb70711b2afff90c2d00b15a63b1e1164cf50bd0a7073c683c671c"),
-    "dense-4": ("--modes 8 --epsilon 0.5 --eta 1.0 --n 4 --pulses 50000 --seed 3",
-                "005a54f83e7828ca6cb8f8133280289a2ec06dde44dc84486b63ea5747320712"),
+# A command line and the sha256 of the non-"#" lines of its output files
+# (CLI_OUTPUTS), for seeded commands run in an empty directory
+# (TestCliDigests), made with numpy VALIDATE_DIGESTS_NUMPY.  The dense scattershot runs at m=8 draw their outputs from tables, the bright
+# and the faint (three batches) runs at m=12 per event.  The jsa run's angle
+# comes from tune_correlation_angle, so its digest pins the tuned angle to
+# the bit; its grid file is JSON, header included.
+CLI_DIGESTS = {
+    "scattershot-dense-3": (
+        "scattershot --modes 8 --epsilon 0.25 --eta 1.0 --n 3 --pulses 60000 --seed 5",
+        "0e85ff30b1ec6d27c1498f1e50f54ffb8e2525affc97498ed2828666f4534f5e"),
+    "scattershot-bright-4": (
+        "scattershot --modes 12 --epsilon 0.3 --eta 0.81 --n 4 --pulses 20000 --seed 7",
+        "8df059644267850b1e972b380bad821748c7e55089d0c41591d25666d981fec2"),
+    "scattershot-faint-3": (
+        "scattershot --modes 12 --epsilon 0.01 --eta 0.5 --n 3 --pulses 2100000 --seed 4",
+        "7c438cb9f3eb70711b2afff90c2d00b15a63b1e1164cf50bd0a7073c683c671c"),
+    "scattershot-dense-4": (
+        "scattershot --modes 8 --epsilon 0.5 --eta 1.0 --n 4 --pulses 50000 --seed 3",
+        "005a54f83e7828ca6cb8f8133280289a2ec06dde44dc84486b63ea5747320712"),
+    "jsa-tuned": (
+        "jsa --sigma-pump 1.0 --sigma-pm 0.6 --target-purity 0.99",
+        "b0fc76aeb5f99fc0e47e0102fbb6736192adc92b80fc15cfce04702f79a9dfa1"),
+    "ghz": (
+        "ghz --photons 4 --population 0.9 --coherence 0.8 --shots 4000 --seed 11",
+        "64a7597fc8923822aa6dc0b7b3d1ea61978237b06ff7ceaf56306abf1af9528e"),
+    "sample": (
+        "sample --modes 6 --input 110100 --shots 5000 --seed 8",
+        "a9646ae960d7c3be6919d29ee4d1d4bfcdff04a7ca1ee9543cae1f64056c8e03"),
 }
+# The files each command writes, by --out and, where it has one, --report.
+CLI_OUTPUTS = {"scattershot": ("events.csv", "rates.txt"), "jsa": ("jsa.json", "jsa.txt"),
+               "ghz": ("ghz.csv", "ghz.txt"), "sample": ("sample.csv",)}
 
 
 def _require_digest_numpy():
@@ -75,6 +94,35 @@ def _body_digest(*paths):
                     for line in path.read_bytes().splitlines(keepends=True)
                     if not line.startswith(b"#"))
     return hashlib.sha256(body).hexdigest()
+
+
+class TestCliDigests:
+    @pytest.mark.parametrize("case", CLI_DIGESTS)
+    def test_output_bytes_are_pinned(self, tmp_path, monkeypatch, case):
+        _require_digest_numpy()
+        command, digest = CLI_DIGESTS[case]
+        outputs = CLI_OUTPUTS[command.split()[0]]
+        flags = [flag for pair in zip(("--out", "--report"), outputs) for flag in pair]
+        monkeypatch.chdir(tmp_path)  # the header of the jsa grid names its report file
+        assert main(command.split() + flags) == 0
+        assert _body_digest(*(tmp_path / name for name in outputs)) == digest
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "multiphoton", *args],
+                                  capture_output=True, text=True, env=env, timeout=60)
+
+        done = run("--version")
+        assert (done.returncode, done.stdout) == (0, f"multiphoton {cli.__version__}\n")
+        done = run("jsa", "--sigma-pump", "0", "--sigma-pm", "0.6", "--target-purity", "0.9")
+        assert done.returncode == EXIT_CONTRACT
+        assert done.stderr.startswith("error: sigma_pump must be positive")
 
 
 class TestPermanentCommand:
@@ -316,15 +364,6 @@ class TestScattershotCommand:
         per_record_log_reference(reference, records, header)
         assert ours.read_bytes() == reference.read_bytes()
 
-    @pytest.mark.parametrize("case", SCATTERSHOT_DIGESTS)
-    def test_scattershot_bytes_are_pinned(self, tmp_path, case):
-        _require_digest_numpy()
-        args, digest = SCATTERSHOT_DIGESTS[case]
-        log, report = tmp_path / "events.csv", tmp_path / "rates.txt"
-        assert main(["scattershot", *args.split(), "--out", str(log),
-                     "--report", str(report)]) == 0
-        assert _body_digest(log, report) == digest
-
     def test_source_file_must_match_modes(self, tmp_path):
         config = tmp_path / "sources.json"
         config.write_text(json.dumps({"sources": [{"epsilon": 0.1}] * 3}))
@@ -476,6 +515,19 @@ class TestJsaCommand:
 
     def test_angle_or_target_required(self):
         assert main(["jsa", "--sigma-pump", "1.0", "--sigma-pm", "0.6"]) == 4
+
+    @pytest.mark.parametrize("args, name", [
+        ("--sigma-pump 0 --sigma-pm 0.6 --target-purity 0.9", "sigma_pump"),
+        ("--sigma-pump 1e-200 --sigma-pm 1e-201 --target-purity 0.9", "sigma_pump"),
+        ("--sigma-pump 1e200 --sigma-pm 1e199 --angle 0.3", "sigma_pump"),
+        ("--sigma-pump 1.0 --sigma-pm nan --angle 0.3", "sigma_pm"),
+        ("--sigma-pump 1.0 --sigma-pm 0.6 --angle nan", "correlation_angle"),
+        ("--sigma-pump 1.0 --sigma-pm 0.6 --span inf --target-purity 0.9", "span"),
+    ])
+    def test_bad_spectrum_arguments_exit_4(self, capsys, args, name):
+        assert main(["jsa", *args.split()]) == EXIT_CONTRACT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must") and err.count("\n") == 1
 
 
 class TestValidateCommand:

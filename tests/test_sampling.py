@@ -1100,20 +1100,30 @@ class TestScattershotRun:
 
 def goodness_of_fit(counts, probs):
     """The chi-square p-value of ``counts`` against ``probs``, over the bins
-    expecting at least 5 draws and one bin pooling the rest; their total
-    variation distance; and an ideal sampler's, the mean over 5 seeded
-    multinomial draws of the same size."""
+    expecting at least 5 draws and, if some expect fewer, one bin pooling
+    them; their total variation distance; and an ideal sampler's, the mean
+    over 5 seeded multinomial draws of the same size."""
     from scipy import stats
     draws = counts.sum()
     expected = probs * draws
     small = expected < 5
-    observed = np.append(counts[~small], counts[small].sum())
-    expected = np.append(expected[~small], expected[small].sum())
+    observed = counts
+    if small.any():  # not always: an empty pooled bin makes chisquare divide 0 by 0
+        observed = np.append(counts[~small], counts[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
     pvalue = stats.chisquare(observed, expected * draws / expected.sum()).pvalue
     rng = np.random.default_rng(0)
     ideal = np.mean([np.abs(rng.multinomial(draws, probs) / draws - probs).sum() / 2
                      for _ in range(5)])
     return pvalue, np.abs(counts / draws - probs).sum() / 2, ideal
+
+
+def test_goodness_of_fit_pools_no_bin_when_every_bin_expects_five():
+    from scipy import stats
+    counts, probs = np.array([260, 240, 250, 250]), np.full(4, 0.25)
+    pvalue, tv, _ = goodness_of_fit(counts, probs)
+    assert pvalue == stats.chisquare(counts, probs * 1000).pvalue
+    assert tv == pytest.approx(0.01, abs=1e-15)
 
 
 class TestPerEventDraw:

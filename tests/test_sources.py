@@ -75,6 +75,34 @@ class TestSourceParams:
         assert s.eta_herald == pytest.approx(math.sqrt(0.5))
 
 
+# Grid arguments gaussian_jsa and tune_correlation_angle both refuse, naming
+# the parameter: widths and spans that are not numbers, are not positive, are
+# NaN or infinite, or whose squares leave the float range, and grid sizes
+# that are not integers of at least 16.
+BAD_GRID_ARGUMENTS = [
+    ({"sigma_pump": 0.0}, "sigma_pump"),
+    ({"sigma_pump": -1.0}, "sigma_pump"),
+    ({"sigma_pump": 1e-200, "sigma_pm": 1e-201}, "sigma_pump"),
+    ({"sigma_pump": 1e200, "sigma_pm": 1e199}, "sigma_pump"),
+    ({"sigma_pump": math.nan}, "sigma_pump"),
+    ({"sigma_pump": math.inf}, "sigma_pump"),
+    ({"sigma_pm": 1e-200}, "sigma_pm"),
+    ({"sigma_pm": math.nan}, "sigma_pm"),
+    ({"sigma_pm": -math.inf}, "sigma_pm"),
+    ({"sigma_pm": "0.6"}, "sigma_pm"),
+    ({"sigma_pm": None}, "sigma_pm"),
+    ({"grid_size": 16.5}, "grid_size"),
+    ({"grid_size": 256.0}, "grid_size"),
+    ({"grid_size": 15}, "grid_size"),
+    ({"grid_size": 8}, "grid_size"),
+    ({"span": 0.0}, "span"),
+    ({"span": -1.0}, "span"),
+    ({"span": math.nan}, "span"),
+    ({"span": math.inf}, "span"),
+    ({"span": 1e200}, "span"),
+]
+
+
 class TestGaussianJsa:
     def test_normalization(self):
         jsa = gaussian_jsa(1.0, 0.6, -0.2, grid_size=256)
@@ -91,13 +119,15 @@ class TestGaussianJsa:
         assert gaussian_jsa(1.0, 1.0, 0.0, 64, span=1.0).truncation_warning
         assert not gaussian_jsa(1.0, 1.0, 0.0, 64, span=8.0).truncation_warning
 
-    def test_parameter_guards(self):
-        with pytest.raises(ContractError):
-            gaussian_jsa(0.0, 1.0, 0.0)
-        with pytest.raises(ContractError):
-            gaussian_jsa(1.0, 1.0, 0.0, grid_size=8)
-        with pytest.raises(ContractError):
-            gaussian_jsa(1.0, 1.0, 0.0, span=-1.0)
+    @pytest.mark.parametrize("bad, name", BAD_GRID_ARGUMENTS)
+    def test_bad_grid_arguments_name_the_parameter(self, bad, name):
+        with pytest.raises(ContractError, match=f"^{name} must"):
+            gaussian_jsa(**{"sigma_pump": 1.0, "sigma_pm": 0.6, "correlation_angle": 0.3, **bad})
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, "0.3", None])
+    def test_bad_angle_named(self, angle):
+        with pytest.raises(ContractError, match="^correlation_angle must"):
+            gaussian_jsa(1.0, 0.6, angle)
 
 
 def svd_purity(jsa):
@@ -224,6 +254,82 @@ class TestPredictedVisibility:
         assert schmidt_purity(jsa) == pytest.approx(1.0, abs=1e-3)
 
 
+def retired_tune(sigma_pump, sigma_pm, target, grid_size=256, span=None):
+    """The tuner's bisection over ``schmidt_purity(gaussian_jsa(...))``, the
+    per-step path the Gram-structure evaluator replaced: the angle and the
+    number of purity evaluations."""
+    evaluations = 0
+
+    def purity_at(angle):
+        nonlocal evaluations
+        evaluations += 1
+        return schmidt_purity(gaussian_jsa(sigma_pump, sigma_pm, angle, grid_size, span))
+
+    tol = sources._PURITY_TOL
+    lo = -0.5 * math.asin(2.0 * sigma_pm**2 / sigma_pump**2)
+    p_lo = purity_at(lo)
+    if p_lo < target - tol:
+        raise ContractError(f"target purity {target} exceeds the grid maximum {p_lo:.6f}")
+    step = 0.05
+    while step < math.pi:
+        hi = lo + step
+        if purity_at(hi) < target:
+            break
+        step *= 2.0
+    else:
+        raise ContractError(f"target purity {target} not bracketed by the angle sweep")
+    for _ in range(sources._MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        p_mid = purity_at(mid)
+        if abs(p_mid - target) <= tol:
+            return mid, evaluations
+        if p_mid > target:
+            lo = mid
+        else:
+            hi = mid
+    raise ContractError(f"bisection did not reach purity {target} within "
+                        f"{sources._MAX_BISECTIONS} steps")
+
+
+def _outcome(tune, *args):
+    """("angle", angle, evaluations) of a tuning, or ("refused", message)."""
+    try:
+        result = tune(*args)
+    except ContractError as exc:
+        return "refused", str(exc)
+    return ("angle", *result) if isinstance(result, tuple) else ("angle", result)
+
+
+# (sigma_pump, sigma_pm, target purity, grid size, span): width ratios from
+# the factorable limit 2 sigma_pm^2 = sigma_pump^2 down to 1/20, the smallest
+# grid, odd grids and 256, default and explicit spans, clipping spans, a
+# target within the tolerance of the factorable point's, and one the angle
+# sweep cannot bracket.
+TUNING_SWEEP = [
+    (1.0, 0.6, 0.99, 256, None),
+    (1.0, 0.6, 0.95, 128, None),
+    (1.0, 0.6, 0.9, 16, None),
+    (1.0, 0.6, 0.8, 17, None),
+    (1.0, 0.6, 0.6, 256, 8.0),
+    (1.0, 0.6, 0.95, 16, 1.0),
+    (1.0, 0.6, 0.5, 31, None),
+    (1.0, 0.7, 0.99, 64, None),
+    (1.0, 0.5, 0.999, 77, None),
+    (1.0, 0.3, 0.95, 101, None),
+    (1.0, 0.2, 0.7, 128, 3.0),
+    (1.0, 0.05, 0.9, 256, 2.0),
+    (2.0, 0.5, 0.9, 256, 6.0),
+    (2.0, 1.2, 0.97, 33, None),
+    (0.5, 0.1, 0.99, 48, 1.5),
+    (3.0, 2.0, 0.85, 256, 10.0),
+    (5.0, 3.5, 0.98, 200, None),
+    (1e-3, 4e-4, 0.95, 90, None),
+    (1e3, 600.0, 0.9, 16, 2500.0),
+    (1.0, 0.7, 0.9999, 16, 1.2),
+    (1.0, 0.6, 0.2, 16, None),
+]
+
+
 class TestTuneCorrelationAngle:
     def test_reaches_target_purity(self):
         angle = tune_correlation_angle(1.0, 0.6, 0.99, grid_size=256)
@@ -245,16 +351,69 @@ class TestTuneCorrelationAngle:
     ])
     def test_pinned_angles_and_evaluations(self, monkeypatch, target, grid_size, angle,
                                            evaluations):
-        # Pinned from the SVD purity the Gram form replaced: bisection visits the same angles.
+        # Pinned from the SVD purity the Gram form replaced, which the Gram
+        # structure replaced in turn: bisection visits the same angles.
         calls = []
+        gram_purity = sources._gram_purity
 
-        def counted(jsa):
-            calls.append(jsa.grid_size)
-            return schmidt_purity(jsa)
+        def counted(terms, angle):
+            calls.append(terms[0].size)
+            return gram_purity(terms, angle)
 
-        monkeypatch.setattr(sources, "schmidt_purity", counted)
+        monkeypatch.setattr(sources, "_gram_purity", counted)
         assert tune_correlation_angle(1.0, 0.6, target, grid_size=grid_size) == angle
         assert calls == [grid_size] * evaluations
+
+    @pytest.mark.parametrize("bad, name", BAD_GRID_ARGUMENTS)
+    def test_bad_grid_arguments_name_the_parameter(self, monkeypatch, bad, name):
+        monkeypatch.setattr(sources, "_gram_terms", None)  # refused before any arithmetic
+        with pytest.raises(ContractError, match=f"^{name} must"):
+            tune_correlation_angle(**{"sigma_pump": 1.0, "sigma_pm": 0.6,
+                                      "target_purity": 0.9, **bad})
+
+    def test_builds_no_spectrum(self, monkeypatch):
+        monkeypatch.setattr(sources, "gaussian_jsa", None)
+        monkeypatch.setattr(sources, "schmidt_purity", None)
+        assert tune_correlation_angle(1.0, 0.6, 0.99) == -0.267526159466515
+
+    @pytest.mark.parametrize("sigma_pump, sigma_pm, target, grid_size, span", TUNING_SWEEP)
+    def test_matches_the_bisection_over_schmidt_purity(self, monkeypatch, sigma_pump, sigma_pm,
+                                                       target, grid_size, span):
+        want = _outcome(retired_tune, sigma_pump, sigma_pm, target, grid_size, span)
+        calls = []
+        gram_purity = sources._gram_purity
+
+        def counted(terms, angle):
+            calls.append(angle)
+            return gram_purity(terms, angle)
+
+        monkeypatch.setattr(sources, "_gram_purity", counted)
+        got = _outcome(tune_correlation_angle, sigma_pump, sigma_pm, target, grid_size, span)
+        assert got[:2] == want[:2]
+        if got[0] == "angle":
+            assert len(calls) == want[2]
+
+    def test_gram_purity_matches_schmidt_purity_at_random_angles(self):
+        rng = np.random.default_rng(28)
+        for _ in range(80):
+            sigma_pump = 10 ** rng.uniform(-3, 3)
+            sigma_pm = sigma_pump * 10 ** rng.uniform(-1.5, 1.5)
+            grid_size = int(rng.integers(16, 257))
+            span = (None if rng.random() < 0.5
+                    else 4 * max(sigma_pump, sigma_pm) * 10 ** rng.uniform(-0.7, 0.5))
+            angle = rng.uniform(-math.pi, math.pi)
+            want = schmidt_purity(gaussian_jsa(sigma_pump, sigma_pm, angle, grid_size, span))
+            terms = sources._gram_terms(
+                *sources._check_jsa_grid(sigma_pump, sigma_pm, grid_size, span))
+            assert sources._gram_purity(terms, angle) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_all_underflow_grid_refused_as_before(self):
+        # a 16-point grid 1e5 widths across: every amplitude underflows to 0
+        args = (1e-3, 5e-4, 0.9, 16, 100.0)
+        with pytest.raises(ContractError, match="^joint spectrum grid is identically zero$"):
+            retired_tune(*args)
+        with pytest.raises(ContractError, match="^joint spectrum grid is identically zero$"):
+            tune_correlation_angle(*args)
 
 
 class TestFireSources:
