@@ -92,6 +92,13 @@ _BATCH = 1 << 20
 _OUTCOMES_PER_EVENT = 16
 # Events per chunk of the per-event draw, which bounds its working arrays.
 _EVENT_CHUNK = 2048
+# The running sum over modes takes one np.cumsum on chunks of fewer events
+# than this, and a loop over modes on wider ones, where np.cumsum is slower
+# (median us per sum over m=12 modes, on 2 cores):
+#   events                            1    62   128   256  2048
+#   np.cumsum(axis=0)                2.3   5.1   8.1  13.9   102
+#   loop cum[i] += cum[i - 1]       13.8   7.9   7.9   8.1  13.4
+_CUMSUM_EVENTS = 128
 
 
 class _Support(NamedTuple):
@@ -339,7 +346,8 @@ def _per_event_outputs(u: np.ndarray, inputs: np.ndarray, uniforms: np.ndarray) 
     for lo in range(0, events, _EVENT_CHUNK):
         chunk = uniforms[lo:lo + _EVENT_CHUNK]
         order = np.argsort(chunk[:, :n], axis=1, kind="stable")
-        photons = np.take_along_axis(inputs[lo:lo + _EVENT_CHUNK], order, axis=1).T
+        photons = inputs[lo + np.arange(len(chunk)), order.T]  # photons[l, e]: s_l
+        thresholds = 1.0 - chunk[:, n:].T  # thresholds[k, e]: 1 - number n + k
         rows = u.T[:, photons]  # rows[i, l, e]: photon l's amplitude to exit in mode i
         perms = np.zeros((1 << n, len(chunk)), dtype=u.dtype)  # by subset bit mask
         perms[0] = 1.0
@@ -350,9 +358,12 @@ def _per_event_outputs(u: np.ndarray, inputs: np.ndarray, uniforms: np.ndarray) 
             for l in range(1, k + 1):
                 amplitude += rows[:, l] * perms[first ^ (1 << l)]
             cum = amplitude.real**2 + amplitude.imag**2
-            for i in range(1, len(cum)):  # 3x faster than np.cumsum along this axis
-                cum[i] += cum[i - 1]
-            drawn[k] = (cum < (1.0 - chunk[:, n + k]) * cum[-1]).sum(axis=0)
+            if len(chunk) < _CUMSUM_EVENTS:  # both add mode by mode, in one order
+                np.cumsum(cum, axis=0, out=cum)
+            else:
+                for i in range(1, len(cum)):
+                    cum[i] += cum[i - 1]
+            drawn[k] = (cum < thresholds[k] * cum[-1]).sum(axis=0)
             if k + 1 < n:
                 row = u[photons, drawn[k]]  # row[l, e]: u[s_l, r_k]
                 masks, members, parents = levels[k]
@@ -613,21 +624,6 @@ def expected_rate(k: int, n: int, eps: float, eta: float, rep_rate: float = 80e6
     return math.exp(math.log(rep_rate) + log_comb + n * math.log(p) + (k - n) * math.log1p(-p))
 
 
-def _predicted_run_rate(params: Sequence[SourceParams], n_select: int) -> float:
-    """Expected retained-event rate of :func:`scattershot_run`, in Hz.
-
-    A retained event needs n_select sources that herald and deliver a
-    detected photon, eps * (eta_herald * eta_detect)^2 each, while every
-    other source stays silent, 1 - eps * eta_herald * eta_detect each (the
-    ``herald_probability``).  The value is exact when all ``eta_detect``
-    are equal; otherwise output detection depends on where the photons
-    exit, which this product does not see.
-    """
-    useful = [p.epsilon * p.lumped_efficiency for p in params]
-    idle = [1.0 - p.herald_probability for p in params]
-    return _common_rep_rate(params) * _exactly_n_probability(useful, idle, n_select)
-
-
 class _CandidateDraw(NamedTuple):
     """The per-batch draw of candidate pulses, where exactly n sources are
     good and the rest silent (see :func:`_candidate_draw`), with
@@ -684,6 +680,30 @@ def _candidate_draw(params: Sequence[SourceParams], n: int) -> _CandidateDraw:
                           _pattern_table(modes, n, True).rows(subsets))
 
 
+# Runs with equal sources share these: SourceParams holds its fields as
+# floats, so equal sources build the same bits.  An entry holds 16 B per
+# n-subset of the m sources, and C(m, n) <= MAX_ENUMERATION (see
+# _guard_enumeration), so at most 16 MB.
+@functools.lru_cache(maxsize=8)
+def _run_draw(params: tuple, n: int) -> tuple[_CandidateDraw, float]:
+    """The candidate draw of n heralds from these sources, its arrays
+    read-only, and the expected retained-event rate of
+    :func:`scattershot_run` in Hz.
+
+    A retained event needs n sources that herald and deliver a detected
+    photon, eps * (eta_herald * eta_detect)^2 each, while every other source
+    stays silent, 1 - eps * eta_herald * eta_detect each (the
+    ``herald_probability``).  The rate is exact when all ``eta_detect`` are
+    equal; otherwise output detection depends on where the photons exit,
+    which this product does not see.
+    """
+    draw = _candidate_draw(params, n)
+    draw.cumulative.flags.writeable = draw.rows.flags.writeable = False
+    useful = [p.epsilon * p.lumped_efficiency for p in params]
+    idle = [1.0 - p.herald_probability for p in params]
+    return draw, _common_rep_rate(params) * _exactly_n_probability(useful, idle, n)
+
+
 def _per_event_path(draw: _CandidateDraw, modes: int, n: int, pulses: int) -> bool:
     """Whether a run of ``pulses`` draws its outputs per event: when e * T < K,
     with e = P_cand * min(pulses, _BATCH) / C(modes, n) the expected
@@ -728,7 +748,9 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     efficiencies.  A pulse is retained when exactly ``n_select`` heralds
     fired and exactly ``n_select`` output photons were detected.  That
     needs every heralded signal to survive, so only such candidate pulses
-    are drawn, never the pairs (see :func:`_candidate_draw`).
+    are drawn, never the pairs (see :func:`_candidate_draw`).  The draw and
+    the predicted rate are built once per (sources, n) and reused, within
+    the process, by later runs with equal sources.
 
     Pulses come in batches of 2**20, each drawn in one pass from its own
     generator: the candidate count ~ Binomial(size, P_cand), their pulse
@@ -760,10 +782,13 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     The events are kept as a columnar table; ``records`` on the result is
     a read-only view of it.  Deterministic given the seed, and the same for
     any batch processing order.  ``pulses`` and ``n_select`` must be ints
-    or numpy integers, not bools.
+    or numpy integers, not bools, and every source a SourceParams.
     """
     _require_integer("pulses", pulses)
     _require_integer("n_select", n_select)
+    for i, p in enumerate(params):
+        if not isinstance(p, SourceParams):
+            raise ContractError(f"source {i} must be a SourceParams, got {p!r}")
     u = _require_unitary(unitary, "scattershot_run")
     modes = u.shape[0]
     if len(params) != modes:
@@ -775,8 +800,8 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     _guard_enumeration(modes, n_select, True, "scattershot_run")
     if pulses < 1:
         raise ContractError("pulse count must be at least 1")
-    rep = _common_rep_rate(params)
-    draw = _candidate_draw(params, n_select)
+    rep = _common_rep_rate(params)  # refused on every call, not only when the draw is built
+    draw, predicted_rate = _run_draw(tuple(params), n_select)
     detect_prob = np.array([p.eta_detect for p in params])
     perfect_detectors = bool(np.all(detect_prob == 1.0))
 
@@ -831,7 +856,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         # The product alone can overflow where the rate does not.
         rate_hz=(rep * retained / pulses if rep * retained < math.inf
                  else rep * (retained / pulses)),
-        predicted_rate_hz=_predicted_run_rate(params, n_select),
+        predicted_rate_hz=predicted_rate,
     )
     return ScattershotResult(_RecordView(events), report)
 

@@ -49,9 +49,12 @@ VALIDATE_DIGESTS = {
     False: "11f650318c17f83763695755f1f7f4d6d16f6ae75f521cfa5671a667f072241c",
 }
 # A command line and the sha256 of the non-"#" lines of its output files
-# (CLI_OUTPUTS), for seeded commands run in an empty directory
-# (TestCliDigests), made with numpy VALIDATE_DIGESTS_NUMPY.  The dense scattershot runs at m=8 draw their outputs from tables, the bright
-# and the faint (three batches) runs at m=12 per event.  The jsa run's angle
+# (CLI_OUTPUTS), for seeded commands run in a directory holding only the
+# source file CLI_SOURCES (TestCliDigests), made with numpy
+# VALIDATE_DIGESTS_NUMPY.  The dense scattershot runs at m=8 draw their
+# outputs from tables; the bright, the faint (three batches) and the lossy
+# five-photon runs at m=12 draw them per event, the lossy one thinned by
+# detectors of unequal efficiencies below 1.  The jsa run's angle
 # comes from tune_correlation_angle, so its digest pins the tuned angle to
 # the bit; its grid file is JSON, header included.
 CLI_DIGESTS = {
@@ -67,6 +70,9 @@ CLI_DIGESTS = {
     "scattershot-dense-4": (
         "scattershot --modes 8 --epsilon 0.5 --eta 1.0 --n 4 --pulses 50000 --seed 3",
         "005a54f83e7828ca6cb8f8133280289a2ec06dde44dc84486b63ea5747320712"),
+    "scattershot-lossy-5": (
+        "scattershot --modes 12 --sources sources.json --n 5 --pulses 20000 --seed 6",
+        "9c243af3aabc3e027d5d35f37d51e6803e3aeca05070bb0dadc3cbf5e1e01d00"),
     "jsa-tuned": (
         "jsa --sigma-pump 1.0 --sigma-pm 0.6 --target-purity 0.99",
         "b0fc76aeb5f99fc0e47e0102fbb6736192adc92b80fc15cfce04702f79a9dfa1"),
@@ -77,6 +83,9 @@ CLI_DIGESTS = {
         "sample --modes 6 --input 110100 --shots 5000 --seed 8",
         "a9646ae960d7c3be6919d29ee4d1d4bfcdff04a7ca1ee9543cae1f64056c8e03"),
 }
+# The sources.json of the lossy five-photon digest.
+CLI_SOURCES = {"sources": [{"epsilon": 0.3, "eta_herald": 0.9, "eta_detect": d}
+                           for d in (1.0, 0.9, 0.8, 1.0, 0.95, 0.85) * 2]}
 # The files each command writes, by --out and, where it has one, --report.
 CLI_OUTPUTS = {"scattershot": ("events.csv", "rates.txt"), "jsa": ("jsa.json", "jsa.txt"),
                "ghz": ("ghz.csv", "ghz.txt"), "sample": ("sample.csv",)}
@@ -104,6 +113,7 @@ class TestCliDigests:
         outputs = CLI_OUTPUTS[command.split()[0]]
         flags = [flag for pair in zip(("--out", "--report"), outputs) for flag in pair]
         monkeypatch.chdir(tmp_path)  # the header of the jsa grid names its report file
+        (tmp_path / "sources.json").write_text(json.dumps(CLI_SOURCES))
         assert main(command.split() + flags) == 0
         assert _body_digest(*(tmp_path / name for name in outputs)) == digest
 

@@ -829,6 +829,93 @@ class TestCandidateDraw:
         assert result.report.retained_events > 0
 
 
+@pytest.fixture
+def fresh_draws():
+    """The run-draw cache starts and ends empty."""
+    sampling._run_draw.cache_clear()
+    yield sampling._run_draw
+    sampling._run_draw.cache_clear()
+
+
+def _equal_copies(params):
+    """Equal sources as distinct objects."""
+    return [SourceParams(*dataclasses.astuple(p)) for p in params]
+
+
+class TestRunDrawCache:
+    """Runs with equal sources share one candidate draw and predicted rate."""
+
+    @pytest.mark.parametrize("params, n, per_event", [
+        (_SKEWED_LOSSY, 3, False), (_FAINT_LOSSY, 3, True), (_FOUR_LOSSY, 4, True),
+    ], ids=["tables-3", "per-event-3", "per-event-4"])
+    def test_a_cached_draw_runs_like_a_fresh_one(self, params, n, per_event, fresh_draws,
+                                                 small_batch):
+        # per-source parameters that differ, lossy detectors, both paths
+        assert _per_event_rule(params, n, _FAINT_PULSES) == per_event
+        u = haar_random_unitary(8, 48)
+        fresh = scattershot_run(u, params, _FAINT_PULSES, n, 5)
+        assert fresh_draws.cache_info()[:2] == (0, 1)  # (hits, misses)
+        cached = scattershot_run(u, _equal_copies(params), _FAINT_PULSES, n, 5)
+        assert fresh_draws.cache_info()[:2] == (1, 1)
+        assert len(cached.records) > 0
+        assert cached.records == fresh.records
+        assert cached.report == fresh.report
+
+    def test_equal_sources_of_any_number_type_share_one_draw(self, fresh_draws):
+        # Distinct objects, and float32 and int fields equal to the float64
+        # ones: the run that builds the draw and the one that reuses it
+        # both run like the float64 sources.
+        u = haar_random_unitary(6, 31)
+        params = [SourceParams(0.1875, 0.8125, (11, 15)[i % 2] / 16) for i in range(6)]
+        want = scattershot_run(u, params, 20_000, 2, seed=3)
+        assert len(want.records) > 0
+        for equal in (_equal_copies(params),
+                      [SourceParams(np.float32(p.epsilon), np.float32(p.eta_herald),
+                                    np.float32(p.eta_detect), int(p.rep_rate))
+                       for p in params]):
+            assert equal == params
+            fresh_draws.cache_clear()
+            fresh = scattershot_run(u, equal, 20_000, 2, seed=3)
+            cached = scattershot_run(u, params, 20_000, 2, seed=3)
+            assert fresh_draws.cache_info()[:2] == (1, 1)  # (hits, misses)
+            assert fresh.records == cached.records == want.records
+            assert repr(fresh.report) == repr(cached.report) == repr(want.report)
+
+    def test_mixed_repetition_rates_are_refused_on_every_call(self, fresh_draws):
+        params = [SourceParams(0.2)] * 3 + [SourceParams(0.2, rep_rate=1e6)]
+        for _ in range(2):
+            with pytest.raises(ContractError, match="one repetition rate"):
+                scattershot_run(haar_random_unitary(4, 29), params, 100, 2, seed=0)
+
+    def test_cached_arrays_refuse_writes(self, fresh_draws):
+        draw, _ = fresh_draws(tuple(_FAINT_LOSSY), 3)
+        for array in (draw.cumulative, draw.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_the_cache_stays_bounded(self, fresh_draws):
+        u = haar_random_unitary(4, 29)
+        size = fresh_draws.cache_parameters()["maxsize"]
+        for k in range(size + 3):
+            scattershot_run(u, [SourceParams(0.1 + 0.01 * k)] * 4, 10, 2, seed=0)
+        assert fresh_draws.cache_info().currsize == size
+
+    def test_runs_with_equal_sources_build_the_draw_once(self, fresh_draws, monkeypatch):
+        calls = []
+        candidate_draw = sampling._candidate_draw
+
+        def counted(params, n):
+            calls.append(n)
+            return candidate_draw(params, n)
+
+        monkeypatch.setattr(sampling, "_candidate_draw", counted)
+        u = haar_random_unitary(12, 24)
+        for seed in range(3):
+            scattershot_run(u, _equal_copies([_BRIGHT] * 12), 500, 4, seed)
+        scattershot_run(u, [_BRIGHT] * 12, 500, 3, 0)
+        assert calls == [4, 3]
+
+
 class TestScattershotRun:
     @pytest.mark.parametrize("modes, params, pulses, n, seed", [
         # ideal, unequal sources
@@ -877,7 +964,7 @@ class TestScattershotRun:
         assert len(reference) > 20
         assert result.records == reference
 
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [1, 7, sampling._CUMSUM_EVENTS])
     def test_event_chunk_does_not_change_the_run(self, chunk, small_batch, monkeypatch):
         # Both paths at three and four photons.  On the table path a later
         # batch brings an input no earlier batch drew, so the tables are
@@ -994,6 +1081,16 @@ class TestScattershotRun:
         monkeypatch.setattr(sampling, "_require_unitary", refuse)
         with pytest.raises(ContractError, match="must be an integer"):
             scattershot_run(np.eye(4), [SourceParams(0.5)] * 4, pulses, n_select, seed=0)
+
+    @pytest.mark.parametrize("bad, index", [([0.1] * 6, 0), ([None] * 6, 0),
+                                            ([SourceParams(0.1)] * 4 + [(0.1,)] * 2, 4)])
+    def test_sources_must_be_source_params(self, bad, index, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the run checked its unitary first")
+
+        monkeypatch.setattr(sampling, "_require_unitary", refuse)
+        with pytest.raises(ContractError, match=f"^source {index} must be a SourceParams"):
+            scattershot_run(np.eye(6), bad, 1000, 2, seed=1)
 
     def test_seed_must_be_an_integer(self):
         u = haar_random_unitary(4, 29)
@@ -1145,6 +1242,25 @@ class TestPerEventDraw:
         pvalue, tv, ideal = goodness_of_fit(counts, probs)
         assert pvalue > 1e-3
         assert tv <= 1.1 * ideal
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_running_sum_crossover_keeps_every_draw(self, n, monkeypatch):
+        # Chunks of fewer than _CUMSUM_EVENTS events sum with np.cumsum and
+        # wider ones with a loop over modes: one call over 3000 events (two
+        # wide chunks) equals single-event calls and chunks just below, at
+        # and just above the crossover, bit for bit.
+        rng = np.random.default_rng(60 + n)
+        u = haar_random_unitary(12, 60 + n)
+        inputs = np.sort(rng.random((3000, 12)).argsort(axis=1)[:, :n], axis=1)
+        uniforms = rng.random((3000, 2 * n))
+        whole = sampling._per_event_outputs(u, inputs, uniforms)
+        single = [sampling._per_event_outputs(u, inputs[e:e + 1], uniforms[e:e + 1])
+                  for e in range(len(inputs))]
+        assert np.array_equal(np.concatenate(single), whole)
+        crossover = sampling._CUMSUM_EVENTS
+        for chunk in (crossover - 1, crossover, crossover + 1):
+            monkeypatch.setattr(sampling, "_EVENT_CHUNK", chunk)
+            assert np.array_equal(sampling._per_event_outputs(u, inputs, uniforms), whole)
 
     def test_lossy_run_follows_the_thinned_distribution(self):
         # Sources 0-3 herald on every pulse and the others never, so every
