@@ -93,8 +93,7 @@ _OUTCOMES_PER_EVENT = 16
 # Events per chunk of the per-event draw, which bounds its working arrays.
 _EVENT_CHUNK = 2048
 # The running sum over modes takes one np.cumsum on chunks of fewer events
-# than this, and a loop over modes on wider ones, where np.cumsum is slower
-# (median us per sum over m=12 modes, on 2 cores):
+# than this and a loop over modes on wider ones (median us per sum, m=12):
 #   events                            1    62   128   256  2048
 #   np.cumsum(axis=0)                2.3   5.1   8.1  13.9   102
 #   loop cum[i] += cum[i - 1]       13.8   7.9   7.9   8.1  13.4
@@ -354,7 +353,7 @@ def _per_event_outputs(u: np.ndarray, inputs: np.ndarray, uniforms: np.ndarray) 
         drawn = out[:, lo:lo + len(chunk)]
         for k in range(n):
             first = (2 << k) - 1  # photons 0..k
-            amplitude = rows[:, 0] * perms[first ^ 1]
+            amplitude = rows[:, 0] * perms[first ^ 1] if k else rows[:, 0]  # perms[0] is 1
             for l in range(1, k + 1):
                 amplitude += rows[:, l] * perms[first ^ (1 << l)]
             cum = amplitude.real**2 + amplitude.imag**2
@@ -624,6 +623,21 @@ def expected_rate(k: int, n: int, eps: float, eta: float, rep_rate: float = 80e6
     return math.exp(math.log(rep_rate) + log_comb + n * math.log(p) + (k - n) * math.log1p(-p))
 
 
+def _predicted_retention(params: Sequence[SourceParams], n_select: int) -> float:
+    """Expected share of :func:`scattershot_run`'s pulses that are retained.
+
+    A retained event needs n_select sources that herald and deliver a
+    detected photon, eps * (eta_herald * eta_detect)^2 each, while every
+    other source stays silent, 1 - eps * eta_herald * eta_detect each (the
+    ``herald_probability``).  The value is exact when all ``eta_detect``
+    are equal; otherwise output detection depends on where the photons
+    exit, which this product does not see.
+    """
+    useful = [p.epsilon * p.lumped_efficiency for p in params]
+    idle = [1.0 - p.herald_probability for p in params]
+    return _exactly_n_probability(useful, idle, n_select)
+
+
 class _CandidateDraw(NamedTuple):
     """The per-batch draw of candidate pulses, where exactly n sources are
     good and the rest silent (see :func:`_candidate_draw`), with
@@ -680,30 +694,6 @@ def _candidate_draw(params: Sequence[SourceParams], n: int) -> _CandidateDraw:
                           _pattern_table(modes, n, True).rows(subsets))
 
 
-# Runs with equal sources share these: SourceParams holds its fields as
-# floats, so equal sources build the same bits.  An entry holds 16 B per
-# n-subset of the m sources, and C(m, n) <= MAX_ENUMERATION (see
-# _guard_enumeration), so at most 16 MB.
-@functools.lru_cache(maxsize=8)
-def _run_draw(params: tuple, n: int) -> tuple[_CandidateDraw, float]:
-    """The candidate draw of n heralds from these sources, its arrays
-    read-only, and the expected retained-event rate of
-    :func:`scattershot_run` in Hz.
-
-    A retained event needs n sources that herald and deliver a detected
-    photon, eps * (eta_herald * eta_detect)^2 each, while every other source
-    stays silent, 1 - eps * eta_herald * eta_detect each (the
-    ``herald_probability``).  The rate is exact when all ``eta_detect`` are
-    equal; otherwise output detection depends on where the photons exit,
-    which this product does not see.
-    """
-    draw = _candidate_draw(params, n)
-    draw.cumulative.flags.writeable = draw.rows.flags.writeable = False
-    useful = [p.epsilon * p.lumped_efficiency for p in params]
-    idle = [1.0 - p.herald_probability for p in params]
-    return draw, _common_rep_rate(params) * _exactly_n_probability(useful, idle, n)
-
-
 def _per_event_path(draw: _CandidateDraw, modes: int, n: int, pulses: int) -> bool:
     """Whether a run of ``pulses`` draws its outputs per event: when e * T < K,
     with e = P_cand * min(pulses, _BATCH) / C(modes, n) the expected
@@ -748,9 +738,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     efficiencies.  A pulse is retained when exactly ``n_select`` heralds
     fired and exactly ``n_select`` output photons were detected.  That
     needs every heralded signal to survive, so only such candidate pulses
-    are drawn, never the pairs (see :func:`_candidate_draw`).  The draw and
-    the predicted rate are built once per (sources, n) and reused, within
-    the process, by later runs with equal sources.
+    are drawn, never the pairs (see :func:`_candidate_draw`).
 
     Pulses come in batches of 2**20, each drawn in one pass from its own
     generator: the candidate count ~ Binomial(size, P_cand), their pulse
@@ -800,10 +788,10 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     _guard_enumeration(modes, n_select, True, "scattershot_run")
     if pulses < 1:
         raise ContractError("pulse count must be at least 1")
-    rep = _common_rep_rate(params)  # refused on every call, not only when the draw is built
-    draw, predicted_rate = _run_draw(tuple(params), n_select)
+    rep = _common_rep_rate(params)
+    draw = _candidate_draw(params, n_select)
     detect_prob = np.array([p.eta_detect for p in params])
-    perfect_detectors = bool(np.all(detect_prob == 1.0))
+    perfect_detectors = all(p.eta_detect == 1.0 for p in params)
 
     # Every candidate's trigger and drawn output hold n_select photons, so
     # events are stored as rows of that photon number's pattern table.
@@ -842,9 +830,13 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         pulse_parts.append(start + candidates)
         trigger_parts.append(trigger_rows)
         output_parts.append(picks)
-    # Only the patterns the events use are kept, renumbered in table order.
-    used, ids = np.unique(np.concatenate(trigger_parts + output_parts), return_inverse=True)
-    trigger, output = ids.reshape(2, -1)
+    # Only the patterns the events use are kept, renumbered in table order:
+    # a mask over the table, cheaper than np.unique on a short run.
+    ids = np.concatenate(trigger_parts + output_parts)
+    seen = np.zeros(len(table.cols), dtype=bool)
+    seen[ids] = True
+    used = seen.nonzero()[0]
+    trigger, output = used.searchsorted(ids).reshape(2, -1)
     patterns = tuple(map(tuple, table.occupations[used].tolist()))
     events = _Events(pulse=np.concatenate(pulse_parts), trigger=trigger, input=trigger,
                      output=output, patterns=patterns)
@@ -856,7 +848,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         # The product alone can overflow where the rate does not.
         rate_hz=(rep * retained / pulses if rep * retained < math.inf
                  else rep * (retained / pulses)),
-        predicted_rate_hz=predicted_rate,
+        predicted_rate_hz=rep * _predicted_retention(params, n_select),
     )
     return ScattershotResult(_RecordView(events), report)
 

@@ -83,15 +83,11 @@ class SourceParams:
     rep_rate: float = 80e6
 
     def __post_init__(self):
-        # Each field is kept as the float it was checked as, so equal sources
-        # hash equal and compute the same bits whatever number type gave them
-        # (a float32 equals its float64 value, yet computes in float32).
-        for name in ("epsilon", "eta_herald", "eta_detect"):
-            object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
-        rep_rate = _as_float("rep_rate", self.rep_rate)
-        if not 0 < rep_rate < math.inf:
+        _check_unit_interval("epsilon", self.epsilon)
+        _check_unit_interval("eta_herald", self.eta_herald)
+        _check_unit_interval("eta_detect", self.eta_detect)
+        if not 0 < _as_float("rep_rate", self.rep_rate) < math.inf:
             raise ContractError(f"rep_rate must be finite and positive, got {self.rep_rate!r}")
-        object.__setattr__(self, "rep_rate", rep_rate)
 
     @property
     def herald_probability(self) -> float:

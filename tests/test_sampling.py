@@ -829,93 +829,6 @@ class TestCandidateDraw:
         assert result.report.retained_events > 0
 
 
-@pytest.fixture
-def fresh_draws():
-    """The run-draw cache starts and ends empty."""
-    sampling._run_draw.cache_clear()
-    yield sampling._run_draw
-    sampling._run_draw.cache_clear()
-
-
-def _equal_copies(params):
-    """Equal sources as distinct objects."""
-    return [SourceParams(*dataclasses.astuple(p)) for p in params]
-
-
-class TestRunDrawCache:
-    """Runs with equal sources share one candidate draw and predicted rate."""
-
-    @pytest.mark.parametrize("params, n, per_event", [
-        (_SKEWED_LOSSY, 3, False), (_FAINT_LOSSY, 3, True), (_FOUR_LOSSY, 4, True),
-    ], ids=["tables-3", "per-event-3", "per-event-4"])
-    def test_a_cached_draw_runs_like_a_fresh_one(self, params, n, per_event, fresh_draws,
-                                                 small_batch):
-        # per-source parameters that differ, lossy detectors, both paths
-        assert _per_event_rule(params, n, _FAINT_PULSES) == per_event
-        u = haar_random_unitary(8, 48)
-        fresh = scattershot_run(u, params, _FAINT_PULSES, n, 5)
-        assert fresh_draws.cache_info()[:2] == (0, 1)  # (hits, misses)
-        cached = scattershot_run(u, _equal_copies(params), _FAINT_PULSES, n, 5)
-        assert fresh_draws.cache_info()[:2] == (1, 1)
-        assert len(cached.records) > 0
-        assert cached.records == fresh.records
-        assert cached.report == fresh.report
-
-    def test_equal_sources_of_any_number_type_share_one_draw(self, fresh_draws):
-        # Distinct objects, and float32 and int fields equal to the float64
-        # ones: the run that builds the draw and the one that reuses it
-        # both run like the float64 sources.
-        u = haar_random_unitary(6, 31)
-        params = [SourceParams(0.1875, 0.8125, (11, 15)[i % 2] / 16) for i in range(6)]
-        want = scattershot_run(u, params, 20_000, 2, seed=3)
-        assert len(want.records) > 0
-        for equal in (_equal_copies(params),
-                      [SourceParams(np.float32(p.epsilon), np.float32(p.eta_herald),
-                                    np.float32(p.eta_detect), int(p.rep_rate))
-                       for p in params]):
-            assert equal == params
-            fresh_draws.cache_clear()
-            fresh = scattershot_run(u, equal, 20_000, 2, seed=3)
-            cached = scattershot_run(u, params, 20_000, 2, seed=3)
-            assert fresh_draws.cache_info()[:2] == (1, 1)  # (hits, misses)
-            assert fresh.records == cached.records == want.records
-            assert repr(fresh.report) == repr(cached.report) == repr(want.report)
-
-    def test_mixed_repetition_rates_are_refused_on_every_call(self, fresh_draws):
-        params = [SourceParams(0.2)] * 3 + [SourceParams(0.2, rep_rate=1e6)]
-        for _ in range(2):
-            with pytest.raises(ContractError, match="one repetition rate"):
-                scattershot_run(haar_random_unitary(4, 29), params, 100, 2, seed=0)
-
-    def test_cached_arrays_refuse_writes(self, fresh_draws):
-        draw, _ = fresh_draws(tuple(_FAINT_LOSSY), 3)
-        for array in (draw.cumulative, draw.rows):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-
-    def test_the_cache_stays_bounded(self, fresh_draws):
-        u = haar_random_unitary(4, 29)
-        size = fresh_draws.cache_parameters()["maxsize"]
-        for k in range(size + 3):
-            scattershot_run(u, [SourceParams(0.1 + 0.01 * k)] * 4, 10, 2, seed=0)
-        assert fresh_draws.cache_info().currsize == size
-
-    def test_runs_with_equal_sources_build_the_draw_once(self, fresh_draws, monkeypatch):
-        calls = []
-        candidate_draw = sampling._candidate_draw
-
-        def counted(params, n):
-            calls.append(n)
-            return candidate_draw(params, n)
-
-        monkeypatch.setattr(sampling, "_candidate_draw", counted)
-        u = haar_random_unitary(12, 24)
-        for seed in range(3):
-            scattershot_run(u, _equal_copies([_BRIGHT] * 12), 500, 4, seed)
-        scattershot_run(u, [_BRIGHT] * 12, 500, 3, 0)
-        assert calls == [4, 3]
-
-
 class TestScattershotRun:
     @pytest.mark.parametrize("modes, params, pulses, n, seed", [
         # ideal, unequal sources
@@ -1261,6 +1174,21 @@ class TestPerEventDraw:
         for chunk in (crossover - 1, crossover, crossover + 1):
             monkeypatch.setattr(sampling, "_EVENT_CHUNK", chunk)
             assert np.array_equal(sampling._per_event_outputs(u, inputs, uniforms), whole)
+
+    @pytest.mark.parametrize("modes", [2, 5, 12, 16])
+    def test_cumsum_adds_in_the_loop_order(self, modes):
+        # The two running sums of _per_event_outputs give the same floats,
+        # on chunks either side of the crossover.  Weights spanning many
+        # orders of magnitude make a different summation order show.
+        rng = np.random.default_rng(modes)
+        for events in (1, 62, sampling._CUMSUM_EVENTS - 1, sampling._CUMSUM_EVENTS, 2048):
+            weights = rng.random((modes, events)) * 10.0 ** rng.uniform(-8, 8, (modes, events))
+            looped = weights.copy()
+            for i in range(1, modes):
+                looped[i] += looped[i - 1]
+            summed = weights.copy()
+            np.cumsum(summed, axis=0, out=summed)
+            assert np.array_equal(summed, looped)
 
     def test_lossy_run_follows_the_thinned_distribution(self):
         # Sources 0-3 herald on every pulse and the others never, so every
