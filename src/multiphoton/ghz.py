@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, DataError
-from .rng import derive_rng
+from .rng import _require_integer, derive_rng
 
 __all__ = [
     "GhzModel",
@@ -54,6 +54,7 @@ class GhzModel:
     coherence: float
 
     def __post_init__(self):
+        _require_integer("n_photons", self.n_photons)
         if not 2 <= self.n_photons <= MAX_PHOTONS:
             raise ContractError(
                 f"n_photons must lie in [2, {MAX_PHOTONS}], got {self.n_photons}"
@@ -202,6 +203,7 @@ def simulate_counts(model: GhzModel, basis: str, shots: int, seed: int,
     Deterministic given the seed; the RNG stream is keyed by the basis and,
     for equatorial settings, by the angle.
     """
+    _require_integer("shots", shots)
     if not 1 <= shots < 2**63:
         raise ContractError(f"shots must lie in [1, 2**63), got {shots}")
     if basis == "hv":
@@ -306,8 +308,10 @@ def fidelity_and_witness(population: float, population_sigma: float,
     when the fidelity strictly exceeds 1/2; the significance is the margin
     in units of the standard error (infinite when the error is zero).
     """
-    if population_sigma < 0 or coherence_sigma < 0:
-        raise ContractError("standard errors must be non-negative")
+    if not (population_sigma >= 0 and coherence_sigma >= 0):  # negated: a NaN fails
+        raise ContractError("standard errors must be non-negative numbers")
+    if not (math.isfinite(population) and math.isfinite(coherence)):
+        raise ContractError("population and coherence must be finite")
     fidelity = 0.5 * (population + coherence)
     sigma = 0.5 * math.hypot(population_sigma, coherence_sigma)
     margin = fidelity - 0.5

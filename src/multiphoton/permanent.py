@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, ResourceLimitError
 from .linalg import as_complex_matrix
+from .rng import _require_integer
 
 __all__ = ["permanent_naive", "permanent_ryser", "permanent_parallel"]
 
@@ -113,6 +114,7 @@ def _glynn(matrix, threads: int) -> complex:
     OpenBLAS worker threads spin on after a threaded matrix product, which
     on 2 cores made n=22 take 1.5x as long (see ``sampling._GEMM_CELLS``).
     """
+    _require_integer("thread count", threads)
     if threads < 1:
         raise ContractError("thread count must be at least 1")
     a = _square(matrix)

@@ -12,11 +12,11 @@ photons coincide.  A run draws only the candidate pulses, where exactly
 per batch a binomial count, their pulse offsets and each one's heralding
 set, a row of the ``n_select``-photon pattern table.  Each batch is drawn
 in one pass, its outputs right after its candidates.  Where a batch expects
-many candidates per input, one engine call per batch builds the inputs the
-run has not built yet into one matrix of cumulative sums, from which each
-output is drawn; where a run meets many inputs for a few events each, each
-candidate's output is drawn on its own by Clifford & Clifford's algorithm
-B, at a cost per event rather than per input.
+many candidates per input, one engine call per run builds every input into
+one matrix of cumulative sums, from which each output is drawn; where a
+run meets many inputs for a few events each, each candidate's output is
+drawn on its own by Clifford & Clifford's algorithm B, at a cost per event
+rather than per input.
 
 Retained events live in one columnar table (pulse index and pattern ids,
 each distinct pattern held once) from the run, or from a read sample log,
@@ -130,16 +130,6 @@ class OutcomeDistribution:
         self._support = _Support(outcomes, dict(zip(outcomes, range(len(outcomes)))))
         self.probabilities = probs
         self._cumulative = None
-
-    @classmethod
-    def _rows(cls, table: _PatternTable, probs: np.ndarray) -> list:
-        """One distribution per row of a probability matrix over ``table``,
-        checked once by :func:`_check_probabilities`; each keeps a view of
-        its row."""
-        dists = [cls.__new__(cls) for _ in range(len(probs))]
-        for dist, row in zip(dists, _check_probabilities(probs)):
-            dist._support, dist.probabilities, dist._cumulative = table, row, None
-        return dists
 
     @property
     def outcomes(self) -> tuple:
@@ -373,24 +363,21 @@ def _per_event_outputs(u: np.ndarray, inputs: np.ndarray, uniforms: np.ndarray) 
     return np.sort(out.T, axis=1)
 
 
-def _distributions(u: np.ndarray, inputs: np.ndarray, collisions: bool,
-                   interfering: bool) -> list:
-    """One OutcomeDistribution per input (rows of an occupation array, any
-    photon numbers), built by :func:`_probabilities` one photon number at a
-    time; with ``collisions=False`` each row is divided by its sum."""
-    photons = inputs.sum(axis=1)
-    dists = [None] * len(inputs)
-    for n in sorted(set(photons.tolist())):
-        at = np.flatnonzero(photons == n)
-        table, probs = _probabilities(u, inputs[at], collisions, interfering)
-        if not collisions:
-            totals = probs.sum(axis=1, keepdims=True)
-            if (totals <= 0).any():
-                raise ContractError("no probability mass on collision-free outputs")
-            probs /= totals
-        for i, dist in zip(at, OutcomeDistribution._rows(table, probs)):
-            dists[i] = dist
-    return dists
+def _distribution(u: np.ndarray, input_pattern, collisions: bool,
+                  interfering: bool) -> OutcomeDistribution:
+    """One input's OutcomeDistribution on the shared pattern table, by
+    :func:`_probabilities`; with ``collisions=False`` divided by its sum."""
+    occ = np.array([as_occupation(input_pattern, u.shape[0])])
+    table, probs = _probabilities(u, occ, collisions, interfering)
+    if not collisions:
+        total = probs.sum(axis=1, keepdims=True)
+        if total <= 0:
+            raise ContractError("no probability mass on collision-free outputs")
+        probs /= total
+    dist = OutcomeDistribution.__new__(OutcomeDistribution)
+    dist._support, dist._cumulative = table, None
+    dist.probabilities = _check_probabilities(probs)[0]
+    return dist
 
 
 def exact_distribution(unitary, input_pattern, collisions: bool = True) -> OutcomeDistribution:
@@ -411,8 +398,7 @@ def exact_distribution(unitary, input_pattern, collisions: bool = True) -> Outco
         exact-enumeration limits.
     """
     u = _require_unitary(unitary, "exact_distribution")
-    return _distributions(u, np.array([as_occupation(input_pattern, u.shape[0])]),
-                          collisions, True)[0]
+    return _distribution(u, input_pattern, collisions, True)
 
 
 def distinguishable_distribution(unitary, input_pattern,
@@ -424,12 +410,12 @@ def distinguishable_distribution(unitary, input_pattern,
     ``perm(M_{S,T}) / prod_j t_j!``.  Raises like :func:`exact_distribution`.
     """
     u = _require_unitary(unitary, "distinguishable_distribution")
-    return _distributions(u, np.array([as_occupation(input_pattern, u.shape[0])]),
-                          collisions, False)[0]
+    return _distribution(u, input_pattern, collisions, False)
 
 
 def _sample_picks(distribution: OutcomeDistribution, shots: int, seed: int) -> np.ndarray:
     """The rows of ``distribution.outcomes`` that :func:`sample_outputs` draws."""
+    _require_integer("shots", shots)
     if not 1 <= shots < 2**63:
         raise ContractError(f"shots must lie in [1, 2**63), got {shots}")
     rng = derive_rng(seed, "sample-outputs")
@@ -655,12 +641,11 @@ class _CandidateDraw(NamedTuple):
 
     def fire(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """The candidate pulse offsets of one batch of ``size`` pulses,
-        ascending, and each one's trigger row: a binomial count, the
-        offsets, then the heralding sets, in that order from ``rng``."""
+        ascending, and each one's heralding set, an index into ``rows``: a
+        binomial count, the offsets, then the sets, in that order from ``rng``."""
         count = rng.binomial(size, self.probability) if self.probability else 0
         offsets = np.sort(rng.choice(size, count, replace=False))
-        picks = np.searchsorted(self.cumulative, rng.random(count), side="right")
-        return offsets, self.rows[picks]
+        return offsets, np.searchsorted(self.cumulative, rng.random(count), side="right")
 
 
 def _candidate_draw(params: Sequence[SourceParams], n: int) -> _CandidateDraw:
@@ -710,19 +695,18 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(keys.astype(np.min_scalar_type(bound)), kind="stable")
 
 
-def _table_picks(cum: np.ndarray, built: dict, inputs: np.ndarray,
-                 draws: np.ndarray) -> np.ndarray:
+def _table_picks(cum: np.ndarray, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """The output rows that uniform ``draws`` pick from the cumulative rows
-    ``cum[built[input]]``: one searchsorted per distinct input, on its
-    slice of the candidates sorted by input.  The last cumulative entry is
-    1.0, so every pick is a valid outcome row."""
-    order = _stable_order(inputs, cum.shape[1])  # inputs are rows of cum's table
+    ``cum[input]``: one searchsorted per distinct input, on its slice of the
+    candidates sorted by input.  The last cumulative entry is 1.0, so every
+    pick is a valid outcome row."""
+    order = _stable_order(inputs, len(cum))
     ranked = inputs[order]
     cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(order)]
     picks = np.empty(len(order), dtype=np.intp)
     for lo, hi, row in zip(cuts, cuts[1:], ranked[cuts[:-1]].tolist()):
         at = order[lo:hi]
-        picks[at] = np.searchsorted(cum[built[row]], draws[at], side="right")
+        picks[at] = np.searchsorted(cum[row], draws[at], side="right")
     return picks
 
 
@@ -751,21 +735,20 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     tables where a batch expects each input to draw at least K/16
     candidates, K the outcome count, and the per-event draw otherwise.
 
-    * Output tables: one engine call builds every input of the batch that
-      the run has not built yet.  Their checked probabilities become
-      cumulative sums, in place, as new rows of the run's one cumulative
-      matrix, which holds a row per input built; the batch's candidates
-      are sorted by input, and each input's outputs drawn with one
-      ``searchsorted`` on its row.  Cheapest where inputs repeat often.
-      The rule caps the matrix, C(m, n) rows of K at most, at 128 MiB.
+    * Output tables: one engine call per run, before the first batch,
+      builds every input, one per heralding set.  Their checked
+      probabilities become cumulative sums, in place, the rows of the
+      run's one cumulative matrix; each batch's candidates are sorted by
+      input, and each input's outputs drawn with one ``searchsorted`` on
+      its row.  Cheapest where inputs repeat often.  The rule caps the
+      matrix, C(m, n) rows of K, at 128 MiB.
     * Per event: one call per batch draws its candidates' outputs by
       Clifford & Clifford's algorithm B (see ``_per_event_outputs``), in
       chunks of a fixed number of events, with no table of probabilities.
       Its cost grows with the events, not with the distinct inputs.
 
-    A batch's candidates are all the working state a run holds besides its
-    events, so the batch size bounds it, whatever the run length; the
-    cumulative matrix grows only with the number of distinct inputs.
+    Besides its events and the cumulative matrix, a run holds one batch's
+    candidates at a time, so its working state does not grow with its length.
 
     The events are kept as a columnar table; ``records`` on the result is
     a read-only view of it.  Deterministic given the seed, and the same for
@@ -797,29 +780,25 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     # events are stored as rows of that photon number's pattern table.
     table = _pattern_table(modes, n_select, True)
     per_event = _per_event_path(draw, modes, n_select, pulses)
-    built: dict = {}  # input row -> its row of cum, on the table path
-    cum = np.empty((0, len(table.cols)))
+    if not per_event:  # row i: the cumulative output sums of heralding set i
+        _, cum = _probabilities(u, table.occupations[draw.rows], True, True)
+        _check_probabilities(cum)
+        np.cumsum(cum, axis=1, out=cum)
+        cum[:, -1] = 1.0
     pulse_parts = [np.empty(0, dtype=np.int64)]
     trigger_parts = [np.empty(0, dtype=np.intp)]
     output_parts = [np.empty(0, dtype=np.intp)]
     for batch_index, start in enumerate(range(0, pulses, _BATCH)):
         rng = derive_rng(seed, "scattershot", batch_index)
-        candidates, trigger_rows = draw.fire(rng, min(_BATCH, pulses - start))
+        candidates, subsets = draw.fire(rng, min(_BATCH, pulses - start))
         if not candidates.size:
             continue
+        trigger_rows = draw.rows[subsets]
         draws = rng.random((candidates.size, 2 * n_select) if per_event else candidates.size)
         if per_event:
             picks = table.rows(_per_event_outputs(u, table.cols[trigger_rows], draws))
         else:
-            new = [row for row in np.unique(trigger_rows).tolist() if row not in built]
-            if new:
-                _, block = _probabilities(u, table.occupations[new], True, True)
-                _check_probabilities(block)
-                np.cumsum(block, axis=1, out=block)
-                block[:, -1] = 1.0
-                built.update(zip(new, range(len(cum), len(cum) + len(new))))
-                cum = np.concatenate((cum, block)) if len(cum) else block
-            picks = _table_picks(cum, built, trigger_rows, draws)
+            picks = _table_picks(cum, subsets, draws)
         if not perfect_detectors:
             # Thinning keeps n_select photons only where it removes none,
             # so a retained output is the pattern drawn for it.

@@ -60,6 +60,12 @@ class TestGhzModel:
         with pytest.raises(ContractError):
             GhzModel(21, 1.0, 1.0)
 
+    @pytest.mark.parametrize("photons", [3.0, True, "3"])
+    def test_photon_number_must_be_an_integer(self, photons):
+        # 3.0 used to pass here and fail later in 1 << n
+        with pytest.raises(ContractError, match="must be an integer"):
+            GhzModel(photons, 1.0, 1.0)
+
 
 class TestHvDistribution:
     def test_ideal_three_photons(self):
@@ -114,6 +120,12 @@ class TestSimulateCounts:
     @pytest.mark.parametrize("shots", [2**63, 10**20])
     def test_shots_beyond_int64_rejected(self, shots):
         with pytest.raises(ContractError):
+            simulate_counts(GhzModel(4, 1.0, 1.0), "hv", shots, seed=0)
+
+    @pytest.mark.parametrize("shots", [10.5, 10.0, True])
+    def test_shots_must_be_an_integer(self, shots):
+        # 10.5 used to draw 10 shots, and True one
+        with pytest.raises(ContractError, match="must be an integer"):
             simulate_counts(GhzModel(4, 1.0, 1.0), "hv", shots, seed=0)
 
     @pytest.mark.parametrize("seed", [2.5, True])
@@ -360,6 +372,16 @@ class TestFidelityAndWitness:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ContractError):
             fidelity_and_witness(0.7, -0.01, 0.4, 0.01)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 0.01, 0.4, 0.01), (0.7, math.nan, 0.4, 0.01),
+        (0.7, 0.01, math.nan, 0.01), (0.7, 0.01, 0.4, math.nan),
+        (math.inf, 0.01, 0.4, 0.01), (0.7, 0.01, -math.inf, 0.01),
+    ])
+    def test_nan_and_infinite_estimates_rejected(self, args):
+        # a NaN sigma used to certify the state with significance nan
+        with pytest.raises(ContractError):
+            fidelity_and_witness(*args)
 
 
 def test_module_properties():

@@ -112,6 +112,11 @@ class TestParallel:
         with pytest.raises(ContractError):
             permanent_parallel(np.eye(2), 0)
 
+    @pytest.mark.parametrize("threads", [2.5, 2.0, True])
+    def test_thread_count_must_be_an_integer(self, threads):
+        with pytest.raises(ContractError, match="must be an integer"):
+            permanent_parallel(np.eye(2), threads)
+
 
 class TestGlynnKernel:
     def test_matches_naive_on_two_hundred_matrices(self):

@@ -28,7 +28,6 @@ from multiphoton.linalg import (
 from multiphoton.permanent import permanent_naive, permanent_ryser
 from multiphoton.rng import derive_rng
 from multiphoton.sampling import (
-    _distributions,
     OutcomeDistribution,
     SampleRecord,
     distinguishable_distribution,
@@ -234,29 +233,30 @@ class TestGlynnEngine:
     def test_batch_invariance_across_all_four_photon_inputs(self, interfering, monkeypatch):
         u = haar_random_unitary(12, 41)
         inputs = np.array([o for o in enumerate_patterns(12, 4, False)])
-        together = _distributions(u, inputs, True, interfering)
+        _, together = sampling._probabilities(u, inputs, True, interfering)
         assert len(together) == 495
         for k, occ in enumerate(inputs):
             alone = _builder(interfering)(u, occ)
-            assert np.array_equal(alone.probabilities, together[k].probabilities)
+            assert np.array_equal(alone.probabilities, together[k])
         # one block of all 8 sign vectors over the 364 three-photon parents,
         # in chunks of 7 complex (14 real) inputs, so chunk boundaries fall elsewhere
         monkeypatch.setattr(sampling, "_CHUNK_BYTES", 7 * 364 * (8 + 12) * 16)
         picked = [3, 4, 5, 200, 494, 0, 17, 18, 300, 301]
-        chunked = _distributions(u, inputs[picked], True, interfering)
-        for k, dist in zip(picked, chunked):
-            assert np.array_equal(dist.probabilities, together[k].probabilities)
+        _, chunked = sampling._probabilities(u, inputs[picked], True, interfering)
+        for k, row in zip(picked, chunked):
+            assert np.array_equal(row, together[k])
 
-    def test_batch_invariance_at_six_photons_and_mixed_photon_numbers(self, monkeypatch):
+    def test_batch_invariance_at_six_photons(self, monkeypatch):
         u = haar_random_unitary(8, 42)
         inputs = np.array([(1, 1, 1, 1, 1, 1, 0, 0), (2, 0, 1, 0, 3, 0, 0, 0),
-                           (0, 1, 0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1, 1, 1)])
+                           (0, 0, 1, 1, 1, 1, 1, 1)])
         alone = [exact_distribution(u, occ, False) for occ in inputs]
         monkeypatch.setattr(sampling, "_CHUNK_BYTES", 1 << 30)
-        together = _distributions(u, inputs, False, True)
-        for a, b in zip(alone, together):
-            assert a._support is b._support
-            assert np.array_equal(a.probabilities, b.probabilities)
+        table, together = sampling._probabilities(u, inputs, False, True)
+        together /= together.sum(axis=1, keepdims=True)  # as the builder normalises
+        for a, row in zip(alone, together):
+            assert a._support is table
+            assert np.array_equal(a.probabilities, row)
 
     @pytest.mark.parametrize("interfering", [True, False])
     @pytest.mark.parametrize("modes, n", [(12, 5), (8, 6)])
@@ -288,10 +288,10 @@ class TestGlynnEngine:
         inputs = np.array(enumerate_patterns(12, 4, False))
         five = np.array(enumerate_patterns(12, 5, False))
         exact_distribution(u, (1,) * 6 + (0,) * 6)  # pattern tables cached first
-        _distributions(u, inputs[:1], True, True)
-        _distributions(u, five[:1], False, True)
-        for build in (lambda: _distributions(u, inputs, True, True),
-                      lambda: _distributions(u, five, False, True),
+        sampling._probabilities(u, inputs[:1], True, True)
+        sampling._probabilities(u, five[:1], False, True)
+        for build in (lambda: sampling._probabilities(u, inputs, True, True),
+                      lambda: sampling._probabilities(u, five, False, True),
                       lambda: exact_distribution(u, (1,) * 6 + (0,) * 6)):
             tracemalloc.start()
             try:
@@ -420,6 +420,12 @@ class TestSampleOutputs:
         with pytest.raises(ContractError):
             sample_outputs(dist, shots, seed=0)
 
+    @pytest.mark.parametrize("shots", [2.5, 2.0, True])
+    def test_shots_must_be_an_integer(self, shots):
+        dist = OutcomeDistribution(((1,),), np.array([1.0]))
+        with pytest.raises(ContractError, match="must be an integer"):
+            sample_outputs(dist, shots, seed=0)
+
 
 class TestExpectedRate:
     def test_combination_factors(self):
@@ -542,11 +548,11 @@ def dense_scattershot_reference(u, params, pulses, n_select, seed, build=exact_d
     for batch, start in enumerate(range(0, pulses, batch_size)):
         size = min(batch_size, pulses - start)
         rng = derive_rng(seed, "scattershot", batch)
-        candidates, rows = draw.fire(rng, size)
+        candidates, subsets = draw.fire(rng, size)
         if candidates.size == 0:
             continue
         draws = rng.random(candidates.size)
-        for u_draw, offset, row in zip(draws, candidates.tolist(), rows.tolist()):
+        for u_draw, offset, row in zip(draws, candidates.tolist(), draw.rows[subsets].tolist()):
             key = patterns[row]  # every heralded signal survived: the input is the trigger
             if key not in dists:
                 dists[key] = build(u, key)
@@ -589,11 +595,12 @@ def per_event_scattershot_reference(u, params, pulses, n_select, seed):
     for batch, start in enumerate(range(0, pulses, batch_size)):
         size = min(batch_size, pulses - start)
         rng = derive_rng(seed, "scattershot", batch)
-        candidates, rows = draw.fire(rng, size)
+        candidates, subsets = draw.fire(rng, size)
         if candidates.size == 0:
             continue
         uniforms = rng.random((candidates.size, 2 * n_select))
-        for numbers, offset, row in zip(uniforms.tolist(), candidates.tolist(), rows.tolist()):
+        for numbers, offset, row in zip(uniforms.tolist(), candidates.tolist(),
+                                        draw.rows[subsets].tolist()):
             key = patterns[row]
             modes = [mode for mode, count in enumerate(key) for _ in range(count)]
             photons = [modes[l] for l in sorted(range(n_select), key=numbers.__getitem__)]
@@ -655,8 +662,8 @@ def _per_event_rule(params, n, pulses):
 def _batch_inputs(params, n, seed, pulses):
     """The set of input rows each batch of a run draws."""
     draw = sampling._candidate_draw(params, n)
-    return [set(draw.fire(derive_rng(seed, "scattershot", batch),
-                          min(sampling._BATCH, pulses - start))[1].tolist())
+    return [set(draw.rows[draw.fire(derive_rng(seed, "scattershot", batch),
+                                    min(sampling._BATCH, pulses - start))[1]].tolist())
             for batch, start in enumerate(range(0, pulses, sampling._BATCH))]
 
 
@@ -693,10 +700,11 @@ def _candidate_draw_candidates(params, n, seed, batches, size):
     patterns = enumerate_patterns(len(params), n)
     counts, subsets = [], []
     for batch in range(batches):
-        offsets, rows = draw.fire(derive_rng(seed, "scattershot", batch), size)
+        offsets, picked = draw.fire(derive_rng(seed, "scattershot", batch), size)
         assert np.all(np.diff(offsets) > 0) and np.all((0 <= offsets) & (offsets < size))
         counts.append(offsets.size)
-        subsets += [tuple(np.flatnonzero(patterns[row]).tolist()) for row in rows.tolist()]
+        subsets += [tuple(np.flatnonzero(patterns[row]).tolist())
+                    for row in draw.rows[picked].tolist()]
     return np.array(counts), subsets
 
 
@@ -804,9 +812,9 @@ class TestCandidateDraw:
         # it has weight exactly 0
         params = [SourceParams(1.0)] + [SourceParams(0.05, eta_herald=0.9)] * 5
         draw = sampling._candidate_draw(params, 2)
-        offsets, rows = draw.fire(derive_rng(0, "scattershot", 0), _TEST_BATCH)
+        offsets, subsets = draw.fire(derive_rng(0, "scattershot", 0), _TEST_BATCH)
         assert offsets.size > 1000
-        assert all(enumerate_patterns(6, 2)[row][0] == 1 for row in rows.tolist())
+        assert all(enumerate_patterns(6, 2)[row][0] == 1 for row in draw.rows[subsets].tolist())
         result = scattershot_run(haar_random_unitary(6, 36), params, 20_000, 2, seed=2)
         assert result.report.retained_events > 0
         assert all(r.trigger[0] == 1 for r in result.records)
@@ -814,9 +822,9 @@ class TestCandidateDraw:
     def test_idle_sources_draw_nothing_and_divide_by_nothing(self):
         with np.errstate(all="raise"):
             draw = sampling._candidate_draw([SourceParams(0.0)] * 4, 2)
-            offsets, rows = draw.fire(derive_rng(0, "scattershot", 0), _TEST_BATCH)
+            offsets, subsets = draw.fire(derive_rng(0, "scattershot", 0), _TEST_BATCH)
         assert draw.probability == 0.0
-        assert offsets.size == rows.size == 0
+        assert offsets.size == subsets.size == 0
         assert np.all(draw.cumulative == 0.0)
 
     def test_run_never_draws_pairs(self, monkeypatch):
@@ -836,8 +844,8 @@ class TestScattershotRun:
         # lossy detectors and heralds, crossing a batch boundary
         (6, [SourceParams(0.4, eta_herald=0.9, eta_detect=0.7)] * 6, 70_000, 2, 2),
         # skewed sources, unequal detectors: four batches, later ones bringing
-        # new inputs, so the tables are built in several engine calls (see
-        # test_event_chunk_does_not_change_the_run), at three and four photons
+        # inputs earlier ones lacked, from tables built before the first (see
+        # test_one_engine_call_builds_every_input), at three and four photons
         (8, _SKEWED_LOSSY, _FAINT_PULSES, 3, 5),
         (8, _SKEWED_LOSSY, _FAINT_PULSES, 4, 5),
         # one photon per event
@@ -880,8 +888,8 @@ class TestScattershotRun:
     @pytest.mark.parametrize("chunk", [1, 7, sampling._CUMSUM_EVENTS])
     def test_event_chunk_does_not_change_the_run(self, chunk, small_batch, monkeypatch):
         # Both paths at three and four photons.  On the table path a later
-        # batch brings an input no earlier batch drew, so the tables are
-        # built in several engine calls; the per-event path draws in chunks
+        # batch brings an input no earlier batch drew, yet draws from the
+        # tables built before the first; the per-event path draws in chunks
         # of ``chunk``, and the faint run's last, partial batch has no
         # candidate.
         cases = [(_SKEWED_LOSSY, 3, False), (_SKEWED_LOSSY, 4, False),
@@ -900,6 +908,38 @@ class TestScattershotRun:
             assert run.report == want.report
             assert run.records == want.records
             assert len({r.pulse_index // _TEST_BATCH for r in run.records}) > 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_engine_call_builds_every_input(self, n, small_batch, monkeypatch):
+        # Later batches bring inputs earlier ones lacked, yet one call
+        # before the first batch builds every input, one per heralding set.
+        rows = _batch_inputs(_SKEWED_LOSSY, n, 5, _FAINT_PULSES)
+        assert any(later - set().union(*rows[:b]) for b, later in enumerate(rows) if b)
+        engine, calls = sampling._probabilities, []
+
+        def counted(u, inputs, *args):
+            calls.append(len(inputs))
+            return engine(u, inputs, *args)
+
+        monkeypatch.setattr(sampling, "_probabilities", counted)
+        run = scattershot_run(haar_random_unitary(8, 48), _SKEWED_LOSSY, _FAINT_PULSES, n, 5)
+        assert run.report.retained_events > 0
+        assert calls == [math.comb(8, n)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tables_hold_inputs_the_draw_never_picks(self, n, small_batch):
+        # An idle source's heralding sets have weight 0: the run builds
+        # their rows, and draws every event from the others.
+        params = [SourceParams(0.4, eta_herald=0.9, eta_detect=d)
+                  for d in (0.7, 0.8, 0.9, 1.0, 0.75)] + [SourceParams(0.0)]
+        assert not _per_event_rule(params, n, 70_000)
+        assert (np.diff(sampling._candidate_draw(params, n).cumulative, prepend=0.0) == 0).any()
+        u = haar_random_unitary(6, 46)
+        result = scattershot_run(u, params, 70_000, n, 8)
+        reference = dense_scattershot_reference(u, params, 70_000, n, 8)
+        assert len(reference) > 1000
+        assert all(r.trigger[5] == 0 for r in reference)
+        assert result.records == reference
 
     @pytest.mark.parametrize("params, n, per_event", [
         (_SKEWED_LOSSY, 3, False), (_SKEWED_LOSSY, 4, False),

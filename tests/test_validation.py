@@ -13,7 +13,6 @@ from multiphoton.linalg import (_require_unitary, as_occupation, haar_random_uni
 from multiphoton.sampling import (
     OutcomeDistribution,
     SampleRecord,
-    _distributions,
     distinguishable_distribution,
     exact_distribution,
     read_sample_log,
@@ -314,9 +313,10 @@ def record_aggregate_reference(records, unitary, collisions=True, threshold=5.0)
     first = np.r_[True, (triggers[1:] != triggers[:-1]).any(axis=1)]
     block = np.cumsum(first) - 1
     inputs = [as_occupation(inp, u.shape[0]) for inp in triggers[first].tolist()]
-    q_dists = _distributions(u, triggers[first], collisions, True)
+    q_dists = [exact_distribution(u, inp, collisions) for inp in inputs]
     rows, q_val, p_val = per_event_evaluate_reference(
-        block, outputs, q_dists, _distributions(u, triggers[first], collisions, False))
+        block, outputs, q_dists,
+        [distinguishable_distribution(u, inp, collisions) for inp in inputs])
     if (rows < 0).any():
         raise DataError(f"sample {outputs[np.argmin(rows)]} lies outside the outcome support")
     bounds = np.searchsorted(block, np.arange(len(inputs) + 1))
