@@ -13,10 +13,10 @@ per batch a binomial count, their pulse offsets and each one's heralding
 set, a row of the ``n_select``-photon pattern table.  Each batch is drawn
 in one pass, its outputs right after its candidates.  Where a batch expects
 many candidates per input, one engine call per run builds every input into
-one matrix of cumulative sums, from which each output is drawn; where a
-run meets many inputs for a few events each, each candidate's output is
-drawn on its own by Clifford & Clifford's algorithm B, at a cost per event
-rather than per input.
+one matrix of cumulative sums, from which one guided search per batch
+draws every output; where a run meets many inputs for a few events each,
+each candidate's output is drawn on its own by Clifford & Clifford's
+algorithm B, at a cost per event rather than per input.
 
 Retained events live in one columnar table (pulse index and pattern ids,
 each distinct pattern held once) from the run, or from a read sample log,
@@ -267,7 +267,7 @@ def _pair_probabilities(u: np.ndarray, inputs: np.ndarray, outputs: np.ndarray, 
     q = |perm(U_ST)|^2 / (prod s! prod t!) and p = perm(|U|^2_ST) / prod t!.
     Each permanent is 2^-(n-1) sum_d (prod d) prod_(j in T) w_d[j] on the
     input's sign sums, multiplied out elementwise with the pairs last, in
-    chunks of pairs, so no (inputs, outcomes) array is built."""
+    chunks of pairs per chunk of inputs, so no (inputs, outcomes) array is built."""
     used_in, used_out = np.zeros(len(inputs), dtype=bool), np.zeros(len(outputs), dtype=bool)
     used_in[pair_input] = used_out[pair_output] = True  # rows no pair names may hold any n
     pair_input = (np.cumsum(used_in) - 1)[pair_input]
@@ -278,19 +278,23 @@ def _pair_probabilities(u: np.ndarray, inputs: np.ndarray, outputs: np.ndarray, 
     factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
     t_factors = factorials[outputs].prod(axis=1)[pair_output]
     perms = [np.empty(len(pair_input), dtype=complex), np.empty(len(pair_input))]
-    for perm, source in zip(perms, (u, u.real**2 + u.imag**2)):  # as in _probabilities
-        sums, plus = _sign_sums(source, inputs)
-        signs = sums.shape[2]
-        sums = np.ascontiguousarray(sums.transpose(2, 0, 1)).reshape(signs, -1)
-        prod_d = np.where(np.arange(signs) < plus, 1.0, -1.0)[:, None]
-        step = max(1, _CHUNK_BYTES // (signs * source.itemsize))
-        for lo in range(0, len(perm), step):  # sums[d, c * inputs + i] is w_d[c] of input i
-            at = cols[pair_output[lo:lo + step]] * len(inputs) + pair_input[lo:lo + step, None]
-            terms = prod_d * np.take(sums, at[:, 0], axis=1)
-            for j in range(1, n):
-                terms *= np.take(sums, at[:, j], axis=1)
-            # a running sum, which unlike sum() adds in one order for any chunk size
-            perm[lo:lo + step] = np.cumsum(terms, axis=0, out=terms)[-1] / signs
+    width = max(1, _CHUNK_BYTES // (modes * u.itemsize << (n - 1)))  # inputs of u's sign sums
+    for first in range(0, len(inputs), width):
+        pairs = np.flatnonzero((pair_input >= first) & (pair_input < first + width))
+        for perm, source in zip(perms, (u, u.real**2 + u.imag**2)):  # as in _probabilities
+            sums, plus = _sign_sums(source, inputs[first:first + width])
+            signs = sums.shape[2]
+            sums = np.ascontiguousarray(sums.transpose(2, 1, 0)).reshape(signs, -1)
+            prod_d = np.where(np.arange(signs) < plus, 1.0, -1.0)[:, None]
+            step = max(1, _CHUNK_BYTES // (signs * source.itemsize))
+            for k in np.split(pairs, range(step, len(pairs), step)):
+                # sums[d, i * modes + c] is w_d[c] of input first + i
+                at = (pair_input[k, None] - first) * modes + cols[pair_output[k]]
+                terms = prod_d * np.take(sums, at[:, 0], axis=1)
+                for j in range(1, n):
+                    terms *= np.take(sums, at[:, j], axis=1)
+                # a running sum, which unlike sum() adds in one order for any chunk size
+                perm[k] = np.cumsum(terms, axis=0, out=terms)[-1] / signs
     s_factors = factorials[inputs].prod(axis=1)[pair_input]
     return ((perms[0].real**2 + perms[0].imag**2) / (t_factors * s_factors),
             np.clip(perms[1], 0.0, None) / t_factors)
@@ -688,26 +692,32 @@ def _per_event_path(draw: _CandidateDraw, modes: int, n: int, pulses: int) -> bo
     return events * _OUTCOMES_PER_EVENT < math.comb(modes + n - 1, n)
 
 
-def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` of integer keys in [0, bound], on
-    the smallest unsigned dtype that holds ``bound``: numpy radix-sorts keys
-    of 16 bits or fewer."""
-    return np.argsort(keys.astype(np.min_scalar_type(bound)), kind="stable")
+def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, int]:
+    """Chen & Asau's guide table (Devroye 1986, III.2.4) to the rows of a cumulative
+    matrix: ``guide[r, b]`` counts row r's entries <= b / B, capped at K - 1, as
+    ceil(cum * B) <= b, exact for B the largest power of two <= K.  Its widest
+    bucket takes ``steps`` halvings."""
+    rows, k = cum.shape
+    scale = 1 << (k.bit_length() - 1)
+    slots = np.minimum(np.ceil(cum * scale), scale).astype(np.intp)  # cum may pass 1.0 by 1e-9
+    slots += np.arange(0, rows * (scale + 1), scale + 1)[:, None]
+    guide = np.bincount(slots.ravel(), minlength=rows * (scale + 1)).reshape(rows, -1)
+    guide = np.minimum(np.cumsum(guide, axis=1), k - 1).astype(np.int32)
+    return guide, int(np.diff(guide, axis=1).max(initial=0)).bit_length()
 
 
-def _table_picks(cum: np.ndarray, inputs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The output rows that uniform ``draws`` pick from the cumulative rows
-    ``cum[input]``: one searchsorted per distinct input, on its slice of the
-    candidates sorted by input.  The last cumulative entry is 1.0, so every
-    pick is a valid outcome row."""
-    order = _stable_order(inputs, len(cum))
-    ranked = inputs[order]
-    cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(order)]
-    picks = np.empty(len(order), dtype=np.intp)
-    for lo, hi, row in zip(cuts, cuts[1:], ranked[cuts[:-1]].tolist()):
-        at = order[lo:hi]
-        picks[at] = np.searchsorted(cum[row], draws[at], side="right")
-    return picks
+def _guided_search(cum: np.ndarray, guide: np.ndarray, steps: int, rows, draws) -> np.ndarray:
+    """``np.searchsorted(cum[r], u, side="right")`` for each row r and draw u in
+    [0, 1), by one binary search of every draw at once in its guide bucket
+    floor(u * B).  Entry K - 1 of a row is 1.0 > u, so no search passes it."""
+    at = rows * guide.shape[1] + (draws * (guide.shape[1] - 1)).astype(np.intp)
+    lo, hi = guide.ravel()[at], guide.ravel()[at + 1]
+    flat, base = cum.ravel(), rows * cum.shape[1]
+    for _ in range(steps):
+        mid = (lo + hi) >> 1
+        right = flat[base + mid] <= draws
+        lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+    return lo
 
 
 def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
@@ -738,17 +748,17 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     * Output tables: one engine call per run, before the first batch,
       builds every input, one per heralding set.  Their checked
       probabilities become cumulative sums, in place, the rows of the
-      run's one cumulative matrix; each batch's candidates are sorted by
-      input, and each input's outputs drawn with one ``searchsorted`` on
-      its row.  Cheapest where inputs repeat often.  The rule caps the
-      matrix, C(m, n) rows of K, at 128 MiB.
+      run's one cumulative matrix, with a guide table to it; each batch
+      draws its outputs in one binary search over every candidate, each
+      in its guide bucket (``_guided_search``).  Cheapest where inputs
+      repeat often.  The rule caps the matrix, C(m, n) rows of K, at 128 MiB.
     * Per event: one call per batch draws its candidates' outputs by
       Clifford & Clifford's algorithm B (see ``_per_event_outputs``), in
       chunks of a fixed number of events, with no table of probabilities.
       Its cost grows with the events, not with the distinct inputs.
 
-    Besides its events and the cumulative matrix, a run holds one batch's
-    candidates at a time, so its working state does not grow with its length.
+    Besides its events, the cumulative matrix and guide, a run holds one
+    batch's candidates at a time, so its working state does not grow with its length.
 
     The events are kept as a columnar table; ``records`` on the result is
     a read-only view of it.  Deterministic given the seed, and the same for
@@ -785,6 +795,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         _check_probabilities(cum)
         np.cumsum(cum, axis=1, out=cum)
         cum[:, -1] = 1.0
+        guide, steps = _guide_table(cum)
     pulse_parts = [np.empty(0, dtype=np.int64)]
     trigger_parts = [np.empty(0, dtype=np.intp)]
     output_parts = [np.empty(0, dtype=np.intp)]
@@ -798,7 +809,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         if per_event:
             picks = table.rows(_per_event_outputs(u, table.cols[trigger_rows], draws))
         else:
-            picks = _table_picks(cum, subsets, draws)
+            picks = _guided_search(cum, guide, steps, subsets, draws)
         if not perfect_detectors:
             # Thinning keeps n_select photons only where it removes none,
             # so a retained output is the pattern drawn for it.
@@ -809,14 +820,13 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         pulse_parts.append(start + candidates)
         trigger_parts.append(trigger_rows)
         output_parts.append(picks)
-    # Only the patterns the events use are kept, renumbered in table order:
-    # a mask over the table, cheaper than np.unique on a short run.
+    # Only the patterns the events use are kept, renumbered by rank in table
+    # order: the running count of a mask over the table, cheaper than np.unique.
     ids = np.concatenate(trigger_parts + output_parts)
     seen = np.zeros(len(table.cols), dtype=bool)
     seen[ids] = True
-    used = seen.nonzero()[0]
-    trigger, output = used.searchsorted(ids).reshape(2, -1)
-    patterns = tuple(map(tuple, table.occupations[used].tolist()))
+    trigger, output = (np.cumsum(seen) - 1)[ids].reshape(2, -1)
+    patterns = tuple(map(tuple, table.occupations[seen].tolist()))
     events = _Events(pulse=np.concatenate(pulse_parts), trigger=trigger, input=trigger,
                      output=output, patterns=patterns)
     retained = len(events.pulse)

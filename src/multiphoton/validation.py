@@ -28,7 +28,6 @@ from .sampling import (
     _numbered_patterns,
     _pair_probabilities,
     _probabilities,
-    _stable_order,
 )
 
 __all__ = [
@@ -179,6 +178,12 @@ def _model(model, input_pattern) -> OutcomeDistribution:
     if not isinstance(dist, OutcomeDistribution):
         raise ContractError("model oracle must return an OutcomeDistribution")
     return dist
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of integer keys in [0, bound], cast to the
+    smallest unsigned dtype that holds ``bound``: numpy radix-sorts up to 16 bits."""
+    return np.argsort(keys.astype(np.min_scalar_type(bound)), kind="stable")
 
 
 def _numbered_pairs(block, oid, outputs: int) -> tuple:

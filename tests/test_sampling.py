@@ -348,6 +348,22 @@ class TestPairProbabilities:
                                                  pair_output[k:k + 1])
             assert (alone[0][0], alone[1][0]) == (together[0][k], together[1][k])
 
+    @pytest.mark.parametrize("chunk_bytes", [1, 3000])
+    def test_chunks_of_inputs_do_not_change_a_pair(self, chunk_bytes, monkeypatch):
+        # 35 inputs at m=5, n=3: 3000 bytes hold the complex sign sums of 9
+        # of them and 46 pairs' terms, so chunks of inputs split into several
+        # chunks of pairs, while 1 byte takes one input and one pair at a time.
+        u = haar_random_unitary(5, 606)
+        inputs = np.array(enumerate_patterns(5, 3))
+        outputs = inputs[::3]
+        pair_input, pair_output = np.divmod(np.arange(len(inputs) * len(outputs)), len(outputs))
+        order = np.random.default_rng(3).permutation(len(pair_input))
+        pairs = (u, inputs, outputs, pair_input[order], pair_output[order])
+        whole = sampling._pair_probabilities(*pairs)
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES", chunk_bytes)
+        chunked = sampling._pair_probabilities(*pairs)
+        assert np.array_equal(whole[0], chunked[0]) and np.array_equal(whole[1], chunked[1])
+
 
 class TestDistinguishableDistribution:
     def test_identity_is_point_mass(self):
@@ -837,6 +853,95 @@ class TestCandidateDraw:
         assert result.report.retained_events > 0
 
 
+def _adversarial_rows(k):
+    """Cumulative rows of k outcomes, each ending in 1.0: ties and runs of
+    zero-probability outcomes, entries on the guide's grid b / B, trailing
+    1.0s, all mass on the first or last outcome, a denormal step, and a row
+    that passes 1.0 by 5e-10 before its last entry, as the probability check
+    allows."""
+    scale = 1 << (k.bit_length() - 1)
+    rng = np.random.default_rng(k)
+    masses = rng.random((3, k)) * (rng.random((3, k)) < 0.4)  # runs of zeros
+    masses[:, -1] += 1e-3
+    rows = [np.r_[np.linspace(0.5, 1.0 + 5e-10, k - 1), 1.0]]
+    rows += list(np.cumsum(masses, axis=1) / masses.sum(axis=1, keepdims=True))
+    rows += [np.floor(np.linspace(0, scale, k + 1)[1:]) / scale,  # on the grid, with ties
+             np.minimum(np.arange(1, k + 1) / (k // 2 + 1), 1.0),  # trailing 1.0s
+             np.ones(k), np.r_[np.zeros(k - 1), 1.0],
+             np.r_[np.full(k - 1, 5e-324), 1.0]]
+    cum = np.array(rows)
+    cum[:, -1] = 1.0
+    return cum
+
+
+class TestGuideTable:
+    """The table path's guided search against ``np.searchsorted``."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12, 33, 120])
+    def test_matches_searchsorted_on_adversarial_rows(self, k):
+        cum = _adversarial_rows(k)
+        scale = 1 << (k.bit_length() - 1)
+        grid = np.arange(scale) / scale
+        entries = cum[cum < 1.0]
+        keys = np.unique(np.concatenate([
+            [0.0, 5e-324, np.nextafter(1.0, 0.0)], grid, entries,
+            np.nextafter(entries, 0.0), np.nextafter(entries, 1.0),
+            np.nextafter(grid[1:], 0.0), np.random.default_rng(0).random(200)]))
+        assert keys.min() == 0.0 and keys.max() < 1.0
+        rows, draws = np.divmod(np.arange(len(cum) * len(keys)), len(keys))
+        draws = keys[draws]
+        guide, steps = sampling._guide_table(cum)
+        got = sampling._guided_search(cum, guide, steps, rows, draws)
+        want = np.array([np.searchsorted(cum[r], u, side="right")
+                         for r, u in zip(rows.tolist(), draws.tolist())])
+        assert np.array_equal(got, want)
+        assert got.max() <= k - 1
+
+    @pytest.mark.parametrize("k", [1, 5, 12, 33])
+    def test_guide_counts_entries_at_most_each_grid_point(self, k):
+        cum = _adversarial_rows(k)
+        scale = 1 << (k.bit_length() - 1)
+        guide, steps = sampling._guide_table(cum)
+        counts = (cum[:, None, :] <= (np.arange(scale + 1) / scale)[:, None]).sum(axis=2)
+        assert guide.dtype == np.int32
+        assert np.array_equal(guide, np.minimum(counts, k - 1))
+        assert steps == int(np.diff(guide, axis=1).max()).bit_length()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.sampled_from([0.0, 0.0, 1e-17, 0.125, 0.25, 1.0, 3.0]),
+                             min_size=1, max_size=20).filter(any),
+                    min_size=1, max_size=4),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=30))
+    def test_matches_searchsorted_on_random_rows(self, weights, keys):
+        k = max(map(len, weights))
+        masses = np.array([w + [0.0] * (k - len(w)) for w in weights])
+        cum = np.cumsum(masses, axis=1) / masses.sum(axis=1, keepdims=True)
+        cum[:, -1] = 1.0
+        rows, draws = np.divmod(np.arange(len(cum) * len(keys)), len(keys))
+        draws = np.array(keys)[draws]
+        guide, steps = sampling._guide_table(cum)
+        got = sampling._guided_search(cum, guide, steps, rows, draws)
+        want = [np.searchsorted(cum[r], u, side="right") for r, u in zip(rows, draws)]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("params, n, per_event", [
+        ([SourceParams(epsilon=0.25)] * 8, 3, False), (_SKEWED_LOSSY, 3, False),
+        (_FAINT_LOSSY, 3, True)], ids=["dense", "lossy", "per-event"])
+    def test_run_numbers_its_patterns_like_np_unique(self, params, n, per_event):
+        # The run keeps the table rows its events use, each renumbered by its
+        # rank among them: np.unique's values and inverse.
+        assert _per_event_rule(params, n, 60_000) == per_event
+        run = scattershot_run(haar_random_unitary(8, 3), params, 60_000, n, 5)
+        events = run.records._events
+        table = linalg._pattern_table(8, n, True)
+        rows = np.array([table.index[pattern] for pattern in events.patterns])
+        used, inverse = np.unique(np.concatenate([rows[events.trigger], rows[events.output]]),
+                                  return_inverse=True)
+        assert len(events.pulse) > 5
+        assert np.array_equal(used, rows)
+        assert np.array_equal(inverse, np.concatenate([events.trigger, events.output]))
+
+
 class TestScattershotRun:
     @pytest.mark.parametrize("modes, params, pulses, n, seed", [
         # ideal, unequal sources
@@ -1000,6 +1105,21 @@ class TestScattershotRun:
             tracemalloc.stop()
         assert len({r.trigger for r in run.records}) > 800
         assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_dense_table_run_stays_small(self):
+        # 54,858 events at m=8, n=4, drawn from the 70 inputs' cumulative
+        # matrix of 330 outcomes and its guide table: 4.7 MiB traced.
+        params = [SourceParams(epsilon=0.5)] * 8
+        u = haar_random_unitary(8, 7)
+        assert not _per_event_rule(params, 4, 200_000)
+        tracemalloc.start()
+        try:
+            run = scattershot_run(u, params, 200_000, 4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.records) > 50_000
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_deterministic_sources_retain_every_pulse(self):
         u = haar_random_unitary(3, 27)
