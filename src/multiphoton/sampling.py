@@ -1,10 +1,10 @@
 """Multiphoton interference sampling and the scattershot acquisition loop.
 
-Builds exact output distributions for indistinguishable photons (permanent
-of the transition submatrix) and for the distinguishable-photon reference
-model with one batched Glynn engine, a matrix product over sign vectors per
-input on the shared pattern table of their outcome space, draws output
-samples, and simulates the scattershot pipeline: every pulse each source
+Draws and stores samples on the permanent kernels of ``permanent``.  It
+builds exact output distributions for indistinguishable photons and for
+the distinguishable-photon reference model, each by one call of the
+batched Glynn engine (``permanent._probabilities``), draws output samples
+from them, and simulates the scattershot pipeline: every pulse each source
 may fire, heralded inputs select a random input pattern, and events are
 retained when exactly ``n_select`` heralds and ``n_select`` detected output
 photons coincide.  A run draws only the candidate pulses, where exactly
@@ -16,7 +16,7 @@ many candidates per input, one engine call per run builds every input into
 one matrix of cumulative sums, from which one guided search per batch
 draws every output; where a run meets many inputs for a few events each,
 each candidate's output is drawn on its own by Clifford & Clifford's
-algorithm B, at a cost per event rather than per input.
+algorithm B (``permanent._per_event_outputs``), at a cost per event.
 
 Retained events live in one columnar table (pulse index and pattern ids,
 each distinct pattern held once) from the run, or from a read sample log,
@@ -28,7 +28,6 @@ record only when one is asked for.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -43,13 +42,12 @@ from .linalg import (
     _beyond_str_digits,
     _log_comb,
     _pattern_table,
-    _PatternTable,
     _require_unitary,
     as_occupation,
     count_patterns,
     occupation_to_string,
 )
-from .permanent import _low_table
+from .permanent import _per_event_outputs, _probabilities
 from .rng import _require_integer, derive_rng
 from .sources import SourceParams
 
@@ -90,14 +88,6 @@ _BATCH = 1 << 20
 #   bright m=11, n=4, 1e5 pulses       33.8       25.9     26
 #   faint m=12, n=3, 1e6 pulses        1.00       0.39   3104
 _OUTCOMES_PER_EVENT = 16
-# Events per chunk of the per-event draw, which bounds its working arrays.
-_EVENT_CHUNK = 2048
-# The running sum over modes takes one np.cumsum on chunks of fewer events
-# than this and a loop over modes on wider ones (median us per sum, m=12):
-#   events                            1    62   128   256  2048
-#   np.cumsum(axis=0)                2.3   5.1   8.1  13.9   102
-#   loop cum[i] += cum[i - 1]       13.8   7.9   7.9   8.1  13.4
-_CUMSUM_EVENTS = 128
 
 
 class _Support(NamedTuple):
@@ -181,197 +171,13 @@ def _guard_enumeration(modes: int, photons: int, collisions: bool, caller: str) 
         )
 
 
-# Per input, a sign block (2^k >= 8 sign vectors) holds at most _SIGN_BYTES of
-# (n-1)-photon products, a chunk about _CHUNK_BYTES of them and the grid, and a
-# matrix product at most _GEMM_CELLS multiply-adds, which OpenBLAS runs on one
-# thread.  At m=12 on 2 cores, ms for 5 bright n=4 runs / 200 n=5 inputs: chunk
-# 1024 KiB 37/101, 512 KiB 43/100, 2048 KiB 36/82 at 1.6x the n=4 peak memory.
-_SIGN_BYTES = 1 << 19
-_CHUNK_BYTES = 1 << 20
-_GEMM_CELLS = 1 << 16
-
-
-def _probabilities(u: np.ndarray, inputs: np.ndarray, collisions: bool,
-                   interfering: bool) -> tuple[_PatternTable, np.ndarray]:
-    """Output probabilities of inputs of one photon number, by Glynn's formula.
-
-    ``inputs`` are rows of an occupation array that all hold the same
-    photon number n, and ``u`` must be a checked unitary.  Returns the
-    n-photon pattern table and an unchecked (inputs, outcomes) float64
-    matrix, one row per input over the table's rows.  The rows are raw: with
-    ``collisions=False`` a caller divides them by their sums to normalise.
-
-    Every output T's permanent is 2^-(n-1) sum_d (prod d) prod_(j in T)
-    w_d[j], with w_d the input's sign sums (:func:`_sign_sums`).  For T its
-    (n-1)-photon parent p plus mode c, the sum is cell (p, c) of one product
-    per input, [(prod d) prefix_d[p]] (parents, signs) @ [w_d[c]] (signs,
-    modes); the prefixes grow along the prefix tree per block of sign vectors.
-    Sizes depend on n, m and the model alone, so an input's probabilities
-    do not depend on the chunk, or the matrix, it is built in.
-    """
-    caller = "exact_distribution" if interfering else "distinguishable_distribution"
-    modes = u.shape[0]
-    # re^2 + im^2 rather than abs()**2: keeps the n=1 case bit-identical
-    # between the two models, where they coincide by definition.
-    source = u if interfering else u.real**2 + u.imag**2
-    n = int(inputs[0].sum())
-    _guard_enumeration(modes, n, collisions, caller)
-    *levels, table = [_pattern_table(modes, k, collisions) for k in range(1, n + 1)]
-    signs = 1 << (n - 1)
-    parents = len(levels[-1].cols) if levels else 1
-    block = min(signs, 1 << ((_SIGN_BYTES // (parents * source.itemsize)) | 8).bit_length() - 1)
-    stripe = max(1, _GEMM_CELLS // (block * modes))  # parents per matrix product
-    chunk = max(1, _CHUNK_BYTES // (parents * (block + modes) * source.itemsize))
-    cells = table.parents * modes + table.cols[:, -1]
-    out = np.empty((len(inputs), len(table.cols)))
-    for lo in range(0, len(inputs), chunk):
-        occ = inputs[lo:lo + chunk]
-        sums, plus = _sign_sums(source, occ)
-        grid = np.zeros((len(occ), parents, modes), dtype=source.dtype)
-        for d in range(0, signs, block):
-            w = sums[:, :, d:d + block]
-            terms = np.where(np.arange(d, d + block) < plus, 1.0, -1.0).reshape(1, 1, -1)  # prod d
-            for level in levels:
-                terms = (np.take(terms, level.parents, axis=0)
-                         * np.take(w, level.cols[:, -1], axis=0))
-            for r in range(0, parents, stripe):
-                grid[:, r:r + stripe] += np.matmul(terms[r:r + stripe].transpose(1, 0, 2),
-                                                   w.transpose(1, 2, 0))
-        perms = np.take(grid.reshape(len(occ), -1), cells, axis=1) / signs
-        probs = out[lo:lo + len(occ)]  # a contiguous row per input sums alike in any chunk
-        # |perm|^2 / (prod s_i! prod t_j!) for interfering photons, else perm / prod t_j!
-        weights = perms.real**2 + perms.imag**2 if interfering else np.clip(perms, 0.0, None)
-        norms = [math.prod(map(math.factorial, row)) if interfering else 1 for row in occ.tolist()]
-        probs[...] = weights / (table.factors * np.array(norms)[:, None])
-    return table, out
-
-
-def _sign_sums(source: np.ndarray, occ: np.ndarray) -> tuple[np.ndarray, int]:
-    """Glynn's sums w_d = sum_i d_i r_i of inputs of n photons, with r_i the
-    rows of ``source`` (``u``, or ``|u|^2`` for distinguishable photons) that
-    an input's photons pick, as (modes, inputs, signs) over the 2^(n-1) sign
-    vectors d with d_0 = +1; the first ``plus`` of them have prod d = +1."""
-    modes, n = source.shape[0], int(occ[0].sum())
-    rows = source[np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel())]
-    rows = rows.reshape(len(occ), n, modes).transpose(2, 0, 1)  # (mode, input, photon)
-    sums, plus = _low_table(rows[:, :, 1:].reshape(modes * len(occ), n - 1))
-    sums += rows[:, :, :1].reshape(-1, 1)
-    return sums.reshape(modes, len(occ), -1), plus
-
-
-def _pair_probabilities(u: np.ndarray, inputs: np.ndarray, outputs: np.ndarray, pair_input,
-                        pair_output) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities q for indistinguishable and p for distinguishable
-    photons of each pair k of input S = ``inputs[pair_input[k]]`` and output
-    T = ``outputs[pair_output[k]]``, occupation rows of n photons each:
-    q = |perm(U_ST)|^2 / (prod s! prod t!) and p = perm(|U|^2_ST) / prod t!.
-    Each permanent is 2^-(n-1) sum_d (prod d) prod_(j in T) w_d[j] on the
-    input's sign sums, multiplied out elementwise with the pairs last, in
-    chunks of pairs per chunk of inputs, so no (inputs, outcomes) array is built."""
-    used_in, used_out = np.zeros(len(inputs), dtype=bool), np.zeros(len(outputs), dtype=bool)
-    used_in[pair_input] = used_out[pair_output] = True  # rows no pair names may hold any n
-    pair_input = (np.cumsum(used_in) - 1)[pair_input]
-    pair_output = (np.cumsum(used_out) - 1)[pair_output]
-    inputs, outputs, modes = inputs[used_in], outputs[used_out], u.shape[0]
-    n = int(inputs[0].sum())
-    cols = np.repeat(np.tile(np.arange(modes), len(outputs)), outputs.ravel()).reshape(-1, n)
-    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-    t_factors = factorials[outputs].prod(axis=1)[pair_output]
-    perms = [np.empty(len(pair_input), dtype=complex), np.empty(len(pair_input))]
-    width = max(1, _CHUNK_BYTES // (modes * u.itemsize << (n - 1)))  # inputs of u's sign sums
-    for first in range(0, len(inputs), width):
-        pairs = np.flatnonzero((pair_input >= first) & (pair_input < first + width))
-        for perm, source in zip(perms, (u, u.real**2 + u.imag**2)):  # as in _probabilities
-            sums, plus = _sign_sums(source, inputs[first:first + width])
-            signs = sums.shape[2]
-            sums = np.ascontiguousarray(sums.transpose(2, 1, 0)).reshape(signs, -1)
-            prod_d = np.where(np.arange(signs) < plus, 1.0, -1.0)[:, None]
-            step = max(1, _CHUNK_BYTES // (signs * source.itemsize))
-            for k in np.split(pairs, range(step, len(pairs), step)):
-                # sums[d, i * modes + c] is w_d[c] of input first + i
-                at = (pair_input[k, None] - first) * modes + cols[pair_output[k]]
-                terms = prod_d * np.take(sums, at[:, 0], axis=1)
-                for j in range(1, n):
-                    terms *= np.take(sums, at[:, j], axis=1)
-                # a running sum, which unlike sum() adds in one order for any chunk size
-                perm[k] = np.cumsum(terms, axis=0, out=terms)[-1] / signs
-    s_factors = factorials[inputs].prod(axis=1)[pair_input]
-    return ((perms[0].real**2 + perms[0].imag**2) / (t_factors * s_factors),
-            np.clip(perms[1], 0.0, None) / t_factors)
-
-
-@functools.lru_cache(maxsize=None)  # one entry per photon number, at most 6
-def _subset_lattice(n: int) -> tuple:
-    """Per level k = 1..n-1, the k-subsets of n photons: their bit masks,
-    their members, and each mask without each member."""
-    levels = []
-    for k in range(1, n):
-        members = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-        masks = (1 << members).sum(axis=1)
-        level = (masks, members, masks[:, None] ^ (1 << members))
-        for array in level:  # shared by every caller
-            array.flags.writeable = False
-        levels.append(level)
-    return tuple(levels)
-
-
-def _per_event_outputs(u: np.ndarray, inputs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Each event's output by Clifford & Clifford's algorithm B ("The
-    classical complexity of boson sampling", arXiv:1706.01260), as its
-    ascending occupied modes.
-
-    ``inputs`` holds each event's n occupied input modes and ``uniforms``
-    its 2n numbers in [0, 1): the argsort of the first n orders the photons
-    uniformly at random, and number n + k draws the output mode r_k of
-    photon k in that order.  With s_l the input mode of photon l, mode i
-    has weight |sum_(l<=k) u[s_l, i] perm(M_l)|^2, where M_l holds modes
-    r_0..r_(k-1) against photons 0..k without photon l; r_k is the first
-    mode whose cumulative weight reaches (1 - number) times the total, so
-    it has positive weight.  Per event, the permanents of the k modes drawn
-    so far against every k-subset of the photons are kept, and grown by one
-    mode with a Laplace expansion along its row.  The events are drawn in
-    chunks of ``_EVENT_CHUNK``, each in elementwise operations alone, so an
-    event's output does not depend on the chunk it is drawn in.
-    """
-    events, n = inputs.shape
-    levels = _subset_lattice(n)
-    out = np.empty((n, events), dtype=np.intp)  # arrays run over events last
-    for lo in range(0, events, _EVENT_CHUNK):
-        chunk = uniforms[lo:lo + _EVENT_CHUNK]
-        order = np.argsort(chunk[:, :n], axis=1, kind="stable")
-        photons = inputs[lo + np.arange(len(chunk)), order.T]  # photons[l, e]: s_l
-        thresholds = 1.0 - chunk[:, n:].T  # thresholds[k, e]: 1 - number n + k
-        rows = u.T[:, photons]  # rows[i, l, e]: photon l's amplitude to exit in mode i
-        perms = np.zeros((1 << n, len(chunk)), dtype=u.dtype)  # by subset bit mask
-        perms[0] = 1.0
-        drawn = out[:, lo:lo + len(chunk)]
-        for k in range(n):
-            first = (2 << k) - 1  # photons 0..k
-            amplitude = rows[:, 0] * perms[first ^ 1] if k else rows[:, 0]  # perms[0] is 1
-            for l in range(1, k + 1):
-                amplitude += rows[:, l] * perms[first ^ (1 << l)]
-            cum = amplitude.real**2 + amplitude.imag**2
-            if len(chunk) < _CUMSUM_EVENTS:  # both add mode by mode, in one order
-                np.cumsum(cum, axis=0, out=cum)
-            else:
-                for i in range(1, len(cum)):
-                    cum[i] += cum[i - 1]
-            drawn[k] = (cum < thresholds[k] * cum[-1]).sum(axis=0)
-            if k + 1 < n:
-                row = u[photons, drawn[k]]  # row[l, e]: u[s_l, r_k]
-                masks, members, parents = levels[k]
-                grown = row[members[:, 0]] * perms[parents[:, 0]]
-                for j in range(1, k + 1):
-                    grown += row[members[:, j]] * perms[parents[:, j]]
-                perms[masks] = grown
-    return np.sort(out.T, axis=1)
-
-
 def _distribution(u: np.ndarray, input_pattern, collisions: bool,
                   interfering: bool) -> OutcomeDistribution:
     """One input's OutcomeDistribution on the shared pattern table, by
     :func:`_probabilities`; with ``collisions=False`` divided by its sum."""
     occ = np.array([as_occupation(input_pattern, u.shape[0])])
+    caller = "exact_distribution" if interfering else "distinguishable_distribution"
+    _guard_enumeration(u.shape[0], int(occ.sum()), collisions, caller)
     table, probs = _probabilities(u, occ, collisions, interfering)
     if not collisions:
         total = probs.sum(axis=1, keepdims=True)

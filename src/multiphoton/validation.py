@@ -19,15 +19,13 @@ import numpy as np
 
 from .errors import ContractError, DataError, DimensionError
 from .linalg import _require_unitary, count_patterns
+from .permanent import _CHUNK_BYTES, _pair_probabilities, _probabilities
 from .sampling import (
-    _CHUNK_BYTES,
     OutcomeDistribution,
     SampleRecord,
     _events_from_records,
     _guard_enumeration,
     _numbered_patterns,
-    _pair_probabilities,
-    _probabilities,
 )
 
 __all__ = [
@@ -298,7 +296,7 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
 
     Each distinct pattern of the event table is checked once, and both
     models are evaluated only at the distinct (group, output) pairs the
-    records hold (``sampling._pair_probabilities``), so memory and time grow
+    records hold (``permanent._pair_probabilities``), so memory and time grow
     with the pairs observed, not with the groups times the outcomes.  With
     ``collisions=False`` each group's probabilities are divided by its
     collision-free masses, summed from the engine's rows a chunk of groups

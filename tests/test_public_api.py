@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import importlib
 import inspect
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
 import multiphoton
+from multiphoton import permanent, sampling
 from multiphoton.sources import SourceParams, tune_correlation_angle
 
 # Names deleted because nothing read them or they only repeated another name.
@@ -87,3 +90,27 @@ def test_names_the_benchmark_calls_exist(name):
     module = importlib.import_module(name)
     for attr in BENCHMARK_CALLS[name]:
         assert callable(attrgetter(attr)(module)), f"{name}.{attr}"
+
+
+# Every permanent kernel lives in ``permanent``, beside its oracle, with the
+# constants that size it; ``sampling`` and ``validation`` import them.
+KERNELS = ("_low_table", "_glynn", "_sign_sums", "_probabilities", "_pair_probabilities",
+           "_subset_lattice", "_per_event_outputs")
+KERNEL_CONSTANTS = ("_SIGN_BYTES", "_CHUNK_BYTES", "_GEMM_CELLS", "_EVENT_CHUNK",
+                    "_CUMSUM_EVENTS")
+
+
+def test_permanent_kernels_live_in_permanent():
+    for name in KERNELS:
+        assert getattr(permanent, name).__module__ == "multiphoton.permanent", name
+    for name in KERNEL_CONSTANTS:
+        assert hasattr(permanent, name) and not hasattr(sampling, name), name
+    tree = ast.parse(Path(permanent.__file__).read_text())
+    package = set()  # the modules of this package that permanent.py imports
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            package |= {name for name in names if name.split(".")[0] == "multiphoton"}
+    assert package <= {"errors", "linalg", "rng"}, package

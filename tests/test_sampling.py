@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multiphoton import cli, linalg, sampling, sources
+from multiphoton import cli, linalg, permanent, sampling, sources
 from multiphoton.errors import ContractError, DataError, ResourceLimitError
 from multiphoton.linalg import (
     enumerate_patterns,
@@ -146,6 +146,26 @@ class TestExactDistribution:
         with pytest.raises(ResourceLimitError):
             exact_distribution(np.eye(8), (1,) * 7 + (0,))
 
+    @pytest.mark.parametrize("builder", [exact_distribution, distinguishable_distribution])
+    def test_limits_are_refused_before_the_engine(self, builder, monkeypatch):
+        # The engine checks no limit: each builder guards its one input.
+        def engine(*args):
+            raise AssertionError("the engine was reached")
+
+        monkeypatch.setattr(sampling, "_probabilities", engine)
+        name = builder.__name__
+        refusals = [
+            ((0, 0, 0), ContractError, f"{name} needs at least one photon in the input"),
+            ((1,) * 7 + (0,), ResourceLimitError,
+             f"{name} handles at most 6 photons, got 7; use sampled estimates for larger systems"),
+            ((1,) * 6 + (0,) * 54, ResourceLimitError,
+             "enumerating 82598880 output patterns exceeds the 1000000 limit; "
+             "use sampled estimates instead"),
+        ]
+        for occ, error, message in refusals:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                builder(np.eye(len(occ)), occ)
+
     def test_non_unitary_rejected(self):
         # renormalizing the collision-free outputs would hide this defect
         with pytest.raises(ContractError):
@@ -233,16 +253,16 @@ class TestGlynnEngine:
     def test_batch_invariance_across_all_four_photon_inputs(self, interfering, monkeypatch):
         u = haar_random_unitary(12, 41)
         inputs = np.array([o for o in enumerate_patterns(12, 4, False)])
-        _, together = sampling._probabilities(u, inputs, True, interfering)
+        _, together = permanent._probabilities(u, inputs, True, interfering)
         assert len(together) == 495
         for k, occ in enumerate(inputs):
             alone = _builder(interfering)(u, occ)
             assert np.array_equal(alone.probabilities, together[k])
         # one block of all 8 sign vectors over the 364 three-photon parents,
         # in chunks of 7 complex (14 real) inputs, so chunk boundaries fall elsewhere
-        monkeypatch.setattr(sampling, "_CHUNK_BYTES", 7 * 364 * (8 + 12) * 16)
+        monkeypatch.setattr(permanent, "_CHUNK_BYTES", 7 * 364 * (8 + 12) * 16)
         picked = [3, 4, 5, 200, 494, 0, 17, 18, 300, 301]
-        _, chunked = sampling._probabilities(u, inputs[picked], True, interfering)
+        _, chunked = permanent._probabilities(u, inputs[picked], True, interfering)
         for k, row in zip(picked, chunked):
             assert np.array_equal(row, together[k])
 
@@ -251,8 +271,8 @@ class TestGlynnEngine:
         inputs = np.array([(1, 1, 1, 1, 1, 1, 0, 0), (2, 0, 1, 0, 3, 0, 0, 0),
                            (0, 0, 1, 1, 1, 1, 1, 1)])
         alone = [exact_distribution(u, occ, False) for occ in inputs]
-        monkeypatch.setattr(sampling, "_CHUNK_BYTES", 1 << 30)
-        table, together = sampling._probabilities(u, inputs, False, True)
+        monkeypatch.setattr(permanent, "_CHUNK_BYTES", 1 << 30)
+        table, together = permanent._probabilities(u, inputs, False, True)
         together /= together.sum(axis=1, keepdims=True)  # as the builder normalises
         for a, row in zip(alone, together):
             assert a._support is table
@@ -265,16 +285,16 @@ class TestGlynnEngine:
         u = haar_random_unitary(modes, 44)
         patterns = enumerate_patterns(modes, n)
         inputs = np.array([patterns[k] for k in np.linspace(0, len(patterns) - 1, 11).astype(int)])
-        _, whole = sampling._probabilities(u, inputs, True, interfering)
+        _, whole = permanent._probabilities(u, inputs, True, interfering)
         # blocks of 8 sign vectors, 2 at n=5 and 4 at n=6, and chunks of
         # 1, 5 complex (10 real) and all inputs
-        monkeypatch.setattr(sampling, "_SIGN_BYTES", 1)
+        monkeypatch.setattr(permanent, "_SIGN_BYTES", 1)
         per_input = math.comb(modes + n - 2, n - 1) * (8 + modes) * 16
         builds = []
         for chunk_bytes in (1, 5 * per_input, 1 << 40):
-            monkeypatch.setattr(sampling, "_CHUNK_BYTES", chunk_bytes)
-            builds.append(sampling._probabilities(u, inputs, True, interfering)[1])
-        builds += [np.concatenate([sampling._probabilities(u, inputs[k:k + 1], True, interfering)[1]
+            monkeypatch.setattr(permanent, "_CHUNK_BYTES", chunk_bytes)
+            builds.append(permanent._probabilities(u, inputs, True, interfering)[1])
+        builds += [np.concatenate([permanent._probabilities(u, inputs[k:k + 1], True, interfering)[1]
                                    for k in range(len(inputs))])]
         for split in builds[1:]:
             assert np.array_equal(split, builds[0])
@@ -288,10 +308,10 @@ class TestGlynnEngine:
         inputs = np.array(enumerate_patterns(12, 4, False))
         five = np.array(enumerate_patterns(12, 5, False))
         exact_distribution(u, (1,) * 6 + (0,) * 6)  # pattern tables cached first
-        sampling._probabilities(u, inputs[:1], True, True)
-        sampling._probabilities(u, five[:1], False, True)
-        for build in (lambda: sampling._probabilities(u, inputs, True, True),
-                      lambda: sampling._probabilities(u, five, False, True),
+        permanent._probabilities(u, inputs[:1], True, True)
+        permanent._probabilities(u, five[:1], False, True)
+        for build in (lambda: permanent._probabilities(u, inputs, True, True),
+                      lambda: permanent._probabilities(u, five, False, True),
                       lambda: exact_distribution(u, (1,) * 6 + (0,) * 6)):
             tracemalloc.start()
             try:
@@ -325,7 +345,7 @@ class TestPairProbabilities:
         modes = 6
         u = haar_random_unitary(modes, 600 + n)
         inputs, outputs, pair_input, pair_output = self.pairs(modes, n)
-        q, p = sampling._pair_probabilities(u, inputs, outputs, pair_input, pair_output)
+        q, p = permanent._pair_probabilities(u, inputs, outputs, pair_input, pair_output)
         for k, (i, o) in enumerate(zip(pair_input.tolist(), pair_output.tolist())):
             occ, out = tuple(inputs[i].tolist()), tuple(outputs[o].tolist())
             amp = permanent_naive(transition_submatrix(u, occ, out))
@@ -341,10 +361,10 @@ class TestPairProbabilities:
     def test_each_pair_independent_of_the_others(self, monkeypatch):
         u = haar_random_unitary(6, 605)
         inputs, outputs, pair_input, pair_output = self.pairs(6, 5)
-        together = sampling._pair_probabilities(u, inputs, outputs, pair_input, pair_output)
-        monkeypatch.setattr(sampling, "_CHUNK_BYTES", 1)  # one pair per chunk
+        together = permanent._pair_probabilities(u, inputs, outputs, pair_input, pair_output)
+        monkeypatch.setattr(permanent, "_CHUNK_BYTES", 1)  # one pair per chunk
         for k in (0, 7, len(pair_input) - 1):
-            alone = sampling._pair_probabilities(u, inputs, outputs, pair_input[k:k + 1],
+            alone = permanent._pair_probabilities(u, inputs, outputs, pair_input[k:k + 1],
                                                  pair_output[k:k + 1])
             assert (alone[0][0], alone[1][0]) == (together[0][k], together[1][k])
 
@@ -359,9 +379,9 @@ class TestPairProbabilities:
         pair_input, pair_output = np.divmod(np.arange(len(inputs) * len(outputs)), len(outputs))
         order = np.random.default_rng(3).permutation(len(pair_input))
         pairs = (u, inputs, outputs, pair_input[order], pair_output[order])
-        whole = sampling._pair_probabilities(*pairs)
-        monkeypatch.setattr(sampling, "_CHUNK_BYTES", chunk_bytes)
-        chunked = sampling._pair_probabilities(*pairs)
+        whole = permanent._pair_probabilities(*pairs)
+        monkeypatch.setattr(permanent, "_CHUNK_BYTES", chunk_bytes)
+        chunked = permanent._pair_probabilities(*pairs)
         assert np.array_equal(whole[0], chunked[0]) and np.array_equal(whole[1], chunked[1])
 
 
@@ -990,7 +1010,7 @@ class TestScattershotRun:
         assert len(reference) > 20
         assert result.records == reference
 
-    @pytest.mark.parametrize("chunk", [1, 7, sampling._CUMSUM_EVENTS])
+    @pytest.mark.parametrize("chunk", [1, 7, permanent._CUMSUM_EVENTS])
     def test_event_chunk_does_not_change_the_run(self, chunk, small_batch, monkeypatch):
         # Both paths at three and four photons.  On the table path a later
         # batch brings an input no earlier batch drew, yet draws from the
@@ -1007,7 +1027,7 @@ class TestScattershotRun:
         assert not _batch_inputs(_FAINT_LOSSY, 3, 5, _FAINT_PULSES)[-1]
         u = haar_random_unitary(8, 48)
         default = [scattershot_run(u, params, _FAINT_PULSES, n, 5) for params, n, _ in cases]
-        monkeypatch.setattr(sampling, "_EVENT_CHUNK", chunk)
+        monkeypatch.setattr(permanent, "_EVENT_CHUNK", chunk)
         for (params, n, _), want in zip(cases, default):
             run = scattershot_run(u, params, _FAINT_PULSES, n, 5)
             assert run.report == want.report
@@ -1308,7 +1328,7 @@ class TestPerEventDraw:
         occupied = np.sort(np.random.default_rng(n).choice(modes, n, replace=False))
         draws = 100_000
         uniforms = np.random.default_rng(modes + n).random((draws, 2 * n))
-        outputs = sampling._per_event_outputs(u, np.tile(occupied, (draws, 1)), uniforms)
+        outputs = permanent._per_event_outputs(u, np.tile(occupied, (draws, 1)), uniforms)
         table = linalg._pattern_table(modes, n, True)
         counts = np.bincount(table.rows(outputs), minlength=len(table.cols))
         probs = exact_distribution(u, np.bincount(occupied, minlength=modes)).probabilities
@@ -1326,14 +1346,14 @@ class TestPerEventDraw:
         u = haar_random_unitary(12, 60 + n)
         inputs = np.sort(rng.random((3000, 12)).argsort(axis=1)[:, :n], axis=1)
         uniforms = rng.random((3000, 2 * n))
-        whole = sampling._per_event_outputs(u, inputs, uniforms)
-        single = [sampling._per_event_outputs(u, inputs[e:e + 1], uniforms[e:e + 1])
+        whole = permanent._per_event_outputs(u, inputs, uniforms)
+        single = [permanent._per_event_outputs(u, inputs[e:e + 1], uniforms[e:e + 1])
                   for e in range(len(inputs))]
         assert np.array_equal(np.concatenate(single), whole)
-        crossover = sampling._CUMSUM_EVENTS
+        crossover = permanent._CUMSUM_EVENTS
         for chunk in (crossover - 1, crossover, crossover + 1):
-            monkeypatch.setattr(sampling, "_EVENT_CHUNK", chunk)
-            assert np.array_equal(sampling._per_event_outputs(u, inputs, uniforms), whole)
+            monkeypatch.setattr(permanent, "_EVENT_CHUNK", chunk)
+            assert np.array_equal(permanent._per_event_outputs(u, inputs, uniforms), whole)
 
     @pytest.mark.parametrize("modes", [2, 5, 12, 16])
     def test_cumsum_adds_in_the_loop_order(self, modes):
@@ -1341,7 +1361,7 @@ class TestPerEventDraw:
         # on chunks either side of the crossover.  Weights spanning many
         # orders of magnitude make a different summation order show.
         rng = np.random.default_rng(modes)
-        for events in (1, 62, sampling._CUMSUM_EVENTS - 1, sampling._CUMSUM_EVENTS, 2048):
+        for events in (1, 62, permanent._CUMSUM_EVENTS - 1, permanent._CUMSUM_EVENTS, 2048):
             weights = rng.random((modes, events)) * 10.0 ** rng.uniform(-8, 8, (modes, events))
             looped = weights.copy()
             for i in range(1, modes):
