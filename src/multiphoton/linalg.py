@@ -68,7 +68,8 @@ def _is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     if rows != cols:
         raise DimensionError(f"unitarity check needs a square matrix, got {rows}x{cols}")
     gram = u.conj().T @ u
-    deviation = np.abs(gram - np.eye(rows)).max() if rows else 0.0
+    gram.flat[::rows + 1] -= 1.0  # U†U - I, in place
+    deviation = np.abs(gram).max() if rows else 0.0
     return bool(deviation <= tol)
 
 
@@ -227,9 +228,9 @@ def save_matrix(path, matrix, meta: dict | None = None) -> None:
     }
     if meta is not None:
         doc["meta"] = meta
+    text = json.dumps(doc, separators=(",", ":")) + "\n"  # one write, not json.dump's many
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=None, separators=(",", ":"), sort_keys=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 class _PatternTable:

@@ -58,8 +58,16 @@ _POOL_MIN_N = 21
 _SIGN_BYTES = 1 << 19
 _CHUNK_BYTES = 1 << 20
 _GEMM_CELLS = 1 << 16
-# Events per chunk of the per-event draw, which bounds its working arrays.
-_EVENT_CHUNK = 2048
+# Events per chunk of the per-event draw, which bounds its working arrays:
+# about 2.5 KiB per event at m=12, n=4 and 3.6 KiB at m=12, n=6.  Chunks
+# wider than 512 events save at most 4% of the time at twice the memory or
+# more, narrower ones pay the fixed cost per chunk, about 0.2-0.35 ms (median
+# ms / traced MiB of one call, 2 cores):
+#   events per chunk               256          512         1024         2048
+#   m=12, n=4, 8424 events   11.7 / 0.66   9.5 / 1.26   9.1 / 2.45  10.2 / 4.82
+#   m=16, n=5, 11698 events  25.8 / 1.05  24.2 / 2.00  23.3 / 3.90  24.2 / 7.69
+#   m=12, n=6, 2000 events    6.5 / 1.03   4.8 / 2.04   4.9 / 4.00   5.8 / 7.28
+_EVENT_CHUNK = 512
 # The running sum over modes takes one np.cumsum on chunks of fewer events
 # than this and a loop over modes on wider ones (median us per sum, m=12):
 #   events                            1    62   128   256  2048
@@ -328,36 +336,44 @@ def _subset_lattice(n: int) -> tuple:
     return tuple(levels)
 
 
-def _per_event_outputs(u: np.ndarray, inputs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _per_event_outputs(u: np.ndarray, table: _PatternTable, inputs: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
     """Each event's output by Clifford & Clifford's algorithm B ("The
-    classical complexity of boson sampling", arXiv:1706.01260), as its
-    ascending occupied modes.
+    classical complexity of boson sampling", arXiv:1706.01260), as its row
+    of ``table``, the n-photon pattern table with collisions.
 
-    ``inputs`` holds each event's n occupied input modes and ``uniforms``
-    its 2n numbers in [0, 1): the argsort of the first n orders the photons
-    uniformly at random, and number n + k draws the output mode r_k of
-    photon k in that order.  With s_l the input mode of photon l, mode i
-    has weight |sum_(l<=k) u[s_l, i] perm(M_l)|^2, where M_l holds modes
-    r_0..r_(k-1) against photons 0..k without photon l; r_k is the first
-    mode whose cumulative weight reaches (1 - number) times the total, so
-    it has positive weight.  Per event, the permanents of the k modes drawn
-    so far against every k-subset of the photons are kept, and grown by one
-    mode with a Laplace expansion along its row.  The events are drawn in
-    chunks of ``_EVENT_CHUNK``, each in elementwise operations alone, so an
-    event's output does not depend on the chunk it is drawn in.
+    ``inputs`` holds each event's input as a row of ``table``, and each
+    event takes 2n numbers in [0, 1) from ``rng``: the argsort of the first
+    n orders the photons uniformly at random, and number n + k draws the
+    output mode r_k of photon k in that order.  With s_l the input mode of
+    photon l, mode i has weight |sum_(l<=k) u[s_l, i] perm(M_l)|^2, where
+    M_l holds modes r_0..r_(k-1) against photons 0..k without photon l; r_k
+    is the first mode whose cumulative weight reaches (1 - number) times the
+    total, so it has positive weight.  Per event, the permanents of the k
+    modes drawn so far against every k-subset of the photons are kept, and
+    grown by one mode with a Laplace expansion along its row.
+
+    The events go in chunks of ``_EVENT_CHUNK``.  Each chunk draws its
+    numbers just before its kernel; consecutive ``Generator.random`` calls
+    continue one stream, so they are the numbers one draw for every event
+    would give.  It numbers its outputs as soon as they are drawn, so only
+    the input and output rows outlive a chunk.  Each chunk runs in
+    elementwise operations alone, so an event's output does not depend on
+    the chunk it is drawn in.
     """
-    events, n = inputs.shape
+    n = table.cols.shape[1]
     levels = _subset_lattice(n)
-    out = np.empty((n, events), dtype=np.intp)  # arrays run over events last
-    for lo in range(0, events, _EVENT_CHUNK):
-        chunk = uniforms[lo:lo + _EVENT_CHUNK]
-        order = np.argsort(chunk[:, :n], axis=1, kind="stable")
-        photons = inputs[lo + np.arange(len(chunk)), order.T]  # photons[l, e]: s_l
-        thresholds = 1.0 - chunk[:, n:].T  # thresholds[k, e]: 1 - number n + k
+    out = np.empty(len(inputs), dtype=np.intp)
+    for lo in range(0, len(inputs), _EVENT_CHUNK):
+        chunk = inputs[lo:lo + _EVENT_CHUNK]
+        numbers = rng.random((len(chunk), 2 * n))
+        order = np.argsort(numbers[:, :n], axis=1, kind="stable")
+        photons = table.cols[chunk, order.T]  # photons[l, e]: s_l; arrays run over events last
+        thresholds = 1.0 - numbers[:, n:].T  # thresholds[k, e]: 1 - number n + k
         rows = u.T[:, photons]  # rows[i, l, e]: photon l's amplitude to exit in mode i
         perms = np.zeros((1 << n, len(chunk)), dtype=u.dtype)  # by subset bit mask
         perms[0] = 1.0
-        drawn = out[:, lo:lo + len(chunk)]
+        drawn = np.empty((n, len(chunk)), dtype=np.intp)
         for k in range(n):
             first = (2 << k) - 1  # photons 0..k
             amplitude = rows[:, 0] * perms[first ^ 1] if k else rows[:, 0]  # perms[0] is 1
@@ -377,4 +393,5 @@ def _per_event_outputs(u: np.ndarray, inputs: np.ndarray, uniforms: np.ndarray) 
                 for j in range(1, k + 1):
                     grown += row[members[:, j]] * perms[parents[:, j]]
                 perms[masks] = grown
-    return np.sort(out.T, axis=1)
+        out[lo:lo + len(chunk)] = table.rows(np.sort(drawn, axis=0).T)
+    return out

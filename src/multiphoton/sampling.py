@@ -544,9 +544,9 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     generator: the candidate count ~ Binomial(size, P_cand), their pulse
     offsets without replacement, each one's heralding set by one
     ``searchsorted`` on the cumulative subset weights, then the candidates'
-    output uniforms, one each for tables and 2 * n_select per event.  The
-    batch's outputs are drawn next, and thinned by the same generator when
-    a detector is lossy.  The run takes one path throughout, chosen from
+    output uniforms, one each for tables and 2 * n_select per event, and
+    their outputs.  The outputs are thinned by the same generator when a
+    detector is lossy.  The run takes one path throughout, chosen from
     the sources, m, n and min(pulses, 2**20) alone (``_per_event_path``):
     tables where a batch expects each input to draw at least K/16
     candidates, K the outcome count, and the per-event draw otherwise.
@@ -561,10 +561,15 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     * Per event: one call per batch draws its candidates' outputs by
       Clifford & Clifford's algorithm B (see ``_per_event_outputs``), in
       chunks of a fixed number of events, with no table of probabilities.
-      Its cost grows with the events, not with the distinct inputs.
+      Each chunk draws its uniforms right before its kernel runs, so the
+      stream is that of one draw per batch.  Its cost grows with the
+      events, not with the distinct inputs.
 
     Besides its events, the cumulative matrix and guide, a run holds one
-    batch's candidates at a time, so its working state does not grow with its length.
+    batch's candidates at a time, so its working state does not grow with
+    its length.  A per-event batch holds only its candidates' integer
+    columns: pulse offsets, heralding sets, and input and output rows of the
+    pattern table.  Its floats live in one chunk of events at a time.
 
     The events are kept as a columnar table; ``records`` on the result is
     a read-only view of it.  Deterministic given the seed, and the same for
@@ -611,11 +616,10 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
         if not candidates.size:
             continue
         trigger_rows = draw.rows[subsets]
-        draws = rng.random((candidates.size, 2 * n_select) if per_event else candidates.size)
         if per_event:
-            picks = table.rows(_per_event_outputs(u, table.cols[trigger_rows], draws))
+            picks = _per_event_outputs(u, table, trigger_rows, rng)
         else:
-            picks = _guided_search(cum, guide, steps, subsets, draws)
+            picks = _guided_search(cum, guide, steps, subsets, rng.random(candidates.size))
         if not perfect_detectors:
             # Thinning keeps n_select photons only where it removes none,
             # so a retained output is the pattern drawn for it.

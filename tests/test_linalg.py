@@ -40,6 +40,18 @@ class TestCheckUnitary:
         with pytest.raises(DimensionError):
             check_unitary(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("modes, scale", [(1, 1e-3), (4, 1e-9), (12, 1e-6), (30, 1e-12)])
+    def test_tolerance_is_the_exact_deviation(self, modes, scale):
+        # max |U†U - I| by its defining formula: tol at the deviation passes,
+        # one ulp below it fails.
+        rng = np.random.default_rng(modes)
+        m = haar_random_unitary(modes, modes) + scale * (
+            rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes)))
+        d = np.abs(m.conj().T @ m - np.eye(modes)).max()
+        assert d > 0
+        assert check_unitary(m, tol=d)
+        assert not check_unitary(m, tol=np.nextafter(d, 0))
+
 
 class TestHaarRandomUnitary:
     def test_postcondition_at_paper_scale(self):
@@ -167,6 +179,23 @@ class TestMatrixFile:
         path = tmp_path / "u.json"
         save_matrix(path, a, meta={"seed": 9})
         assert np.array_equal(load_matrix(path), a)
+
+    def test_writes_the_bytes_of_json_dump(self, tmp_path):
+        a = np.array([[-0.0, complex(5e-324, 1e300)],
+                      [complex(0.0, 2.2250738585072014e-308), complex(-1e-310, -0.0)]])
+        meta = {"seed": 9, "note": "caf\u00e9", "nested": [1.5, None, True]}
+        for path, kept in ((tmp_path / "plain.json", None), (tmp_path / "meta.json", meta)):
+            save_matrix(path, a, meta=kept)
+            doc = {"rows": 2, "cols": 2,
+                   "entries": [[float(z.real), float(z.imag)] for z in a.ravel()]}
+            if kept is not None:
+                doc["meta"] = kept
+            want = tmp_path / "want.json"
+            with open(want, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=None, separators=(",", ":"), sort_keys=False)
+                fh.write("\n")
+            assert path.read_bytes() == want.read_bytes()
+            assert np.array_equal(load_matrix(path), a)
 
     def test_rejects_non_finite(self, tmp_path):
         path = tmp_path / "bad.json"

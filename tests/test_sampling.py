@@ -1010,13 +1010,13 @@ class TestScattershotRun:
         assert len(reference) > 20
         assert result.records == reference
 
-    @pytest.mark.parametrize("chunk", [1, 7, permanent._CUMSUM_EVENTS])
+    @pytest.mark.parametrize("chunk", [1, 7, permanent._CUMSUM_EVENTS, _TEST_BATCH])
     def test_event_chunk_does_not_change_the_run(self, chunk, small_batch, monkeypatch):
         # Both paths at three and four photons.  On the table path a later
         # batch brings an input no earlier batch drew, yet draws from the
         # tables built before the first; the per-event path draws in chunks
-        # of ``chunk``, and the faint run's last, partial batch has no
-        # candidate.
+        # of ``chunk``, which at _TEST_BATCH holds every candidate of a
+        # batch, and the faint run's last, partial batch has no candidate.
         cases = [(_SKEWED_LOSSY, 3, False), (_SKEWED_LOSSY, 4, False),
                  (_FAINT_LOSSY, 3, True), (_FOUR_LOSSY, 4, True)]
         for params, n, per_event in cases:
@@ -1125,6 +1125,22 @@ class TestScattershotRun:
             tracemalloc.stop()
         assert len({r.trigger for r in run.records}) > 800
         assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_bright_per_event_run_stays_small(self):
+        # 8,424 events at m=12, n=4, drawn per event in chunks of
+        # _EVENT_CHUNK: the batch keeps its candidates' integer columns, and
+        # each chunk's uniforms and working arrays last for that chunk alone.
+        params = [SourceParams.from_lumped_efficiency(0.3, 0.81)] * 12
+        u = haar_random_unitary(12, 13)
+        assert _per_event_rule(params, 4, 60_000)
+        tracemalloc.start()
+        try:
+            run = scattershot_run(u, params, 60_000, 4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.records) > 8_000
+        assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_dense_table_run_stays_small(self):
         # 54,858 events at m=8, n=4, drawn from the 70 inputs' cumulative
@@ -1327,10 +1343,10 @@ class TestPerEventDraw:
         u = haar_random_unitary(modes, 50 + n)
         occupied = np.sort(np.random.default_rng(n).choice(modes, n, replace=False))
         draws = 100_000
-        uniforms = np.random.default_rng(modes + n).random((draws, 2 * n))
-        outputs = permanent._per_event_outputs(u, np.tile(occupied, (draws, 1)), uniforms)
         table = linalg._pattern_table(modes, n, True)
-        counts = np.bincount(table.rows(outputs), minlength=len(table.cols))
+        inputs = np.repeat(table.rows(occupied[None]), draws)
+        outputs = permanent._per_event_outputs(u, table, inputs, np.random.default_rng(modes + n))
+        counts = np.bincount(outputs, minlength=len(table.cols))
         probs = exact_distribution(u, np.bincount(occupied, minlength=modes)).probabilities
         pvalue, tv, ideal = goodness_of_fit(counts, probs)
         assert pvalue > 1e-3
@@ -1339,21 +1355,24 @@ class TestPerEventDraw:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_running_sum_crossover_keeps_every_draw(self, n, monkeypatch):
         # Chunks of fewer than _CUMSUM_EVENTS events sum with np.cumsum and
-        # wider ones with a loop over modes: one call over 3000 events (two
-        # wide chunks) equals single-event calls and chunks just below, at
-        # and just above the crossover, bit for bit.
+        # wider ones with a loop over modes: one call over 3000 events (wide
+        # chunks) equals single-event calls on one generator and chunks just
+        # below, at and just above the crossover, bit for bit.
         rng = np.random.default_rng(60 + n)
         u = haar_random_unitary(12, 60 + n)
-        inputs = np.sort(rng.random((3000, 12)).argsort(axis=1)[:, :n], axis=1)
-        uniforms = rng.random((3000, 2 * n))
-        whole = permanent._per_event_outputs(u, inputs, uniforms)
-        single = [permanent._per_event_outputs(u, inputs[e:e + 1], uniforms[e:e + 1])
+        table = linalg._pattern_table(12, n, True)
+        inputs = table.rows(np.sort(rng.random((3000, 12)).argsort(axis=1)[:, :n], axis=1))
+        assert len(inputs) > 2 * permanent._EVENT_CHUNK >= 2 * permanent._CUMSUM_EVENTS
+        whole = permanent._per_event_outputs(u, table, inputs, np.random.default_rng(n))
+        stream = np.random.default_rng(n)
+        single = [permanent._per_event_outputs(u, table, inputs[e:e + 1], stream)
                   for e in range(len(inputs))]
         assert np.array_equal(np.concatenate(single), whole)
         crossover = permanent._CUMSUM_EVENTS
         for chunk in (crossover - 1, crossover, crossover + 1):
             monkeypatch.setattr(permanent, "_EVENT_CHUNK", chunk)
-            assert np.array_equal(permanent._per_event_outputs(u, inputs, uniforms), whole)
+            assert np.array_equal(
+                permanent._per_event_outputs(u, table, inputs, np.random.default_rng(n)), whole)
 
     @pytest.mark.parametrize("modes", [2, 5, 12, 16])
     def test_cumsum_adds_in_the_loop_order(self, modes):
