@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .errors import ContractError, DataError, DimensionError
-from .rng import derive_rng
+from .rng import _require_integer, derive_rng
 
 __all__ = [
     "as_complex_matrix",
@@ -91,10 +91,11 @@ def haar_random_unitary(modes: int, seed: int) -> np.ndarray:
     Parameters
     ----------
     modes : int
-        Matrix dimension, at least 1.
+        Matrix dimension, at least 1: an int or a numpy integer, not a bool.
     seed : int
         Root seed; the same seed always returns the same matrix.
     """
+    _require_integer("modes", modes)
     if modes < 1:
         raise DimensionError("a unitary needs at least one mode")
     rng = derive_rng(seed, "haar-unitary")

@@ -13,6 +13,9 @@ no code with them:
                        number (the prefix-tree engine)        long-double Ryser build
   _pair_probabilities  both models at (input, output) pairs   permanent_naive; the exact
                                                               distributions' rows
+  _collision_free_masses
+                       both models' masses on the collision-  permanent_naive; the
+                       free outputs of inputs                 engine's per-input rows
   _per_event_outputs   one output per event (Clifford &       permanent_naive
                        Clifford's algorithm B)
 
@@ -33,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import ContractError, DimensionError, ResourceLimitError
-from .linalg import _pattern_table, _PatternTable, as_complex_matrix
+from .linalg import _pattern_table, _PatternTable, as_complex_matrix, count_patterns
 from .rng import _require_integer
 
 __all__ = ["permanent_naive", "permanent_ryser", "permanent_parallel"]
@@ -319,6 +322,20 @@ def _pair_probabilities(u: np.ndarray, inputs: np.ndarray, outputs: np.ndarray, 
     s_factors = factorials[inputs].prod(axis=1)[pair_input]
     return ((perms[0].real**2 + perms[0].imag**2) / (t_factors * s_factors),
             np.clip(perms[1], 0.0, None) / t_factors)
+
+
+def _collision_free_masses(u: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """The (2, inputs) totals of q and of p over the collision-free outputs
+    of inputs of one photon number, each input's row of :func:`_probabilities`
+    summed, about ``_CHUNK_BYTES`` of rows at a time."""
+    n = int(inputs[0].sum())
+    step = max(1, _CHUNK_BYTES // (8 * count_patterns(u.shape[0], n, False)))
+    masses = np.empty((2, len(inputs)))
+    for mass, interfering in zip(masses, (True, False)):
+        for lo in range(0, len(inputs), step):
+            mass[lo:lo + step] = _probabilities(u, inputs[lo:lo + step], False,
+                                                interfering)[1].sum(axis=1)
+    return masses
 
 
 @functools.lru_cache(maxsize=None)  # one entry per photon number, at most 6

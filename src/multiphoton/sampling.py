@@ -49,7 +49,7 @@ from .linalg import (
 )
 from .permanent import _per_event_outputs, _probabilities
 from .rng import _require_integer, derive_rng
-from .sources import SourceParams
+from .sources import SourceParams, _require_sources
 
 __all__ = [
     "OutcomeDistribution",
@@ -391,8 +391,11 @@ def expected_rate(k: int, n: int, eps: float, eta: float, rep_rate: float = 80e6
     useful (heralded and detected) photon.  A standard run with n dedicated
     sources yields ``rep_rate * (eps*eta)^n``; a scattershot run over k
     sources accepts any n of them firing, giving
-    ``rep_rate * C(k, n) * (eps*eta)^n * (1 - eps*eta)^(k-n)``.
+    ``rep_rate * C(k, n) * (eps*eta)^n * (1 - eps*eta)^(k-n)``.  ``k``
+    and ``n`` must be ints or numpy integers, not bools.
     """
+    _require_integer("k", k)
+    _require_integer("n", n)
     if n < 0 or k < 1:
         raise ContractError("need k >= 1 sources and n >= 0")
     if n > k:
@@ -578,9 +581,7 @@ def scattershot_run(unitary, params: Sequence[SourceParams], pulses: int,
     """
     _require_integer("pulses", pulses)
     _require_integer("n_select", n_select)
-    for i, p in enumerate(params):
-        if not isinstance(p, SourceParams):
-            raise ContractError(f"source {i} must be a SourceParams, got {p!r}")
+    _require_sources(params)
     u = _require_unitary(unitary, "scattershot_run")
     modes = u.shape[0]
     if len(params) != modes:

@@ -19,12 +19,12 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, DataError
-from .rng import derive_rng
+from .rng import _require_integer, derive_rng
 
 __all__ = [
     "SourceParams",
@@ -370,8 +370,7 @@ class FireOutcome:
 
     Boolean arrays of shape ``(pulses, sources)``.  ``heralded`` implies
     ``pair_created``; ``signal_present`` means the signal photon survived
-    its arm and reaches the interferometer input.  The arrays are a dense
-    view of a sparse draw that only visits the cells holding a pair.
+    its arm and reaches the interferometer input.
     """
 
     pair_created: np.ndarray
@@ -379,29 +378,11 @@ class FireOutcome:
     signal_present: np.ndarray
 
 
-class _Pairs(NamedTuple):
-    """The pairs created in a run of pulses, sorted by (pulse, source)."""
-
-    pulse: np.ndarray
-    source: np.ndarray
-    heralded: np.ndarray
-    signal: np.ndarray
-
-
-def _draw_pairs(rng: np.random.Generator, epsilon: np.ndarray, herald_prob: np.ndarray,
-                signal_prob: np.ndarray, pulses: int) -> _Pairs:
-    # A binomial count of distinct pulses per source is exactly one
-    # Bernoulli(epsilon) trial per (pulse, source) cell, at a cost in the
-    # number of pairs rather than of cells.
-    k = epsilon.shape[0]
-    counts = rng.binomial(pulses, epsilon)
-    keys = np.concatenate([rng.choice(pulses, c, replace=False, shuffle=False) * k + i
-                           for i, c in enumerate(counts.tolist())])
-    keys.sort()
-    pulse, source = np.divmod(keys, k)
-    heralded = rng.random(keys.size) < herald_prob[source]
-    signal = rng.random(keys.size) < signal_prob[source]
-    return _Pairs(pulse, source, heralded, signal)
+def _require_sources(params: Sequence[SourceParams]) -> None:
+    """ContractError unless every source is a SourceParams."""
+    for i, p in enumerate(params):
+        if not isinstance(p, SourceParams):
+            raise ContractError(f"source {i} must be a SourceParams, got {p!r}")
 
 
 def fire_sources(params: Sequence[SourceParams], seed: int, pulses: int = 1) -> FireOutcome:
@@ -414,23 +395,22 @@ def fire_sources(params: Sequence[SourceParams], seed: int, pulses: int = 1) -> 
     is applied later, at the interferometer outputs.  Deterministic given
     the seed.
 
-    Pairs are drawn sparsely: a binomial pair count per source, the pulses
-    holding them, then the herald and signal draws of those pairs only.
-    The returned arrays scatter that draw into the dense per-cell view.
+    Each cell compares three uniforms of its own with these probabilities.
+    No run calls this function: ``scattershot_run`` draws only the pulses it
+    can retain.  ``pulses`` must be an int or a numpy integer, not a bool.
     """
+    _require_integer("pulses", pulses)
     if not params:
         raise ContractError("need at least one source")
+    _require_sources(params)
     if pulses < 1:
         raise ContractError("pulse count must be at least 1")
-    eps = np.array([p.epsilon for p in params])
-    herald = np.array([p.eta_herald * p.eta_detect for p in params])
-    signal = np.array([p.eta_herald for p in params])
-    pairs = _draw_pairs(derive_rng(seed, "fire-sources"), eps, herald, signal, pulses)
-    dense = np.zeros((3, pulses, len(params)), dtype=bool)
-    dense[0, pairs.pulse, pairs.source] = True
-    dense[1, pairs.pulse, pairs.source] = pairs.heralded
-    dense[2, pairs.pulse, pairs.source] = pairs.signal
-    return FireOutcome(*dense)
+    rng = derive_rng(seed, "fire-sources")
+    shape = (pulses, len(params))
+    pair = rng.random(shape) < [p.epsilon for p in params]
+    heralded = pair & (rng.random(shape) < [p.eta_herald * p.eta_detect for p in params])
+    signal = pair & (rng.random(shape) < [p.eta_herald for p in params])
+    return FireOutcome(pair, heralded, signal)
 
 
 _SOURCE_FIELDS = tuple(f.name for f in fields(SourceParams))

@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, DataError, DimensionError
-from .linalg import _require_unitary, count_patterns
-from .permanent import _CHUNK_BYTES, _pair_probabilities, _probabilities
+from .linalg import _require_unitary
+from .permanent import _collision_free_masses, _pair_probabilities
 from .sampling import (
     OutcomeDistribution,
     SampleRecord,
@@ -299,8 +299,8 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     records hold (``permanent._pair_probabilities``), so memory and time grow
     with the pairs observed, not with the groups times the outcomes.  With
     ``collisions=False`` each group's probabilities are divided by its
-    collision-free masses, summed from the engine's rows a chunk of groups
-    at a time.
+    collision-free masses (``permanent._collision_free_masses``), one call
+    per photon number.
     """
     _check_threshold(threshold)
     events = _events_from_records(records)
@@ -356,18 +356,15 @@ def scattershot_aggregate_validation(records: Sequence[SampleRecord], unitary,
     for k in levels:
         at = np.flatnonzero(group_level[group] == k)
         q[at], p[at] = _pair_probabilities(u, triggers, occupations, group[at], output[at])
-    if not collisions:  # divided by each group's collision-free masses, a chunk at a time
-        for values, interfering in ((q, True), (p, False)):
-            mass = np.empty(len(present))
-            for k in levels:
-                groups = np.flatnonzero(group_level == k)
-                step = max(1, _CHUNK_BYTES // (8 * count_patterns(modes, numbers[k], False)))
-                for chunk in np.split(groups, range(step, len(groups), step)):
-                    mass[chunk] = _probabilities(u, triggers[chunk], False,
-                                                 interfering)[1].sum(axis=1)
-            if not (mass > 0).all():
-                raise ContractError("no probability mass on collision-free outputs")
-            values /= mass[group]
+    if not collisions:  # divided by each group's collision-free masses
+        mass = np.empty((2, len(present)))
+        for k in levels:
+            groups = np.flatnonzero(group_level == k)
+            mass[:, groups] = _collision_free_masses(u, triggers[groups])
+        if not (mass > 0).all():
+            raise ContractError("no probability mass on collision-free outputs")
+        q /= mass[0, group]
+        p /= mass[1, group]
     pooled = _pooled_report(pair, group, q, p, threshold,
                             lambda t: (patterns[present[block[t]]], patterns[oid[t]]))
     freq = np.bincount(pair, minlength=len(group)) / counts[group]

@@ -75,6 +75,11 @@ class TestHaarRandomUnitary:
         with pytest.raises(ContractError, match="seed must be an integer"):
             haar_random_unitary(4, seed)
 
+    @pytest.mark.parametrize("modes", [2.5, 4.0, True, "4"])
+    def test_modes_must_be_an_integer(self, modes):
+        with pytest.raises(ContractError, match="modes must be an integer"):
+            haar_random_unitary(modes, 1)
+
 
 class TestTransitionSubmatrix:
     def test_identity_routing(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import multiphoton
-from multiphoton import permanent, sampling
+from multiphoton import permanent, sampling, validation
 from multiphoton.sources import SourceParams, tune_correlation_angle
 
 # Names deleted because nothing read them or they only repeated another name.
@@ -95,7 +95,7 @@ def test_names_the_benchmark_calls_exist(name):
 # Every permanent kernel lives in ``permanent``, beside its oracle, with the
 # constants that size it; ``sampling`` and ``validation`` import them.
 KERNELS = ("_low_table", "_glynn", "_sign_sums", "_probabilities", "_pair_probabilities",
-           "_subset_lattice", "_per_event_outputs")
+           "_collision_free_masses", "_subset_lattice", "_per_event_outputs")
 KERNEL_CONSTANTS = ("_SIGN_BYTES", "_CHUNK_BYTES", "_GEMM_CELLS", "_EVENT_CHUNK",
                     "_CUMSUM_EVENTS")
 
@@ -114,3 +114,10 @@ def test_permanent_kernels_live_in_permanent():
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
             package |= {name for name in names if name.split(".")[0] == "multiphoton"}
     assert package <= {"errors", "linalg", "rng"}, package
+
+
+def test_validation_imports_no_engine():
+    tree = ast.parse(Path(validation.__file__).read_text())
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names}
+    assert not names & {"_probabilities", "_CHUNK_BYTES"}, names

@@ -385,6 +385,39 @@ class TestPairProbabilities:
         assert np.array_equal(whole[0], chunked[0]) and np.array_equal(whole[1], chunked[1])
 
 
+class TestCollisionFreeMasses:
+    """Validation's collision-free masses against the engine's rows and the permutation sum."""
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 30])
+    @pytest.mark.parametrize("modes, n", [(6, 3), (8, 4), (12, 5)])
+    def test_equal_the_per_input_engine_row_sums(self, modes, n, chunk_bytes, monkeypatch):
+        u = haar_random_unitary(modes, 700 + n)
+        patterns = enumerate_patterns(modes, n)
+        inputs = np.array([patterns[k] for k in np.linspace(0, len(patterns) - 1, 9).astype(int)])
+        assert inputs.max() > 1  # bunched inputs among them
+        rows = [[permanent._probabilities(u, inputs[k:k + 1], False, interfering)[1].sum()
+                 for k in range(len(inputs))] for interfering in (True, False)]
+        monkeypatch.setattr(permanent, "_CHUNK_BYTES", chunk_bytes)
+        masses = permanent._collision_free_masses(u, inputs)
+        assert masses.shape == (2, len(inputs))
+        assert np.array_equal(masses, np.array(rows))
+
+    @pytest.mark.parametrize("modes", range(1, 6))
+    def test_match_naive_permanents_over_collision_free_outputs(self, modes):
+        u = haar_random_unitary(modes, 710 + modes)
+        for n in range(1, modes + 1):
+            inputs = np.array(_spread_and_bunched(modes, n))
+            masses = permanent._collision_free_masses(u, inputs)
+            for k, occ in enumerate(map(tuple, inputs.tolist())):
+                q = p = 0.0
+                for out in enumerate_patterns(modes, n, False):
+                    q += abs(permanent_naive(transition_submatrix(u, occ, out))) ** 2
+                    p += permanent_naive(transition_submatrix(np.abs(u) ** 2, occ, out)).real
+                q /= math.prod(map(math.factorial, occ))
+                assert masses[0, k] == pytest.approx(q, rel=0, abs=1e-12), (occ, "q")
+                assert masses[1, k] == pytest.approx(p, rel=0, abs=1e-12), (occ, "p")
+
+
 class TestDistinguishableDistribution:
     def test_identity_is_point_mass(self):
         dist = distinguishable_distribution(np.eye(3), (1, 0, 1))
@@ -564,6 +597,21 @@ class TestExpectedRate:
             with pytest.raises(ContractError):
                 expected_rate(3, 2, 0.1, 0.5, rep_rate=rep_rate)
 
+    @pytest.mark.parametrize("k, n, message", [
+        (10.5, 2, "k must be an integer"),
+        (10, 2.0, "n must be an integer"),
+        (True, True, "k must be an integer"),
+        (10, False, "n must be an integer"),
+        ("10", 2, "k must be an integer"),
+    ])
+    def test_counts_must_be_integers(self, k, n, message):
+        with pytest.raises(ContractError, match=message):
+            expected_rate(k, n, 0.1, 0.5)
+
+    def test_numpy_integer_counts(self):
+        assert expected_rate(np.int64(12), np.int32(3), 0.01, 0.5) == expected_rate(12, 3, 0.01,
+                                                                                    0.5)
+
 
 def dense_scattershot_reference(u, params, pulses, n_select, seed, build=exact_distribution):
     """The run's candidates with a per-event output loop.
@@ -721,8 +769,8 @@ def _subset_weights(params, n):
 
 def _pair_draw_candidates(params, n, seed, batches, size):
     """Per-batch candidate counts and each candidate's heralding set, from
-    the pair-by-pair draw of ``fire_sources``: n heralds, every heralded
-    signal surviving."""
+    the per-cell draw of ``fire_sources``: n heralds, every heralded signal
+    surviving."""
     fire = fire_sources(params, seed, batches * size)
     candidate = ((fire.heralded.sum(axis=1) == n)
                  & ((fire.heralded & fire.signal_present).sum(axis=1) == n))
@@ -867,7 +915,7 @@ class TestCandidateDraw:
         def refuse(*args):
             raise AssertionError("the run drew pairs")
 
-        monkeypatch.setattr(sources, "_draw_pairs", refuse)
+        monkeypatch.setattr(sources, "fire_sources", refuse)
         params = [SourceParams(0.4, eta_herald=0.9, eta_detect=0.7)] * 6
         result = scattershot_run(haar_random_unitary(6, 31), params, 70_000, 2, seed=3)
         assert result.report.retained_events > 0

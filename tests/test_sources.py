@@ -437,8 +437,8 @@ class TestFireSources:
         assert abs(mean - 1.2) <= band
 
     def test_heterogeneous_rates_match_the_cell_model(self):
-        # pairs are drawn sparsely, yet every cell must follow its source's
-        # Bernoulli probabilities for pair, herald, signal and both
+        # every cell must follow its source's Bernoulli probabilities for
+        # pair, herald, signal and both
         params = [
             SourceParams(0.0, eta_herald=0.9, eta_detect=0.8),
             SourceParams(0.004, eta_herald=0.7, eta_detect=0.6),
@@ -471,6 +471,21 @@ class TestFireSources:
             fire_sources([], seed=0)
         with pytest.raises(ContractError):
             fire_sources([SourceParams(epsilon=0.1)], seed=0, pulses=0)
+
+    @pytest.mark.parametrize("params, pulses, message", [
+        ([SourceParams(epsilon=0.3)], 2.5, "pulses must be an integer"),
+        ([SourceParams(epsilon=0.3)], True, "pulses must be an integer"),
+        ([SourceParams(epsilon=0.3)], np.float64(5), "pulses must be an integer"),
+        ([0.3], 5, "source 0 must be a SourceParams"),
+        ([SourceParams(epsilon=0.3), {"epsilon": 0.3}], 5, "source 1 must be a SourceParams"),
+    ])
+    def test_contract_errors(self, params, pulses, message):
+        with pytest.raises(ContractError, match=message):
+            fire_sources(params, 0, pulses)
+
+    def test_numpy_integer_pulses(self):
+        fire = fire_sources([SourceParams(epsilon=0.3)] * 2, seed=9, pulses=np.int64(50))
+        assert fire.pair_created.shape == (50, 2)
 
 
 class TestSourceConfigFile:

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from multiphoton import cli, validation
+from multiphoton import cli, permanent, validation
 from multiphoton.errors import ContractError, DataError, DimensionError, ResourceLimitError
 from multiphoton.linalg import (_require_unitary, as_occupation, haar_random_unitary, load_matrix,
                                 save_matrix)
@@ -567,13 +567,13 @@ class TestScattershotAggregateValidation:
         # the pairs are evaluated on their own; the engine's full rows are
         # built only to sum each group's collision-free masses
         calls = Counter()
-        engine = validation._probabilities
+        engine = permanent._probabilities
 
         def counted(u, inputs, collisions, interfering):
             calls[int(inputs[0].sum()), collisions, interfering] += 1
             return engine(u, inputs, collisions, interfering)
 
-        monkeypatch.setattr(validation, "_probabilities", counted)
+        monkeypatch.setattr(permanent, "_probabilities", counted)
         u, _, records = mixed_photon_records()
         scattershot_aggregate_validation(records, u, collisions)
         assert calls == ({} if collisions else
